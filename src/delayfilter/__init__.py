@@ -11,7 +11,8 @@ map becomes left-invertible in the unknown input. The package covers
     reconstruction error decays (`invariant_zeros`, `classify_zeros`),
   * gain design: exact inversion for square systems and minimum-variance
     constrained gains otherwise (`square_gain`, `minvar_gain`),
-  * the online filter itself (`init_filter`, `step`),
+  * the online filter itself (`init_filter`, `step`), and the same
+    filter over a whole record or a batch of trials (`run_filter`),
   * simulation and reproduction of the bundled reference systems.
 """
 
@@ -26,6 +27,7 @@ from .errors import (
     InfeasibleDelay,
     InnovationCovarianceSingular,
     LowerMarkovNonzero,
+    MeasurementFileError,
     ModelFileError,
     NotSquare,
     NotSymmetric,
@@ -97,8 +99,10 @@ from .filtering import (
     classify_convergence,
     error_dynamics_matrix,
     gain_spectral_radius,
+    FilterRun,
     init_filter,
     predicted_error_sequence,
+    run_filter,
     step,
 )
 from .signals import (CONSTANT, GAUSSIAN, KINDS, PRBS, SAWTOOTH, SINE, STEP,

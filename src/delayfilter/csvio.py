@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MeasurementFileError
 from .sim import Trajectory
 
 
@@ -50,9 +50,13 @@ def read_measurements(path, l: int, m: int):
     """Read k,y1..yl[,u1..um] rows; trailing x<i>/e<i> truth columns are ignored.
 
     Returns (ks, y, u) with u = None when m = 0. Steps must be the
-    contiguous range 0..T in order.
+    contiguous range 0..T in order, and every sample must be finite.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise MeasurementFileError(f"cannot read measurement file {path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -70,7 +74,7 @@ def read_measurements(path, l: int, m: int):
                 raise DimensionMismatch(
                     f"{path}: unexpected column {name.strip()!r} after the "
                     f"y/u block (truth columns are x<i>/e<i>)")
-        ks, ys, us = [], [], []
+        ks, samples = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -78,16 +82,21 @@ def read_measurements(path, l: int, m: int):
                 raise DimensionMismatch(f"{path}:{line_no}: short row")
             try:
                 ks.append(int(float(row[0])))
-                ys.append([float(c) for c in row[1:1 + l]])
-                us.append([float(c) for c in row[1 + l:1 + l + m]])
-            except ValueError:
+                samples.append([float(c) for c in row[1:len(expected)]])
+            except (ValueError, OverflowError):
                 raise DimensionMismatch(f"{path}:{line_no}: non-numeric field") from None
     if not ks:
         raise DimensionMismatch(f"{path}: no data rows")
     if ks != list(range(len(ks))):
         raise DimensionMismatch(f"{path}: k column must run 0..T without gaps")
-    y = np.asarray(ys)
-    u = np.asarray(us) if m > 0 else None
+    data = np.asarray(samples)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        k, col = bad[0]
+        raise MeasurementFileError(
+            f"{path}: non-finite {expected[1 + col]} at row k={k}")
+    y = data[:, :l]
+    u = data[:, l:] if m > 0 else None
     return ks, y, u
 
 

@@ -39,6 +39,10 @@ class ModelFileError(DelayFilterError):
     """Model file missing, unparseable, or carrying unknown keys."""
 
 
+class MeasurementFileError(DelayFilterError):
+    """Measurement file missing, unreadable, or carrying non-finite samples."""
+
+
 # --- delay / rank analysis ---
 
 class DelayOutOfRange(DelayFilterError):

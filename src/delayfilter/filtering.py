@@ -6,6 +6,11 @@ carrying y_k (for k >= r+1) emits the smoothed estimate of x_{k-r}
 together with a reconstruction of the unknown input at k-r-1. Calls
 during the warm-up window k <= r only buffer known inputs and emit
 nothing, because the recursion has no estimate to update yet.
+
+run_filter() drives the same update over a whole record at once, for
+one trajectory or a batch of trials. The gain schedule depends only on
+(model, noise, r, P0), never on the measurements, so every trial of a
+batch shares it and the estimates advance together as (trials, n) arrays.
 """
 
 from __future__ import annotations
@@ -63,13 +68,19 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class _FilterOps:
-    """Precomputed constants reused by every step call."""
+    """Precomputed constants reused by every update.
+
+    Matrices are stored transposed: the update right-multiplies, so one
+    code path serves a single estimate (n,) and a batch (trials, n).
+    """
 
     r: int
-    gain_mode: str
-    A_rp1: np.ndarray                   # A^(r+1)
-    AjB: tuple                          # A^j B for j = 0..r
-    M_pinv: np.ndarray                  # (CA^rH)^-1, pseudoinverse if l > p
+    At: np.ndarray                      # A^T
+    A_rp1t: np.ndarray                  # (A^(r+1))^T
+    Ct: np.ndarray                      # C^T
+    Dt: np.ndarray                      # D^T
+    AjBt: tuple                         # (A^j B)^T for j = 0..r, () if m=0
+    M_pinvt: np.ndarray                 # ((CA^rH)^-1)^T, pseudoinverse if l > p
 
 
 @dataclass(frozen=True)
@@ -150,15 +161,16 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     else:
         M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
 
-    A_rp1 = np.linalg.matrix_power(model.A, r + 1)
-    AjB = []
+    AjBt = []
     Aj = np.eye(model.n)
     for _ in range(r + 1):
-        AjB.append(readonly(Aj @ model.B))
-        Aj = model.A @ Aj
+        AjBt.append(readonly((Aj @ model.B).T))
+        Aj = model.A @ Aj               # ends at A^(r+1)
 
-    ops = _FilterOps(r=r, gain_mode=config.gain_mode, A_rp1=readonly(A_rp1),
-                     AjB=tuple(AjB), M_pinv=readonly(M_pinv))
+    ops = _FilterOps(r=r, At=readonly(model.A.T), A_rp1t=readonly(Aj.T),
+                     Ct=readonly(model.C.T), Dt=readonly(model.D.T),
+                     AjBt=tuple(AjBt) if model.m > 0 else (),
+                     M_pinvt=readonly(M_pinv.T))
     return FilterState(
         k=0,
         xhat_delayed=readonly(x0),
@@ -168,6 +180,41 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         gain_frozen=config.gain_mode != TIME_VARYING_MINVAR,
         ops=ops,
     )
+
+
+def _refresh_gain(model: SystemModel, noise: NoiseSpec, r: int, P: CovarianceState):
+    """One time-varying gain step: (L, next covariance, frozen).
+
+    The gain freezes once the covariance recursion reaches its fixed
+    point to FREEZE_RTOL.
+    """
+    L = minvar_gain(model, noise, r, P).L
+    P_next = covariance_update(model, noise, r, L, P)
+    frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
+    return L, P_next, frozen
+
+
+def _update(ops: _FilterOps, L, xhat, y, u, u_window):
+    """Consume y[k]; return (estimate of x[k-r], input at k-r-1, innovation).
+
+    xhat estimates x[k-r-1]. y and xhat are (l,) and (n,) for one
+    trajectory or (trials, l) and (trials, n) for a batch. u is u[k] and
+    u_window holds u[k-r-1], ..., u[k-1]; both are ignored when m = 0.
+    """
+    r = ops.r
+    # Prediction chain: advance the delayed estimate one step, and
+    # project it r+1 steps forward to compare against y_k.
+    xpred_delayed = xhat @ ops.At
+    xpred_now = xhat @ ops.A_rp1t
+    if ops.AjBt:
+        xpred_delayed = xpred_delayed + u_window[0] @ ops.AjBt[0]
+        for j, AjBt in enumerate(ops.AjBt):
+            xpred_now = xpred_now + u_window[r - j] @ AjBt
+
+    innovation = y - xpred_now @ ops.Ct
+    if ops.AjBt:
+        innovation = innovation - u @ ops.Dt
+    return xpred_delayed + innovation @ L.T, innovation @ ops.M_pinvt, innovation
 
 
 def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
@@ -186,42 +233,19 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
             raise DimensionMismatch("u_k required: the model has known inputs")
         u = _as_vector(u_k, model.m, "u_k")
     else:
-        u = np.zeros(0)
+        u = None
 
     if k <= r:
         buf = state.u_buffer + (u,) if model.m > 0 else ()
         return replace(state, k=k + 1, u_buffer=buf), None
 
-    buf = state.u_buffer
-    # Prediction chain: advance the delayed estimate one step, and
-    # project it r+1 steps forward to compare against y_k.
-    if model.m > 0:
-        xpred_delayed = model.A @ state.xhat_delayed + model.B @ buf[0]
-        xpred_now = state.ops.A_rp1 @ state.xhat_delayed
-        for j in range(r + 1):
-            xpred_now = xpred_now + state.ops.AjB[j] @ buf[r - j]
-    else:
-        xpred_delayed = model.A @ state.xhat_delayed
-        xpred_now = state.ops.A_rp1 @ state.xhat_delayed
+    L, P, gain_frozen = state.L, state.P, state.gain_frozen
+    if not gain_frozen:
+        L, P, gain_frozen = _refresh_gain(model, noise, r, P)
+    xhat_new, ehat, innovation = _update(state.ops, L, state.xhat_delayed, y, u,
+                                         state.u_buffer)
 
-    innovation = y - model.C @ xpred_now
-    if model.m > 0:
-        innovation = innovation - model.D @ u
-
-    L = state.L
-    P = state.P
-    gain_frozen = state.gain_frozen
-    if state.ops.gain_mode == TIME_VARYING_MINVAR and not gain_frozen:
-        L = minvar_gain(model, noise, r, P).L
-        P_next = covariance_update(model, noise, r, L, P)
-        if frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P)):
-            gain_frozen = True
-        P = P_next
-
-    xhat_new = xpred_delayed + L @ innovation
-    ehat = state.ops.M_pinv @ innovation
-
-    new_buf = buf[1:] + (u,) if model.m > 0 else ()
+    new_buf = state.u_buffer[1:] + (u,) if model.m > 0 else ()
     next_state = replace(
         state, k=k + 1, xhat_delayed=readonly(xhat_new), P=P,
         L=L if L is state.L else readonly(L),
@@ -234,6 +258,66 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
         innovation=innovation,
     )
     return next_state, out
+
+
+@dataclass(frozen=True, eq=False)
+class FilterRun:
+    """Estimates of a whole record, indexed by measurement time k.
+
+    Row k >= r+1 of state_estimates estimates x[k-r], the same row of
+    input_estimates reconstructs e[k-r-1], and innovations holds the
+    innovation of y[k]. The warm-up rows k <= r are NaN. A batched run
+    keeps the leading trial axis: (trials, T+1, n) and so on.
+    """
+
+    state_estimates: np.ndarray
+    input_estimates: np.ndarray
+    innovations: np.ndarray
+
+
+def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig,
+               y, u=None) -> FilterRun:
+    """Drive the filter over a record y of shape (T+1, l) or (trials, T+1, l).
+
+    Gives the same estimates as feeding step() one measurement at a
+    time. u has y's leading shape with m columns; it is required when
+    the model has known inputs and ignored otherwise. A batch shares one
+    gain schedule, refreshed once per time step, and needs
+    O(trials (T+1) (n+l+p+m)) floats of memory.
+    """
+    state = init_filter(model, noise, config)
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (2, 3) or y.shape[-1] != model.l:
+        raise DimensionMismatch(
+            f"y must be (T+1, {model.l}) or (trials, T+1, {model.l}), got {y.shape}")
+    if model.m > 0:
+        if u is None:
+            raise DimensionMismatch("u required: the model has known inputs")
+        u = np.asarray(u, dtype=float)
+        if u.shape != y.shape[:-1] + (model.m,):
+            raise DimensionMismatch(
+                f"u must be {y.shape[:-1] + (model.m,)}, got {u.shape}")
+    else:
+        u = np.zeros(y.shape[:-1] + (0,))
+    # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
+    yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
+
+    r = state.ops.r
+    lead = yt.shape[:-1]
+    xs = np.full(lead + (model.n,), np.nan)
+    es = np.full(lead + (model.p,), np.nan)
+    innovations = np.full(lead + (model.l,), np.nan)
+    xhat = np.broadcast_to(state.xhat_delayed, lead[1:] + (model.n,))
+    L, P, gain_frozen = state.L, state.P, state.gain_frozen
+    for k in range(r + 1, len(yt)):
+        if not gain_frozen:
+            L, P, gain_frozen = _refresh_gain(model, noise, r, P)
+        xhat, es[k], innovations[k] = _update(state.ops, L, xhat, yt[k], ut[k],
+                                              ut[k - r - 1:k])
+        xs[k] = xhat
+    return FilterRun(state_estimates=np.moveaxis(xs, 0, -2),
+                     input_estimates=np.moveaxis(es, 0, -2),
+                     innovations=np.moveaxis(innovations, 0, -2))
 
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:

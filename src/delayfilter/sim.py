@@ -2,9 +2,16 @@
 
 simulate() realizes the system recursion exactly, so trajectory
 residuals are zero by construction and every run is reproducible from
-its seed. run_experiment() drives the filter over a trajectory and
-scores it against the truth; monte_carlo_bias() repeats that over many
-seeded noise realizations to estimate the error bias.
+its seed. It is two stages: _draw() takes one trial's noise and signal
+samples from substreams of the seed, and _propagate() runs the state
+recursion over arrays that may carry a leading trial axis.
+
+run_experiment() drives the filter over a trajectory with run_filter()
+and scores it against the truth. monte_carlo_bias() repeats that over
+many seeded noise realizations to estimate the error bias: it draws
+each trial in turn, then propagates and filters all trials together in
+one pass. A trial drawn by monte_carlo_bias is the trajectory simulate()
+returns for the same substream.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
-from .filtering import FilterConfig, init_filter, step
+from .filtering import FilterConfig, StepOutput, run_filter
 from .linalg import psd_factor, readonly
 from .model import NoiseSpec, SystemModel, validate_model
 from .signals import SignalSpec, signal_values
@@ -57,15 +64,15 @@ def _rms(a: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(a)))) if a.size else 0.0
 
 
-def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
-             seed=0, x0=None, u_signals=None, noise_on: bool = True) -> Trajectory:
-    """Simulate k = 0..T with seeded Gaussian noise when enabled.
+def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
+    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise."""
+    if noise_on and noise is None:
+        raise PreconditionViolated("noise_on=True needs a NoiseSpec")
+    return (psd_factor(noise.Q), psd_factor(noise.R)) if noise_on else None
 
-    e_signals must give one SignalSpec per unknown-input channel, and
-    u_signals one per known-input channel (omitted means zero known
-    input). Noise and stochastic signal channels draw from independent
-    substreams spawned off the seed, so runs are byte-reproducible.
-    """
+
+def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
+    """Validated (e_signals, u_signals) tuples; omitted u_signals mean zero."""
     if T < 1:
         raise DimensionMismatch(f"T must be >= 1, got {T}")
     e_signals = tuple(e_signals)
@@ -78,41 +85,66 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     if len(u_signals) != model.m:
         raise DimensionMismatch(
             f"need {model.m} known-input signals, got {len(u_signals)}")
+    return e_signals, u_signals
 
+
+def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seed):
+    """One trial's inputs (w, v, e, u), each with T+1 rows.
+
+    The seed spawns 2 + p + m substreams in a fixed order: w, v, the e
+    channels, then the u channels. Keeping that order keeps every seed's
+    trajectory unchanged.
+    """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(2 + model.p + model.m)
-
-    n, l = model.n, model.l
-    if noise_on and noise is None:
-        raise PreconditionViolated("noise_on=True needs a NoiseSpec")
-    use_noise = noise_on and noise is not None
-    if use_noise:
-        Gw = psd_factor(noise.Q)
-        Gv = psd_factor(noise.R)
-        w = np.random.default_rng(children[0]).standard_normal((T + 1, n)) @ Gw.T
-        v = np.random.default_rng(children[1]).standard_normal((T + 1, l)) @ Gv.T
+    if factors is not None:
+        Gw, Gv = factors
+        w = np.random.default_rng(children[0]).standard_normal((T + 1, model.n)) @ Gw.T
+        v = np.random.default_rng(children[1]).standard_normal((T + 1, model.l)) @ Gv.T
     else:
-        w = np.zeros((T + 1, n))
-        v = np.zeros((T + 1, l))
+        w = np.zeros((T + 1, model.n))
+        v = np.zeros((T + 1, model.l))
 
-    e = np.column_stack([
-        signal_values(spec, T, rng=np.random.default_rng(children[2 + c]))
-        for c, spec in enumerate(e_signals)
-    ]) if model.p else np.zeros((T + 1, 0))
-    u = np.column_stack([
-        signal_values(spec, T, rng=np.random.default_rng(children[2 + model.p + c]))
-        for c, spec in enumerate(u_signals)
-    ]) if model.m else np.zeros((T + 1, 0))
+    def channels(specs, first):
+        if not specs:
+            return np.zeros((T + 1, 0))
+        return np.column_stack([
+            signal_values(spec, T, rng=np.random.default_rng(children[first + c]))
+            for c, spec in enumerate(specs)
+        ])
 
-    x = np.zeros((T + 1, n))
-    if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float).reshape(n)
-    y = np.zeros((T + 1, l))
-    for k in range(T + 1):
-        y[k] = model.C @ x[k] + model.D @ u[k] + v[k]
-        if k < T:
-            x[k + 1] = model.A @ x[k] + model.B @ u[k] + model.H @ e[k] + w[k]
+    return w, v, channels(e_signals, 2), channels(u_signals, 2 + model.p)
 
+
+def _propagate(model: SystemModel, x0, w, v, e, u):
+    """(x, y) from x[k+1] = A x + B u + H e + w and y = C x + D u + v.
+
+    The inputs have T+1 rows, optionally behind a leading trial axis;
+    x0 is (n,) or one row per trial. Row T of w is unused.
+    """
+    drive = u @ model.B.T + e @ model.H.T + w
+    x = np.empty(w.shape)
+    x[..., 0, :] = x0
+    At = model.A.T
+    for k in range(w.shape[-2] - 1):
+        x[..., k + 1, :] = x[..., k, :] @ At + drive[..., k, :]
+    return x, x @ model.C.T + u @ model.D.T + v
+
+
+def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
+             seed=0, x0=None, u_signals=None, noise_on: bool = True) -> Trajectory:
+    """Simulate k = 0..T with seeded Gaussian noise when enabled.
+
+    e_signals must give one SignalSpec per unknown-input channel, and
+    u_signals one per known-input channel (omitted means zero known
+    input). Noise and stochastic signal channels draw from independent
+    substreams spawned off the seed, so runs are byte-reproducible.
+    """
+    e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
+    factors = _noise_factors(noise, noise_on)
+    w, v, e, u = _draw(model, factors, e_signals, u_signals, T, seed)
+    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float).reshape(model.n)
+    x, y = _propagate(model, start, w, v, e, u)
     return Trajectory(T=T, x=readonly(x), y=readonly(y), e=readonly(e),
                       u=readonly(u), w=readonly(w), v=readonly(v), seed=seed)
 
@@ -166,23 +198,17 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
     (k, StepOutput or None) rows including the warm-up window, ready
     for CSV export.
     """
-    state = init_filter(model, noise, config)
+    run = run_filter(model, noise, config, trajectory.y, trajectory.u)
     r = int(config.r)
-    rows = []
-    ks, serr, ierr = [], [], []
-    for k in range(trajectory.T + 1):
-        u_k = trajectory.u[k] if model.m > 0 else None
-        state, out = step(state, model, noise, trajectory.y[k], u_k)
-        rows.append((k, out))
-        if out is None:
-            continue
-        ks.append(k)
-        serr.append(trajectory.x[k - r] - out.state_estimate)
-        ierr.append(trajectory.e[k - r - 1] - out.input_estimate)
-    serr = np.asarray(serr) if serr else np.zeros((0, model.n))
-    ierr = np.asarray(ierr) if ierr else np.zeros((0, model.p))
+    xs, es, innovations = run.state_estimates, run.input_estimates, run.innovations
+    rows = [(k, None if k <= r else StepOutput(k=k, state_estimate=xs[k], input_estimate=es[k],
+                                               innovation=innovations[k]))
+            for k in range(trajectory.T + 1)]
+    ks = np.arange(r + 1, trajectory.T + 1)
+    serr = trajectory.x[ks - r] - xs[ks]
+    ierr = trajectory.e[ks - r - 1] - es[ks]
     stats = ErrorStats(
-        ks=np.asarray(ks, dtype=int),
+        ks=ks,
         state_errors=serr,
         input_errors=ierr,
         state_rms=_rms(serr),
@@ -224,19 +250,18 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     r = int(config.r)
     if min(ks) < r + 1:
         raise DimensionMismatch(f"bias sample times must be >= r+1 = {r + 1}")
+    if max(ks) > T:
+        raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    root = np.random.SeedSequence(seed)
-    per_trial = root.spawn(trials)
-    errs = np.zeros((trials, len(ks), model.n))
-    k_to_row = {k: i for i, k in enumerate(ks)}
-    for t in range(trials):
-        traj = simulate(model, noise, signals, T, seed=per_trial[t])
-        state = init_filter(model, noise, config)
-        for k in range(T + 1):
-            u_k = traj.u[k] if model.m > 0 else None
-            state, out = step(state, model, noise, traj.y[k], u_k)
-            if out is not None and k in k_to_row:
-                errs[t, k_to_row[k]] = traj.x[k - r] - out.state_estimate
+    signals, u_signals = _check_signals(model, signals, None, T)
+    factors = _noise_factors(noise, True)
+    draws = [_draw(model, factors, signals, u_signals, T, s)
+             for s in np.random.SeedSequence(seed).spawn(trials)]
+    w, v, e, u = (np.stack(a) for a in zip(*draws))
+    x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
+    run = run_filter(model, noise, config, y, u)
+    idx = np.asarray(ks)
+    errs = x[:, idx - r] - run.state_estimates[:, idx]
 
     mean = errs.mean(axis=0)
     stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)

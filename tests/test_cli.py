@@ -1,6 +1,9 @@
 """End-to-end command line behavior: reports, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,40 @@ def test_filter_mismatched_measurements_exit_1(model_file, tmp_path, capsys):
     bad.write_text("k,y1,y2\n0,1.0,2.0\n")
     rc = main(["filter", mf, str(bad)])
     assert rc == 1
+
+
+def test_filter_missing_measurements_exit_1(model_file, tmp_path, capsys):
+    rc = main(["filter", model_file("minphase3"), str(tmp_path / "absent.csv")])
+    assert rc == 1
+    assert "MeasurementFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_filter_nonfinite_sample_exits_1(model_file, tmp_path, capsys, value):
+    meas = tmp_path / "meas.csv"
+    rows = ["k,y1"] + [f"{k},{0.1 * k}" for k in range(6)]
+    rows[4] = f"3,{value}"
+    meas.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "est.csv"
+    rc = main(["filter", model_file("minphase3"), str(meas), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "MeasurementFileError" in err and "y1 at row k=3" in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(df.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "delayfilter", "reproduce", "minphase3",
+                           "--outdir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+    proc = subprocess.run([sys.executable, "-m", "delayfilter", "reproduce", "nope"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
 
 
 def test_reproduce_known_example(tmp_path, capsys):

@@ -177,3 +177,53 @@ def test_classify_convergence_rejects_biased_gain():
     L = df.square_gain(E1, 1).L
     with pytest.raises(df.ConstraintViolated):
         df.classify_convergence(E1, 1, L + 1.0)
+
+
+# -- run_filter: the whole record at once ------------------------------------
+
+def _known_input_case(trials, T=30):
+    base, noise, _ = df.reference_example("nonsquare3")
+    model = df.validate_model(base.A, base.H, base.C, B=[[0.3], [-0.2], [0.1]],
+                              D=[[0.5], [0.0]])
+    rng = np.random.default_rng(21)
+    y = rng.standard_normal((trials, T + 1, model.l))
+    u = rng.standard_normal((trials, T + 1, model.m))
+    config = df.FilterConfig(r=2, gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+    return model, noise, config, y, u
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_run_filter_batch_equals_step_loop(trials):
+    model, noise, config, y, u = _known_input_case(trials)
+    run = df.run_filter(model, noise, config, y, u)
+    assert run.state_estimates.shape == y.shape[:2] + (model.n,)
+    assert run.input_estimates.shape == y.shape[:2] + (model.p,)
+    assert run.innovations.shape == y.shape
+    assert np.all(np.isnan(run.state_estimates[:, :config.r + 1]))
+    for t in range(trials):
+        state = df.init_filter(model, noise, config)
+        for k in range(y.shape[1]):
+            state, out = df.step(state, model, noise, y[t, k], u[t, k])
+            if out is None:
+                continue
+            for got, want in ((run.state_estimates[t, k], out.state_estimate),
+                              (run.input_estimates[t, k], out.input_estimate),
+                              (run.innovations[t, k], out.innovation)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    single = df.run_filter(model, noise, config, y[0], u[0])
+    np.testing.assert_allclose(single.state_estimates, run.state_estimates[0],
+                               rtol=0, atol=1e-12)
+
+
+def test_run_filter_rejects_bad_shapes():
+    model, noise, config, y, u = _known_input_case(2)
+    with pytest.raises(df.DimensionMismatch):
+        df.run_filter(model, noise, config, y)              # u missing
+    with pytest.raises(df.DimensionMismatch):
+        df.run_filter(model, noise, config, y, u[0])        # u without trial axis
+    with pytest.raises(df.DimensionMismatch):
+        df.run_filter(model, noise, config, y[..., :1], u)  # l = 2 outputs
+    with pytest.raises(df.InfeasibleDelay):
+        df.run_filter(model, noise, _config(r=0, n=model.n), y, u)

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import delayfilter as df
+from conftest import make_feasible_system, random_noise, random_stable_a
 
 # two-state chain: the square gain at delay 1 is deadbeat, so on clean
 # data every estimate is exact once the nilpotent transient dies
@@ -51,6 +52,95 @@ def test_deadbeat_filter_recovers_any_input_shape(spec, seed):
         assert abs(out.input_estimate[0] - traj.e[out.k - 2, 0]) <= 1e-9 * scale
         checked += 1
     assert checked > 0
+
+
+def _stable_gains(rng, model):
+    """{r: gain} over every feasible delay, or None if some gain is unusable.
+
+    Square systems take the unique gain; non-square ones the min-variance
+    gain for a random noise pair. Recovery is exact in exact arithmetic
+    at any feasible delay, but unstable error dynamics or a huge gain
+    amplify rounding, so draws whose gain leaves a spectral radius above
+    0.9 or has a norm above 100 are rejected.
+    """
+    noise = random_noise(rng, model, scale=1.0)
+    gains = {}
+    for r in df.analyze_delays(model).feasible_delays:
+        try:
+            if model.l == model.p:
+                L = df.square_gain(model, r).L
+            else:
+                L = df.minvar_gain(model, noise, r).L
+        except df.DelayFilterError:
+            return None
+        if df.gain_spectral_radius(model, r, L) > 0.9 or np.linalg.norm(L) > 100:
+            return None
+        gains[r] = L
+    return gains or None
+
+
+def _system_with_gains(seed):
+    """A random system and a stable unbiased gain at each feasible delay.
+
+    Even seeds draw C freely, so every delay above the minimal one sees
+    nonzero lower Markov blocks; odd seeds zero the blocks below a drawn
+    delay, as the conftest generator does.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        n = int(rng.integers(2, 7))
+        if seed % 2:
+            drawn = make_feasible_system(rng, n=n, radius=0.9)
+            if drawn is None:
+                continue
+            model = drawn[0]
+        else:
+            p = int(rng.integers(1, n))
+            l = int(rng.integers(p, n + 1))
+            try:
+                model = df.validate_model(random_stable_a(rng, n, 0.9),
+                                          rng.standard_normal((n, p)),
+                                          rng.standard_normal((l, n)))
+            except df.DelayFilterError:
+                continue
+        gains = _stable_gains(rng, model)
+        if gains is not None:
+            return model, gains, rng
+
+
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_noiseless_recovery_at_every_feasible_delay(seed):
+    # the unbiasedness constraint L S_r = [H 0 ... 0] makes the state exact
+    # on clean data at every feasible delay, whether or not the Markov
+    # blocks below r vanish; the input decoding (CA^rH)^+ innovation is
+    # exact only where they do
+    model, gains, rng = _system_with_gains(seed)
+    T = 40
+    e = rng.standard_normal((T + 1, model.p))
+    x = np.zeros((T + 1, model.n))
+    for k in range(T):
+        x[k + 1] = model.A @ x[k] + model.H @ e[k]
+    y = x @ model.C.T
+    for r, L in gains.items():
+        config = df.FilterConfig(r=r, gain_mode=df.FIXED_USER_SUPPLIED,
+                                 initial_estimate=np.zeros(model.n),
+                                 initial_covariance=np.eye(model.n), gain=L)
+        ks = np.arange(r + 1, T + 1)
+        lower_zero = all(np.max(np.abs(df.markov_parameter(model, j))) < 1e-12
+                         for j in range(r))
+        run = df.run_filter(model, None, config, y)
+        state = df.init_filter(model, None, config)
+        stepped = []
+        for k in range(T + 1):
+            state, out = df.step(state, model, None, y[k])
+            if out is not None:
+                stepped.append((out.state_estimate, out.input_estimate))
+        for xhat, ehat in ((run.state_estimates[ks], run.input_estimates[ks]),
+                           tuple(np.array(a) for a in zip(*stepped))):
+            assert np.max(np.abs(xhat - x[ks - r])) <= 1e-9, (r, gains.keys())
+            if lower_zero:
+                assert np.max(np.abs(ehat - e[ks - r - 1])) <= 1e-9, (r, gains.keys())
 
 
 @given(spec=signal_specs(), seed=st.integers(0, 2**31))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter.linalg import psd_factor
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -90,6 +91,28 @@ def test_simulate_deterministic_per_seed():
     assert not np.array_equal(a.y, c.y)
 
 
+def test_simulate_draw_order():
+    # the seed spawns one substream each for w, v, the e channels and the
+    # u channels, in that order; every recorded seed depends on it
+    model = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
+    noise = df.NoiseSpec(Q=np.array([[2e-2, 5e-3], [5e-3, 1e-2]]), R=1e-2 * np.eye(1))
+    e_spec, u_spec = df.parse_signal_spec("gaussian:0.5"), df.parse_signal_spec("prbs:2:3")
+    traj = df.simulate(model, noise, [e_spec], 30, seed=5, u_signals=[u_spec])
+    w_ss, v_ss, e_ss, u_ss = np.random.SeedSequence(5).spawn(4)
+    rng = np.random.default_rng
+    w = rng(w_ss).standard_normal((31, 2)) @ psd_factor(noise.Q).T
+    v = rng(v_ss).standard_normal((31, 1)) @ psd_factor(noise.R).T
+    assert np.array_equal(traj.w, w) and np.array_equal(traj.v, v)
+    assert np.array_equal(traj.e[:, 0], df.signal_values(e_spec, 30, rng=rng(e_ss)))
+    assert np.array_equal(traj.u[:, 0], df.signal_values(u_spec, 30, rng=rng(u_ss)))
+    x = np.zeros(2)
+    for k in range(31):
+        assert np.allclose(traj.x[k], x, rtol=0, atol=1e-12)
+        assert np.allclose(traj.y[k], model.C @ x + model.D @ traj.u[k] + v[k],
+                           rtol=0, atol=1e-12)
+        x = model.A @ x + model.B @ traj.u[k] + model.H @ traj.e[k] + w[k]
+
+
 def test_simulate_noise_requires_spec():
     with pytest.raises(df.PreconditionViolated):
         df.simulate(E1, None, [df.parse_signal_spec("sine:1:40")], 10,
@@ -163,3 +186,67 @@ def test_monte_carlo_bias_shapes():
     assert report.mean.shape == (2, 2)
     assert report.stderr.shape == (2, 2)
     assert not report.flagged.any()
+
+
+# -- batched Monte Carlo against the per-trial loop --------------------------
+
+E1U = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
+
+
+def _per_trial_bias(model, noise, config, signals, trials, T, seed, ks):
+    """Reference: one simulate() and one step() loop per trial."""
+    r = config.r
+    errs = np.zeros((trials, len(ks), model.n))
+    for t, trial_seed in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        traj = df.simulate(model, noise, signals, T, seed=trial_seed)
+        state = df.init_filter(model, noise, config)
+        for k in range(T + 1):
+            u_k = traj.u[k] if model.m > 0 else None
+            state, out = df.step(state, model, noise, traj.y[k], u_k)
+            if k in ks:
+                errs[t, ks.index(k)] = traj.x[k - r] - out.state_estimate
+    mean = errs.mean(axis=0)
+    stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)
+    return mean, stderr, np.abs(mean) > 4.0 * stderr
+
+
+def _bias_case(name):
+    if name == "square":
+        model, _, _ = df.reference_example("compartmental-25")
+        noise = df.default_noise(model)
+        return model, noise, df.FIXED_SQUARE, 1, None, df.example_signals(model)
+    if name == "known-input":
+        noise = df.NoiseSpec(Q=1e-2 * np.eye(2), R=1e-2 * np.eye(1))
+        return E1U, noise, df.FIXED_SQUARE, 1, None, [df.parse_signal_spec("gaussian:0.5")]
+    model, noise, _ = df.reference_example("nonsquare3")
+    signals = [df.parse_signal_spec("prbs:1:5")]
+    if name == "minvar":
+        return model, noise, df.TIME_VARYING_MINVAR, 2, None, signals
+    gain = df.minvar_gain(model, noise, 2).L
+    return model, noise, df.FIXED_USER_SUPPLIED, 2, gain, signals
+
+
+@pytest.mark.parametrize("case", ["square", "known-input", "minvar", "user-gain"])
+def test_monte_carlo_bias_matches_per_trial_loop(case):
+    model, noise, mode, r, gain, signals = _bias_case(case)
+    config = df.FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n), gain=gain)
+    ks = (10, 25, 40)
+    report = df.monte_carlo_bias(model, noise, config, signals, trials=30, T=40,
+                                 seed=[7, 1], ks=ks)
+    mean, stderr, flagged = _per_trial_bias(model, noise, config, signals, 30, 40,
+                                            [7, 1], ks)
+    assert np.max(np.abs(report.mean - mean)) <= 1e-12
+    assert np.max(np.abs(report.stderr - stderr) / stderr) <= 1e-9
+    assert np.array_equal(report.flagged, flagged)
+
+
+def test_monte_carlo_bias_sample_times_checked():
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+    signals = [df.parse_signal_spec("sine:1:20")]
+    for ks in ((1, 10), (10, 61)):
+        with pytest.raises(df.DimensionMismatch):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=ks)
