@@ -28,8 +28,7 @@ from .filtering import (
     FilterConfig,
     classify_convergence,
     error_dynamics_matrix,
-    init_filter,
-    step,
+    run_filter,
 )
 from .gain import square_gain, steady_state_gain, unbiasedness_residual
 from .linalg import spectral_radius
@@ -213,10 +212,9 @@ def cmd_simulate(args, rest, parser) -> int:
         parser.error(f"flags for channels the model does not have: {bad}")
 
     noise_on = args.noise == "on"
-    defaulted = False
-    if noise_on and noise is None:
+    defaulted = noise_on and noise is None
+    if defaulted:
         noise = default_noise(model)
-        defaulted = True
     if args.T < 1:
         parser.error("--T must be >= 1")
 
@@ -251,38 +249,32 @@ def _resolve_delay(flag_value, file_value, model):
     return r
 
 
+def _estimate_rows(run) -> np.ndarray:
+    """[xhat | ehat | innov] per k, the layout of the estimates CSV."""
+    return np.hstack([run.state_estimates, run.input_estimates, run.innovations])
+
+
 def cmd_filter(args) -> int:
     model, noise, file_delay = load_model_file(args.model)
-    ks, y, u = read_measurements(args.measurements, model.l, model.m)
+    _, y, u = read_measurements(args.measurements, model.l, model.m)
     r = _resolve_delay(args.delay, file_delay, model)
 
     gain_choice = args.gain
     if gain_choice == "auto":
         gain_choice = "square" if model.l == model.p else "minvar"
-    defaulted = False
-    if gain_choice == "minvar" and noise is None:
+    defaulted = gain_choice == "minvar" and noise is None
+    if defaulted:
         noise = default_noise(model)
-        defaulted = True
 
-    config = FilterConfig(
-        r=r,
-        gain_mode=FIXED_SQUARE if gain_choice == "square" else TIME_VARYING_MINVAR,
-        initial_estimate=np.zeros(model.n),
-        initial_covariance=np.eye(model.n),
-    )
-    state = init_filter(model, noise, config)
-    rows = []
-    innovations = []
-    for k in range(len(ks)):
-        u_k = u[k] if model.m > 0 else None
-        state, out = step(state, model, noise, y[k], u_k)
-        rows.append((k, out))
-        if out is not None:
-            innovations.append(out.innovation)
-    write_estimates(args.out, rows, model.n, model.p, model.l)
+    mode = FIXED_SQUARE if gain_choice == "square" else TIME_VARYING_MINVAR
+    config = FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
+                          initial_covariance=np.eye(model.n))
+    run = run_filter(model, noise, config, y, u)
+    write_estimates(args.out, _estimate_rows(run), model.n, model.p, model.l)
 
-    innov_rms = float(np.sqrt(np.mean(np.square(innovations)))) if innovations else 0.0
-    L = state.L
+    innovations = run.innovations[r + 1:]
+    innov_rms = float(np.sqrt(np.mean(np.square(innovations)))) if innovations.size else 0.0
+    L = run.L
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "filter",
@@ -293,6 +285,7 @@ def cmd_filter(args) -> int:
             "mode": config.gain_mode,
             "residual": unbiasedness_residual(model, r, L),
             "spectral_radius": spectral_radius(error_dynamics_matrix(model, r, L)),
+            "frozen_at": run.frozen_at,
         },
         "verdict": classify_convergence(model, r, L),
         "noise_defaulted": defaulted,
@@ -309,11 +302,10 @@ def cmd_reproduce(args) -> int:
     results = check_example_facts(args.example)
 
     os.makedirs(args.outdir, exist_ok=True)
-    files = []
     traj = simulate(model, None, example_signals(model), 200, seed=7, noise_on=False)
     traj_path = os.path.join(args.outdir, f"{args.example}-trajectory.csv")
     write_trajectory(traj_path, traj)
-    files.append(traj_path)
+    files = [traj_path]
 
     estimates_skipped = None
     analysis = analyze_delays(model)
@@ -326,12 +318,7 @@ def cmd_reproduce(args) -> int:
                               initial_estimate=np.zeros(model.n),
                               initial_covariance=np.eye(model.n))
         try:
-            state = init_filter(model, noise, config)
-            rows = []
-            for k in range(traj.T + 1):
-                u_k = traj.u[k] if model.m > 0 else None
-                state, out = step(state, model, noise, traj.y[k], u_k)
-                rows.append((k, out))
+            run = run_filter(model, noise, config, traj.y, traj.u)
         except DelayFilterError as exc:
             # Some systems admit only a single unbiased gain and that gain
             # can be violently unstable; the covariance recursion then hits
@@ -340,7 +327,7 @@ def cmd_reproduce(args) -> int:
             estimates_skipped = f"{type(exc).__name__}: {exc}"
         else:
             est_path = os.path.join(args.outdir, f"{args.example}-estimates.csv")
-            write_estimates(est_path, rows, model.n, model.p, model.l)
+            write_estimates(est_path, _estimate_rows(run), model.n, model.p, model.l)
             files.append(est_path)
 
     all_passed = all(f.passed for f in results)

@@ -19,31 +19,35 @@ from .errors import DimensionMismatch, MeasurementFileError
 from .sim import Trajectory
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i + 1}" for i in range(count)]
 
 
+def _write_table(path, header: list[str], rows: np.ndarray, blank=None) -> None:
+    """Write the header and one k,row line per row, every float as its repr.
+
+    Row k is written with empty fields where blank[k] is true.
+    """
+    if blank is None:
+        blank = np.zeros(len(rows), dtype=bool)
+    empty = "," * rows.shape[1]
+    lines = [",".join(header)]
+    for k, (row, skip) in enumerate(zip(rows.tolist(), blank.tolist())):
+        lines.append(f"{k}{empty}" if skip else f"{k}," + ",".join(map(repr, row)))
+    lines.append("")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines))
+
+
 def write_trajectory(path, traj: Trajectory, include_truth: bool = True) -> None:
     """Write a simulated trajectory (measurements plus truth columns)."""
-    l = traj.y.shape[1]
-    m = traj.u.shape[1]
-    n = traj.x.shape[1]
-    p = traj.e.shape[1]
+    l, m, n, p = traj.y.shape[1], traj.u.shape[1], traj.x.shape[1], traj.e.shape[1]
     header = ["k"] + _names("y", l) + _names("u", m)
+    columns = [traj.y, traj.u]
     if include_truth:
         header += _names("x", n) + _names("e", p)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.T + 1):
-            row = [str(k)] + [_fmt(v) for v in traj.y[k]] + [_fmt(v) for v in traj.u[k]]
-            if include_truth:
-                row += [_fmt(v) for v in traj.x[k]] + [_fmt(v) for v in traj.e[k]]
-            writer.writerow(row)
+        columns += [traj.x, traj.e]
+    _write_table(path, header, np.hstack(columns))
 
 
 def read_measurements(path, l: int, m: int):
@@ -101,18 +105,12 @@ def read_measurements(path, l: int, m: int):
 
 
 def write_estimates(path, rows, n: int, p: int, l: int) -> None:
-    """Write (k, StepOutput or None) rows; warm-up rows get empty fields."""
+    """Write a (T+1, n+p+l) array [xhat | ehat | innov], one line per k.
+
+    Rows that are all NaN are the warm-up window and get empty fields.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n + p + l:
+        raise DimensionMismatch(f"estimates must be (T+1, {n + p + l}), got {rows.shape}")
     header = ["k"] + _names("xhat", n) + _names("ehat", p) + _names("innov", l)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, out in rows:
-            if out is None:
-                writer.writerow([str(k)] + [""] * (n + p + l))
-            else:
-                writer.writerow(
-                    [str(k)]
-                    + [_fmt(v) for v in out.state_estimate]
-                    + [_fmt(v) for v in out.input_estimate]
-                    + [_fmt(v) for v in out.innovation]
-                )
+    _write_table(path, header, rows, np.isnan(rows).all(axis=1))

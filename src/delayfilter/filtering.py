@@ -71,15 +71,15 @@ class _FilterOps:
     """Precomputed constants reused by every update.
 
     Matrices are stored transposed: the update right-multiplies, so one
-    code path serves a single estimate (n,) and a batch (trials, n).
+    code path serves (n,), a batch (trials, n) and a leading time axis.
     """
 
     r: int
     At: np.ndarray                      # A^T
-    A_rp1t: np.ndarray                  # (A^(r+1))^T
-    Ct: np.ndarray                      # C^T
+    CA_rp1t: np.ndarray                 # (C A^(r+1))^T
+    Bt: np.ndarray                      # B^T
     Dt: np.ndarray                      # D^T
-    AjBt: tuple                         # (A^j B)^T for j = 0..r, () if m=0
+    CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () if m=0
     M_pinvt: np.ndarray                 # ((CA^rH)^-1)^T, pseudoinverse if l > p
 
 
@@ -91,6 +91,7 @@ class FilterState:
     L: np.ndarray
     u_buffer: tuple                     # r+1 most recent known inputs, () if m=0
     gain_frozen: bool
+    Ft: np.ndarray = field(repr=False)  # (A - L C A^(r+1))^T, the error dynamics under L
     ops: _FilterOps = field(repr=False)
 
 
@@ -161,60 +162,69 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     else:
         M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
 
-    AjBt = []
-    Aj = np.eye(model.n)
+    CAj = [model.C]
     for _ in range(r + 1):
-        AjBt.append(readonly((Aj @ model.B).T))
-        Aj = model.A @ Aj               # ends at A^(r+1)
-
-    ops = _FilterOps(r=r, At=readonly(model.A.T), A_rp1t=readonly(Aj.T),
-                     Ct=readonly(model.C.T), Dt=readonly(model.D.T),
-                     AjBt=tuple(AjBt) if model.m > 0 else (),
+        CAj.append(CAj[-1] @ model.A)    # ends at C A^(r+1)
+    ops = _FilterOps(r=r, At=readonly(model.A.T), CA_rp1t=readonly(CAj[r + 1].T),
+                     Bt=readonly(model.B.T), Dt=readonly(model.D.T),
+                     CAjBt=tuple(readonly((CA @ model.B).T) for CA in CAj[:r + 1])
+                     if model.m > 0 else (),
                      M_pinvt=readonly(M_pinv.T))
-    return FilterState(
-        k=0,
-        xhat_delayed=readonly(x0),
-        P=covariance_state(P0),
-        L=readonly(L),
-        u_buffer=(),
-        gain_frozen=config.gain_mode != TIME_VARYING_MINVAR,
-        ops=ops,
-    )
+    return FilterState(k=0, xhat_delayed=readonly(x0), P=covariance_state(P0),
+                       L=readonly(L), u_buffer=(),
+                       gain_frozen=config.gain_mode != TIME_VARYING_MINVAR,
+                       Ft=_error_map(ops, L), ops=ops)
 
 
-def _refresh_gain(model: SystemModel, noise: NoiseSpec, r: int, P: CovarianceState):
-    """One time-varying gain step: (L, next covariance, frozen).
+def _error_map(ops: _FilterOps, L) -> np.ndarray:
+    """(A - L C A^(r+1))^T, the error dynamics under L in row form."""
+    return readonly(ops.At - ops.CA_rp1t @ L.T)
+
+
+def _refresh_gain(model: SystemModel, noise: NoiseSpec, ops: _FilterOps,
+                  P: CovarianceState):
+    """One time-varying gain step: (L, its error map, next covariance, frozen).
 
     The gain freezes once the covariance recursion reaches its fixed
     point to FREEZE_RTOL.
     """
-    L = minvar_gain(model, noise, r, P).L
-    P_next = covariance_update(model, noise, r, L, P)
+    L = minvar_gain(model, noise, ops.r, P).L
+    P_next = covariance_update(model, noise, ops.r, L, P)
     frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
-    return L, P_next, frozen
+    return readonly(L), _error_map(ops, L), P_next, frozen
 
 
-def _update(ops: _FilterOps, L, xhat, y, u, u_window):
-    """Consume y[k]; return (estimate of x[k-r], input at k-r-1, innovation).
+# The update, shared by step() and run_filter(), is written so that only
+# the recursion depends on the estimate. With xhat estimating x[k-r-1],
+#     xhat' = F xhat + L z[k] + B u[k-r-1],   innovation = z[k] - C A^(r+1) xhat,
+# where z[k] = y[k] - D u[k] - sum_j C A^j B u[k-1-j] and ehat = (CA^rH)^+ innovation.
+# run_filter() evaluates all but the recursion for a whole record at once;
+# every helper takes any leading axes (time, trials).
 
-    xhat estimates x[k-r-1]. y and xhat are (l,) and (n,) for one
-    trajectory or (trials, l) and (trials, n) for a batch. u is u[k] and
-    u_window holds u[k-r-1], ..., u[k-1]; both are ignored when m = 0.
-    """
-    r = ops.r
-    # Prediction chain: advance the delayed estimate one step, and
-    # project it r+1 steps forward to compare against y_k.
-    xpred_delayed = xhat @ ops.At
-    xpred_now = xhat @ ops.A_rp1t
-    if ops.AjBt:
-        xpred_delayed = xpred_delayed + u_window[0] @ ops.AjBt[0]
-        for j, AjBt in enumerate(ops.AjBt):
-            xpred_now = xpred_now + u_window[r - j] @ AjBt
+def _input_terms(ops: _FilterOps, y, u, u_lags):
+    """(z[k], B u[k-r-1]) with u_lags[j] = u[k-1-j]; (y, None) without known inputs."""
+    if not ops.CAjBt:
+        return y, None
+    z = y - u @ ops.Dt
+    for CAjBt, u_j in zip(ops.CAjBt, u_lags):
+        z = z - u_j @ CAjBt
+    return z, u_lags[ops.r] @ ops.Bt
 
-    innovation = y - xpred_now @ ops.Ct
-    if ops.AjBt:
-        innovation = innovation - u @ ops.Dt
-    return xpred_delayed + innovation @ L.T, innovation @ ops.M_pinvt, innovation
+
+def _drive(L, z, b):
+    """L z[k] + B u[k-r-1], the terms of the update that do not depend on xhat."""
+    return z @ L.T if b is None else z @ L.T + b
+
+
+def _update(xhat, Ft, d):
+    """F xhat + d: the estimate of x[k-r] from xhat, the estimate of x[k-r-1]."""
+    return xhat @ Ft + d
+
+
+def _decode(ops: _FilterOps, xhat, z):
+    """(innovation, input estimate) of y[k] given xhat, the estimate of x[k-r-1]."""
+    innovation = z - xhat @ ops.CA_rp1t
+    return innovation, innovation @ ops.M_pinvt
 
 
 def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
@@ -225,39 +235,29 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
     None) during it. u_k is required exactly when the model has known
     inputs.
     """
-    r = state.ops.r
-    k = state.k
-    y = _as_vector(y_k, model.l, "y_k")
+    ops, k = state.ops, state.k
+    y, u = _as_vector(y_k, model.l, "y_k"), None
     if model.m > 0:
         if u_k is None:
             raise DimensionMismatch("u_k required: the model has known inputs")
         u = _as_vector(u_k, model.m, "u_k")
-    else:
-        u = None
 
-    if k <= r:
+    if k <= ops.r:
         buf = state.u_buffer + (u,) if model.m > 0 else ()
         return replace(state, k=k + 1, u_buffer=buf), None
 
-    L, P, gain_frozen = state.L, state.P, state.gain_frozen
+    L, Ft, P, gain_frozen = state.L, state.Ft, state.P, state.gain_frozen
     if not gain_frozen:
-        L, P, gain_frozen = _refresh_gain(model, noise, r, P)
-    xhat_new, ehat, innovation = _update(state.ops, L, state.xhat_delayed, y, u,
-                                         state.u_buffer)
+        L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, P)
+    z, b = _input_terms(ops, y, u, state.u_buffer[::-1])
+    xhat_new = _update(state.xhat_delayed, Ft, _drive(L, z, b))
+    innovation, ehat = _decode(ops, state.xhat_delayed, z)
 
-    new_buf = state.u_buffer[1:] + (u,) if model.m > 0 else ()
-    next_state = replace(
-        state, k=k + 1, xhat_delayed=readonly(xhat_new), P=P,
-        L=L if L is state.L else readonly(L),
-        u_buffer=new_buf, gain_frozen=gain_frozen,
-    )
-    out = StepOutput(
-        k=k,
-        state_estimate=xhat_new,
-        input_estimate=ehat,
-        innovation=innovation,
-    )
-    return next_state, out
+    next_state = FilterState(k=k + 1, xhat_delayed=readonly(xhat_new), P=P, L=L,
+                             u_buffer=state.u_buffer[1:] + (u,) if model.m > 0 else (),
+                             gain_frozen=gain_frozen, Ft=Ft, ops=ops)
+    return next_state, StepOutput(k=k, state_estimate=xhat_new, input_estimate=ehat,
+                                  innovation=innovation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,12 +267,16 @@ class FilterRun:
     Row k >= r+1 of state_estimates estimates x[k-r], the same row of
     input_estimates reconstructs e[k-r-1], and innovations holds the
     innovation of y[k]. The warm-up rows k <= r are NaN. A batched run
-    keeps the leading trial axis: (trials, T+1, n) and so on.
+    keeps the leading trial axis: (trials, T+1, n) and so on. L is the
+    gain of the last step, and frozen_at the k at which a time-varying
+    gain froze (None in the fixed modes or if it never froze).
     """
 
     state_estimates: np.ndarray
     input_estimates: np.ndarray
     innovations: np.ndarray
+    L: np.ndarray
+    frozen_at: int | None
 
 
 def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig,
@@ -282,8 +286,8 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     Gives the same estimates as feeding step() one measurement at a
     time. u has y's leading shape with m columns; it is required when
     the model has known inputs and ignored otherwise. A batch shares one
-    gain schedule, refreshed once per time step, and needs
-    O(trials (T+1) (n+l+p+m)) floats of memory.
+    gain schedule, refreshed once per time step until it freezes, and
+    needs O(trials (T+1) (n+l+p+m)) floats of memory.
     """
     state = init_filter(model, noise, config)
     y = np.asarray(y, dtype=float)
@@ -302,22 +306,34 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
     yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
 
-    r = state.ops.r
-    lead = yt.shape[:-1]
-    xs = np.full(lead + (model.n,), np.nan)
-    es = np.full(lead + (model.p,), np.nan)
-    innovations = np.full(lead + (model.l,), np.nan)
-    xhat = np.broadcast_to(state.xhat_delayed, lead[1:] + (model.n,))
-    L, P, gain_frozen = state.L, state.P, state.gain_frozen
-    for k in range(r + 1, len(yt)):
+    ops, r = state.ops, state.ops.r
+    emitted = max(len(yt) - r - 1, 0)           # rows k = r+1 .. T
+    z, b = _input_terms(ops, yt[r + 1:], ut[r + 1:],
+                        [ut[r - j:r - j + emitted] for j in range(r + 1)])
+    # xs[0] is the initial estimate, xs[i] the estimate made at k = r+i
+    xs = np.empty((emitted + 1,) + yt.shape[1:-1] + (model.n,))
+    xs[0] = state.xhat_delayed
+    L, Ft, P, gain_frozen = state.L, state.Ft, state.P, state.gain_frozen
+    frozen_at = None
+    i = 0
+    while i < emitted:
         if not gain_frozen:
-            L, P, gain_frozen = _refresh_gain(model, noise, r, P)
-        xhat, es[k], innovations[k] = _update(state.ops, L, xhat, yt[k], ut[k],
-                                              ut[k - r - 1:k])
-        xs[k] = xhat
-    return FilterRun(state_estimates=np.moveaxis(xs, 0, -2),
-                     input_estimates=np.moveaxis(es, 0, -2),
-                     innovations=np.moveaxis(innovations, 0, -2))
+            L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, P)
+            frozen_at = r + 1 + i if gain_frozen else None
+        stop = emitted if gain_frozen else i + 1
+        d = _drive(L, z[i:stop], None if b is None else b[i:stop])
+        for j in range(i, stop):
+            xs[j + 1] = _update(xs[j], Ft, d[j - i])
+        i = stop
+    innovations, es = _decode(ops, xs[:-1], z)
+
+    def record(rows):
+        out = np.full((len(yt),) + rows.shape[1:], np.nan)
+        out[len(yt) - emitted:] = rows
+        return np.moveaxis(out, 0, -2)
+
+    return FilterRun(state_estimates=record(xs[1:]), input_estimates=record(es),
+                     innovations=record(innovations), L=L, frozen_at=frozen_at)
 
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:

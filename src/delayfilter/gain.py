@@ -248,8 +248,9 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
 
     Returns (GainResult, CovarianceState, converged). Non-convergence
     is information, not an error: systems with zeros on or outside the
-    unit circle legitimately diverge. The iteration stops early once
-    the covariance overflows, since nothing new is learned after that.
+    unit circle legitimately diverge. The iteration stops early, with
+    the last gain, once the covariance overflows or the innovation
+    covariance turns singular, since nothing new is learned after that.
     """
     if not exists_unbiased_gain(model, r):
         raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
@@ -261,7 +262,10 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
             return gain, P_next, False
         gap = frob(P_next.P - P.P)
         P = P_next
-        gain = minvar_gain(model, noise, r, P)
+        try:
+            gain = minvar_gain(model, noise, r, P)
+        except InnovationCovarianceSingular:
+            return gain, P, False
         if gap <= 1e-10 * (1.0 + frob(P.P)):
             return gain, P, True
     return gain, P, False

@@ -195,14 +195,13 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
     """Drive the filter over a trajectory; score against the truth.
 
     Returns (ErrorStats, outputs) where outputs is the list of
-    (k, StepOutput or None) rows including the warm-up window, ready
-    for CSV export.
+    (k, StepOutput or None) rows including the warm-up window. For the
+    estimates CSV, pass np.hstack of run_filter's arrays to write_estimates.
     """
     run = run_filter(model, noise, config, trajectory.y, trajectory.u)
     r = int(config.r)
     xs, es, innovations = run.state_estimates, run.input_estimates, run.innovations
-    rows = [(k, None if k <= r else StepOutput(k=k, state_estimate=xs[k], input_estimate=es[k],
-                                               innovation=innovations[k]))
+    rows = [(k, None if k <= r else StepOutput(k, xs[k], es[k], innovations[k]))
             for k in range(trajectory.T + 1)]
     ks = np.arange(r + 1, trajectory.T + 1)
     serr = trajectory.x[ks - r] - xs[ks]

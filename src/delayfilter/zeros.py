@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PencilDegenerate
 from .linalg import numerical_rank
@@ -142,6 +141,8 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     Candidates of modulus beyond 1e6 * max(1, spectral radius of A) are
     treated as artifacts of the eigenvalue at infinity and dropped.
     """
+    import scipy.linalg                   # slow to import; only the QZ step needs it
+
     nrank, sigma_ref = _rank_profile(model)
     n, l, p = model.n, model.l, model.p
     if nrank < n + p:
@@ -175,13 +176,8 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     zeros = []
     for center, mult in _cluster(confirmed):
         zeros.extend([center] * mult)
-    zeros.sort(key=lambda c: (c.real, c.imag))
-    report = ZeroReport(zeros=tuple(zeros), normal_rank=nrank, classification="")
-    return ZeroReport(
-        zeros=report.zeros,
-        normal_rank=nrank,
-        classification=classify_zeros(report),
-    )
+    zeros = tuple(sorted(zeros, key=lambda c: (c.real, c.imag)))
+    return ZeroReport(zeros=zeros, normal_rank=nrank, classification=classify_zeros(zeros))
 
 
 def classify_zeros(report) -> str:

@@ -61,6 +61,15 @@ def test_analyze_nonsquare_defaults_noise(model_file, capsys):
     assert report["gain"]["steady_state_converged"] is True
 
 
+def test_analyze_nonconverging_riccati_is_reported(model_file, capsys):
+    rc = main(["analyze", model_file("nonsquare12")])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["gain"]["steady_state_converged"] is False
+    # its unique unbiased gain has a closed-loop eigenvalue at 7.46
+    assert report["verdict"] == df.DIVERGENT
+
+
 def test_simulate_then_filter_roundtrip(model_file, tmp_path, capsys):
     mf = model_file("minphase3", with_noise=True)
     traj_csv = str(tmp_path / "traj.csv")
@@ -241,3 +250,89 @@ def test_unknown_flag_exits_1(model_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", model_file("minphase3"), "--bogus"])
     assert exc.value.code == 1
+
+
+def test_import_skips_scipy_linalg():
+    # scipy.linalg only serves the QZ step of invariant_zeros; importing
+    # it costs more than the rest of the package
+    src = os.path.dirname(os.path.dirname(df.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, delayfilter.cli; "
+                           "print('scipy.linalg' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _read_estimates(path):
+    """(header, (T+1, n+p+l) array) with NaN for the empty warm-up fields."""
+    lines = open(path, newline="").read().split("\r\n")
+    assert lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [int(cells[0]) for cells in rows] == list(range(len(rows)))
+    return lines[0], np.array([[float(c) if c else np.nan for c in cells[1:]]
+                               for cells in rows])
+
+
+def test_filter_known_inputs_matches_run_filter_and_step(tmp_path, capsys):
+    base, _, _ = df.reference_example("compartmental-34")
+    rng = np.random.default_rng(11)
+    model = df.validate_model(base.A, base.H, base.C, B=rng.standard_normal((base.n, 1)),
+                              D=rng.standard_normal((base.l, 1)))
+    doc = {name: getattr(model, name).tolist() for name in "AHCBD"}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    T = 300
+    y = rng.standard_normal((T + 1, model.l))
+    u = rng.standard_normal((T + 1, model.m))
+    meas = tmp_path / "meas.csv"
+    meas.write_text("k,y1,y2,u1\n" + "".join(
+        f"{k}," + ",".join(map(repr, row)) + "\n"
+        for k, row in enumerate(np.hstack([y, u]).tolist())))
+    out = tmp_path / "est.csv"
+
+    rc = main(["filter", str(model_path), str(meas), "--out", str(out)])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["delay"] == 2
+    assert report["gain"]["frozen_at"] is None
+    header, got = _read_estimates(out)
+    assert header == ("k,xhat1,xhat2,xhat3,xhat4,xhat5,xhat6,ehat1,ehat2,"
+                      "innov1,innov2")
+
+    config = df.FilterConfig(r=2, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+    run = df.run_filter(model, None, config, y, u)
+    want = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
+    assert np.array_equal(got, want, equal_nan=True)
+
+    state = df.init_filter(model, None, config)
+    for k in range(T + 1):
+        state, step_out = df.step(state, model, None, y[k], u[k])
+        if step_out is None:
+            assert np.all(np.isnan(got[k]))
+            continue
+        stepped = np.concatenate([step_out.state_estimate, step_out.input_estimate,
+                                  step_out.innovation])
+        np.testing.assert_allclose(got[k], stepped, rtol=0, atol=1e-12)
+
+
+def test_filter_reports_freeze_step(model_file, tmp_path, capsys):
+    model, noise, _ = df.reference_example("nonsquare3")
+    traj = df.simulate(model, noise, df.example_signals(model), 150, seed=5)
+    meas = tmp_path / "meas.csv"
+    df.write_trajectory(str(meas), traj)
+    rc = main(["filter", model_file("nonsquare3", with_noise=True), str(meas),
+               "--out", str(tmp_path / "est.csv")])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["gain"]["mode"] == "TimeVaryingMinVar"
+    config = df.FilterConfig(r=report["delay"], gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+    assert report["gain"]["frozen_at"] == df.run_filter(model, noise, config,
+                                                        traj.y).frozen_at
+    assert isinstance(report["gain"]["frozen_at"], int)

@@ -74,11 +74,8 @@ def test_estimates_warmup_rows_empty(tmp_path):
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(2),
                              initial_covariance=np.eye(2))
-    state = df.init_filter(E1, None, config)
-    rows = []
-    for k in range(traj.T + 1):
-        state, out = df.step(state, E1, None, traj.y[k])
-        rows.append((k, out))
+    run = df.run_filter(E1, None, config, traj.y)
+    rows = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
     df.write_estimates(str(path), rows, E1.n, E1.p, E1.l)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,xhat1,xhat2,ehat1,innov1"

@@ -217,6 +217,31 @@ def test_run_filter_batch_equals_step_loop(trials):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_run_filter_reports_freeze_step(r):
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = df.FilterConfig(r=r, gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+    traj = df.simulate(model, noise, df.example_signals(model), 200, seed=3)
+    state = df.init_filter(model, noise, config)
+    flipped_at = None
+    for k in range(traj.T + 1):
+        state, _ = df.step(state, model, noise, traj.y[k])
+        if state.gain_frozen and flipped_at is None:
+            flipped_at = k
+    run = df.run_filter(model, noise, config, traj.y)
+    assert flipped_at is not None
+    assert run.frozen_at == flipped_at
+    assert np.array_equal(run.L, state.L)
+    # a record that ends before the freeze step reports no freeze
+    short = df.run_filter(model, noise, config, traj.y[:flipped_at])
+    assert short.frozen_at is None
+    fixed = df.run_filter(model, noise, _config(r=r, mode=df.FIXED_USER_SUPPLIED,
+                                                n=model.n, gain=run.L), traj.y)
+    assert fixed.frozen_at is None and np.array_equal(fixed.L, run.L)
+
+
 def test_run_filter_rejects_bad_shapes():
     model, noise, config, y, u = _known_input_case(2)
     with pytest.raises(df.DimensionMismatch):

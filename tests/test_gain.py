@@ -130,3 +130,14 @@ def test_steady_state_flags_divergence():
     noise = df.NoiseSpec(Q=1e-4 * np.eye(model.n), R=1e-4 * np.eye(model.l))
     _, _, converged = df.steady_state_gain(model, noise, 1, max_iter=3000)
     assert converged is False
+
+
+def test_steady_state_singular_innovation_is_not_converged():
+    # the unique gain of nonsquare12 is violently unstable, so the
+    # covariance grows until the innovation covariance is numerically
+    # singular; that ends the iteration as a non-convergence, not an error
+    model, noise, _ = df.reference_example("nonsquare12")
+    res, cov, converged = df.steady_state_gain(model, noise, 1, max_iter=2000)
+    assert converged is False
+    assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
+    assert np.all(np.isfinite(cov.P))
