@@ -23,6 +23,7 @@ from .errors import (
     DelayFilterError,
     DelayOutOfRange,
     DimensionMismatch,
+    EstimatesNotFinite,
     GainSingular,
     InfeasibleDelay,
     InnovationCovarianceSingular,

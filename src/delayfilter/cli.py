@@ -7,8 +7,8 @@ Subcommands:
   reproduce  re-run a bundled reference system and check its facts
 
 Every command prints a JSON report (schema_version 1) to stdout. Exit
-codes: 0 success, 1 usage or input errors, 2 mathematical infeasibility
-(no unbiased gain at the requested delay), 3 a reference fact failed.
+codes: 0 success, 1 usage, input or overflow errors, 2 mathematical
+infeasibility (no unbiased gain at the requested delay), 3 a failed fact.
 """
 
 from __future__ import annotations
@@ -21,17 +21,17 @@ import sys
 
 import numpy as np
 
-from .errors import DelayFilterError, InfeasibleDelay, PencilDegenerate, UnknownExample
+from .errors import (DelayFilterError, EstimatesNotFinite, InfeasibleDelay, PencilDegenerate,
+                     UnknownExample)
 from .filtering import (
     FIXED_SQUARE,
     TIME_VARYING_MINVAR,
     FilterConfig,
     classify_convergence,
-    error_dynamics_matrix,
+    gain_spectral_radius,
     run_filter,
 )
 from .gain import square_gain, steady_state_gain, unbiasedness_residual
-from .linalg import spectral_radius
 from .markov import analyze_delays
 from .model import load_model_file
 from .registry import (
@@ -131,7 +131,7 @@ def _gain_for_verdict(model, noise, r):
     summary = {
         "method": res.method,
         "residual": float(res.residual),
-        "spectral_radius": spectral_radius(error_dynamics_matrix(model, r, res.L)),
+        "spectral_radius": gain_spectral_radius(model, r, res.L),
     }
     if converged is not None:
         summary["steady_state_converged"] = bool(converged)
@@ -249,9 +249,23 @@ def _resolve_delay(flag_value, file_value, model):
     return r
 
 
-def _estimate_rows(run) -> np.ndarray:
-    """[xhat | ehat | innov] per k, the layout of the estimates CSV."""
-    return np.hstack([run.state_estimates, run.input_estimates, run.innovations])
+def _filter_rows(model, noise, r, mode, y, u):
+    """The filter's run from a zero estimate, and its rows [xhat | ehat | innov] per k.
+
+    Every row after the warm-up must be finite: the estimates CSV writes
+    NaN rows as empty warm-up rows, and an overflowed estimate says nothing.
+    """
+    config = FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
+                          initial_covariance=np.eye(model.n))
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
+        run = run_filter(model, noise, config, y, u)
+    rows = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
+    bad = np.flatnonzero(~np.isfinite(rows[r + 1:]).all(axis=1))
+    if bad.size:
+        raise EstimatesNotFinite(
+            f"estimates are not finite from k={r + 1 + bad[0]}: the error dynamics "
+            f"diverge (spectral radius {gain_spectral_radius(model, r, run.L):.3g})")
+    return run, rows
 
 
 def cmd_filter(args) -> int:
@@ -267,13 +281,13 @@ def cmd_filter(args) -> int:
         noise = default_noise(model)
 
     mode = FIXED_SQUARE if gain_choice == "square" else TIME_VARYING_MINVAR
-    config = FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
-                          initial_covariance=np.eye(model.n))
-    run = run_filter(model, noise, config, y, u)
-    write_estimates(args.out, _estimate_rows(run), model.n, model.p, model.l)
+    run, rows = _filter_rows(model, noise, r, mode, y, u)
+    write_estimates(args.out, rows, model.n, model.p, model.l)
 
     innovations = run.innovations[r + 1:]
-    innov_rms = float(np.sqrt(np.mean(np.square(innovations)))) if innovations.size else 0.0
+    # hypot of the scaled terms cannot overflow on a divergent gain's innovations
+    innov_rms = (float(np.hypot.reduce(innovations / np.sqrt(innovations.size), axis=None))
+                 if innovations.size else 0.0)
     L = run.L
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -282,9 +296,9 @@ def cmd_filter(args) -> int:
         "measurements": args.measurements,
         "delay": r,
         "gain": {
-            "mode": config.gain_mode,
+            "mode": mode,
             "residual": unbiasedness_residual(model, r, L),
-            "spectral_radius": spectral_radius(error_dynamics_matrix(model, r, L)),
+            "spectral_radius": gain_spectral_radius(model, r, L),
             "frozen_at": run.frozen_at,
         },
         "verdict": classify_convergence(model, r, L),
@@ -314,20 +328,16 @@ def cmd_reproduce(args) -> int:
     else:
         r = analysis.minimal_delay
         mode = FIXED_SQUARE if model.l == model.p else TIME_VARYING_MINVAR
-        config = FilterConfig(r=r, gain_mode=mode,
-                              initial_estimate=np.zeros(model.n),
-                              initial_covariance=np.eye(model.n))
         try:
-            run = run_filter(model, noise, config, traj.y, traj.u)
+            _, rows = _filter_rows(model, noise, r, mode, traj.y, traj.u)
         except DelayFilterError as exc:
-            # Some systems admit only a single unbiased gain and that gain
-            # can be violently unstable; the covariance recursion then hits
-            # a singularity gate mid-run. The facts still decide the exit
-            # code, the estimate CSV is just not a meaningful artifact.
+            # A gain that cannot be built or checked, or estimates that overflow,
+            # leave nothing to write; the facts still decide the exit code. A
+            # divergent gain freezes, and over 200 steps its estimates stay finite.
             estimates_skipped = f"{type(exc).__name__}: {exc}"
         else:
             est_path = os.path.join(args.outdir, f"{args.example}-estimates.csv")
-            write_estimates(est_path, _estimate_rows(run), model.n, model.p, model.l)
+            write_estimates(est_path, rows, model.n, model.p, model.l)
             files.append(est_path)
 
     all_passed = all(f.passed for f in results)

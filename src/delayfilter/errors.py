@@ -97,6 +97,10 @@ class GainSingular(DelayFilterError):
     pass
 
 
+class EstimatesNotFinite(DelayFilterError):
+    """A divergent filter's estimates overflowed before the record ended."""
+
+
 # --- simulation / registry ---
 
 class BadCoefficient(DelayFilterError):

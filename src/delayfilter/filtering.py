@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ConstraintViolated,
     DimensionMismatch,
     GainSingular,
     InfeasibleDelay,
+    InnovationCovarianceSingular,
     NotSymmetric,
     PreconditionViolated,
 )
@@ -33,11 +33,10 @@ from .gain import (
     covariance_update,
     minvar_gain,
     square_gain,
-    unbiasedness_residual,
-    _residual_tol,
+    _checked_residual,
+    _delay,
 )
 from .linalg import frob, is_symmetric, pinv_cut, readonly, spectral_radius
-from .markov import exists_unbiased_gain, markov_parameter
 from .model import NoiseSpec, SystemModel
 
 FIXED_SQUARE = "FixedSquare"
@@ -121,9 +120,10 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     r = config.r
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
         raise InfeasibleDelay(f"delay must be an integer, got {r!r}")
-    if r < 0 or r > model.n - 1 or not exists_unbiased_gain(model, int(r)):
+    d = _delay(model, int(r)) if 0 <= r < model.n else None
+    if d is None or not d.feasible:
         raise InfeasibleDelay(f"no unbiased gain exists at delay {r}")
-    r = int(r)
+    r = d.r
 
     x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
     P0 = np.asarray(config.initial_covariance, dtype=float)
@@ -145,16 +145,11 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         if L.shape != (model.n, model.l):
             raise DimensionMismatch(f"gain must be {(model.n, model.l)}, got {L.shape}")
         # a biased gain would silently invalidate every emitted estimate
-        residual = unbiasedness_residual(model, r, L)
-        tol = _residual_tol(model)
-        if residual > tol:
-            raise ConstraintViolated(
-                f"supplied gain violates the unbiasedness constraint: "
-                f"residual {residual:.3e} above {tol:.3e}")
+        _checked_residual(model, r, L, "supplied gain violates the unbiasedness constraint")
     else:
         raise PreconditionViolated(f"unknown gain mode {config.gain_mode!r}")
 
-    M = markov_parameter(model, r)
+    M = d.blocks[r]
     if model.l == model.p:
         if np.linalg.cond(M) > 1e12:
             raise GainSingular(f"CA^{r}H condition number exceeds 1e12")
@@ -162,12 +157,9 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     else:
         M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
 
-    CAj = [model.C]
-    for _ in range(r + 1):
-        CAj.append(CAj[-1] @ model.A)    # ends at C A^(r+1)
-    ops = _FilterOps(r=r, At=readonly(model.A.T), CA_rp1t=readonly(CAj[r + 1].T),
+    ops = _FilterOps(r=r, At=readonly(model.A.T), CA_rp1t=readonly(d.CA[r + 1].T),
                      Bt=readonly(model.B.T), Dt=readonly(model.D.T),
-                     CAjBt=tuple(readonly((CA @ model.B).T) for CA in CAj[:r + 1])
+                     CAjBt=tuple(readonly((CA @ model.B).T) for CA in d.CA[:r + 1])
                      if model.m > 0 else (),
                      M_pinvt=readonly(M_pinv.T))
     return FilterState(k=0, xhat_delayed=readonly(x0), P=covariance_state(P0),
@@ -182,13 +174,17 @@ def _error_map(ops: _FilterOps, L) -> np.ndarray:
 
 
 def _refresh_gain(model: SystemModel, noise: NoiseSpec, ops: _FilterOps,
-                  P: CovarianceState):
-    """One time-varying gain step: (L, its error map, next covariance, frozen).
+                  L, Ft, P: CovarianceState):
+    """One time-varying gain step from (L, Ft, P): (L, its error map, next covariance, frozen).
 
-    The gain freezes once the covariance recursion reaches its fixed
-    point to FREEZE_RTOL.
+    The gain freezes once the covariance recursion reaches its fixed point
+    to FREEZE_RTOL, and keeps the last gain once the innovation covariance
+    turns singular, as under a divergent gain: divergence is information.
     """
-    L = minvar_gain(model, noise, ops.r, P).L
+    try:
+        L = minvar_gain(model, noise, ops.r, P).L
+    except InnovationCovarianceSingular:
+        return L, Ft, P, True
     P_next = covariance_update(model, noise, ops.r, L, P)
     frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
     return readonly(L), _error_map(ops, L), P_next, frozen
@@ -248,7 +244,7 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
 
     L, Ft, P, gain_frozen = state.L, state.Ft, state.P, state.gain_frozen
     if not gain_frozen:
-        L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, P)
+        L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, L, Ft, P)
     z, b = _input_terms(ops, y, u, state.u_buffer[::-1])
     xhat_new = _update(state.xhat_delayed, Ft, _drive(L, z, b))
     innovation, ehat = _decode(ops, state.xhat_delayed, z)
@@ -318,7 +314,7 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     i = 0
     while i < emitted:
         if not gain_frozen:
-            L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, P)
+            L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, L, Ft, P)
             frozen_at = r + 1 + i if gain_frozen else None
         stop = emitted if gain_frozen else i + 1
         d = _drive(L, z[i:stop], None if b is None else b[i:stop])
@@ -338,8 +334,7 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:
     """A - L C A^(r+1), the autonomous map of the delayed estimation error."""
-    L = np.asarray(L, dtype=float)
-    return model.A - L @ model.C @ np.linalg.matrix_power(model.A, r + 1)
+    return model.A - np.asarray(L, dtype=float) @ _delay(model, r).CA[r + 1]
 
 
 def classify_convergence(model: SystemModel, r: int, L) -> str:
@@ -350,8 +345,7 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     radius pinned to one leaves a persistent error; beyond one the
     error grows without bound.
     """
-    if unbiasedness_residual(model, r, L) > _residual_tol(model):
-        raise ConstraintViolated("verdict is only defined for unbiased gains")
+    _checked_residual(model, r, L, "verdict is only defined for unbiased gains")
     eigs = np.linalg.eigvals(error_dynamics_matrix(model, r, L))
     moduli = np.abs(eigs)
     if np.all(moduli <= DEADBEAT_TOL):

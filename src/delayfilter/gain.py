@@ -12,11 +12,13 @@ fixed point when one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     ConstraintViolated,
+    DelayOutOfRange,
     InnovationCovarianceSingular,
     LowerMarkovNonzero,
     NotSquare,
@@ -24,8 +26,8 @@ from .errors import (
     PreconditionViolated,
     SingularMarkovParameter,
 )
-from .linalg import frob, numerical_rank, pinv_cut
-from .markov import exists_unbiased_gain, markov_blocks, markov_row_stack
+from .linalg import frob, numerical_rank, pinv_cut, readonly
+from .markov import _blocks_and_scales, _rank_gap_is_p
 from .model import NoiseSpec, SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
@@ -69,14 +71,54 @@ def constraint_target(model: SystemModel, r: int) -> np.ndarray:
     return np.hstack([model.H] + [np.zeros((model.n, model.p))] * r)
 
 
+@dataclass(frozen=True, eq=False)
+class _Delay:
+    """Everything the constraint L S_r = [H 0 ... 0] fixes at one (model, r)."""
+
+    r: int
+    feasible: bool                      # an unbiased gain exists at r
+    CA: tuple                           # C A^j for j = 0..r+1
+    blocks: tuple                       # C A^j H for j = 0..r
+    lower_nonzero: int | None           # first d < r with CA^dH != 0, else None
+    S: np.ndarray                       # [CA^rH ... CH]
+    S_pinv: np.ndarray
+    H0: np.ndarray                      # [H 0 ... 0]
+    tol: float                          # residual tolerance of the constraint
+
+
+@lru_cache(maxsize=16)
+def _delay(model: SystemModel, r: int) -> _Delay:
+    """The constants at (model, r), built once per model object.
+
+    Models hash by identity and their arrays are read-only, so an entry
+    never goes stale; the bound keeps runs over many models from holding them all.
+    """
+    blocks, scales = _blocks_and_scales(model, r)
+    scale = 1.0 + max(float(np.max(np.abs(b))) for b in blocks)
+    lower = next((j for j in range(r) if np.max(np.abs(blocks[j])) > 1e-8 * scale), None)
+    CA = [model.C]
+    for _ in range(r + 1):
+        CA.append(CA[-1] @ model.A)
+    S = np.hstack(blocks[::-1])
+    return _Delay(r=int(r), feasible=_rank_gap_is_p(blocks, scales, model.p),
+                  CA=tuple(map(readonly, CA)), blocks=tuple(map(readonly, blocks)),
+                  lower_nonzero=lower, S=readonly(S), S_pinv=readonly(pinv_cut(S)),
+                  H0=readonly(constraint_target(model, r)),
+                  tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
+
+
 def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
     """Frobenius norm of L S_r - [H 0 ... 0]."""
-    S = markov_row_stack(model, r, check_range=False)
-    return frob(np.asarray(L, dtype=float) @ S - constraint_target(model, r))
+    d = _delay(model, r)
+    return frob(np.asarray(L, dtype=float) @ d.S - d.H0)
 
 
-def _residual_tol(model: SystemModel) -> float:
-    return RESIDUAL_RTOL * (1.0 + frob(model.H))
+def _checked_residual(model: SystemModel, r: int, L, what: str) -> float:
+    """The residual of L, or ConstraintViolated when it exceeds the tolerance."""
+    residual, tol = unbiasedness_residual(model, r, L), _delay(model, r).tol
+    if residual > tol:
+        raise ConstraintViolated(f"{what}: residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    return residual
 
 
 def square_gain(model: SystemModel, r: int) -> GainResult:
@@ -88,14 +130,12 @@ def square_gain(model: SystemModel, r: int) -> GainResult:
     """
     if model.l != model.p:
         raise NotSquare(f"square gain needs l = p, got l={model.l}, p={model.p}")
-    blocks = markov_blocks(model, r)
-    scale = 1.0 + max(float(np.max(np.abs(b))) for b in blocks)
-    for d in range(r):
-        if float(np.max(np.abs(blocks[d]))) > 1e-8 * scale:
-            raise LowerMarkovNonzero(
-                f"CA^{d}H is nonzero; no unbiased gain exists at delay {r}"
-            )
-    M = blocks[r]
+    d = _delay(model, r)
+    if d.lower_nonzero is not None:
+        raise LowerMarkovNonzero(
+            f"CA^{d.lower_nonzero}H is nonzero; no unbiased gain exists at delay {r}"
+        )
+    M = d.blocks[r]
     if np.linalg.cond(M) > COND_LIMIT:
         raise SingularMarkovParameter(f"CA^{r}H condition number exceeds {COND_LIMIT:.0e}")
     L = np.linalg.solve(M.T, model.H.T).T
@@ -104,18 +144,38 @@ def square_gain(model: SystemModel, r: int) -> GainResult:
     return GainResult(L=L, residual=residual, method=method)
 
 
-def _innovation_covariance(model: SystemModel, noise: NoiseSpec, r: int, T: np.ndarray):
-    """V = CA^r T A^rT C^T + sum_j CA^(r-j) Q A^(r-j)T C^T + R, j = 1..r."""
-    CA = [model.C]
-    X = model.C
-    for _ in range(r):
-        X = X @ model.A
-        CA.append(X)                      # CA[j] = C A^j
+def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
+    """(V, T A^rT C^T) with T = Q + A P A^T; the innovation covariance V must be nonsingular.
+
+    V = CA^r T A^rT C^T + sum_j CA^(r-j) Q A^(r-j)T C^T + R, j = 1..r.
+    """
+    P = _p_matrix(P_prev, model.n)
+    T = noise.Q + model.A @ P @ model.A.T
+    CA, r = d.CA, d.r
     V = CA[r] @ T @ CA[r].T + noise.R
     for j in range(1, r + 1):
         W = CA[r - j]
         V = V + W @ noise.Q @ W.T
-    return 0.5 * (V + V.T), CA
+    V = 0.5 * (V + V.T)
+    if np.linalg.cond(V) > COND_LIMIT:
+        raise InnovationCovarianceSingular("innovation covariance is numerically singular")
+    return V, T @ CA[r].T
+
+
+def _polished(model: SystemModel, d: _Delay, L, method: str) -> GainResult:
+    """L after one or two projection steps L <- L - (L S_r - [H 0..0]) S_r^+.
+
+    They remove the rounding error the multiplier solve leaves in the
+    constraint row space (this changes the cost only at second order);
+    the residual that remains must be within tolerance.
+    """
+    for _ in range(2):
+        gap = L @ d.S - d.H0
+        if frob(gap) <= 1e-3 * d.tol:
+            break
+        L = L - gap @ d.S_pinv
+    residual = _checked_residual(model, d.r, L, "gain")
+    return GainResult(L=L, residual=residual, method=method)
 
 
 def minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> GainResult:
@@ -125,45 +185,20 @@ def minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> Ga
     (CovarianceState or plain matrix; identity when omitted). The
     Lagrange multiplier block is non-unique; the minimum-norm choice
     via pseudoinverse is taken, which does not affect L. The closed
-    form is evaluated and then polished by one or two projection steps
-    L <- L - (L S_r - [H 0..0]) S_r^+, removing the rounding error the
-    multiplier solve leaves in the constraint row space (this changes
-    the cost only at second order).
+    form is evaluated and then polished onto the constraint.
     """
-    if not exists_unbiased_gain(model, r):
+    if r > model.n - 1:
+        raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
+    d = _delay(model, r)
+    if not d.feasible:
         raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
-    P = _p_matrix(P_prev, model.n)
-
-    T = noise.Q + model.A @ P @ model.A.T
-    V, CA = _innovation_covariance(model, noise, r, T)
-    if np.linalg.cond(V) > COND_LIMIT:
-        raise InnovationCovarianceSingular("innovation covariance is numerically singular")
-
-    S = markov_row_stack(model, r)
-    H0 = constraint_target(model, r)
-    Vinv_S = np.linalg.solve(V, S)
-    Z = S.T @ Vinv_S
+    V, G = _innovation_terms(model, noise, d, P_prev)
+    Vinv_S = np.linalg.solve(V, d.S)
+    Z = d.S.T @ Vinv_S
     Z = 0.5 * (Z + Z.T)
-    G = T @ CA[r].T
-    N = H0 - G @ Vinv_S
-    L = np.linalg.solve(V, (G + N @ pinv_cut(Z) @ S.T).T).T
-
-    tol = _residual_tol(model)
-    S_pinv = None
-    for _ in range(2):
-        gap = L @ S - H0
-        if frob(gap) <= 1e-3 * tol:
-            break
-        if S_pinv is None:
-            S_pinv = pinv_cut(S)
-        L = L - gap @ S_pinv
-
-    residual = unbiasedness_residual(model, r, L)
-    if residual > tol:
-        raise ConstraintViolated(
-            f"gain residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return GainResult(L=L, residual=residual, method=MINVAR_LAGRANGIAN)
+    N = d.H0 - G @ Vinv_S
+    L = np.linalg.solve(V, (G + N @ pinv_cut(Z) @ d.S.T).T).T
+    return _polished(model, d, L, MINVAR_LAGRANGIAN)
 
 
 def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> GainResult:
@@ -173,41 +208,21 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
     and the multiplier solve reduces to one p x p inverse. Must agree
     with minvar_gain on this domain.
     """
-    blocks = markov_blocks(model, r)
-    scale = 1.0 + max(float(np.max(np.abs(b))) for b in blocks)
-    for d in range(r):
-        if float(np.max(np.abs(blocks[d]))) > 1e-8 * scale:
-            raise PreconditionViolated(
-                f"CA^{d}H is nonzero; the simplified gain requires zero "
-                f"Markov parameters below delay {r}"
-            )
-    M = blocks[r]
+    d = _delay(model, r)
+    if d.lower_nonzero is not None:
+        raise PreconditionViolated(
+            f"CA^{d.lower_nonzero}H is nonzero; the simplified gain requires zero "
+            f"Markov parameters below delay {r}"
+        )
+    M = d.blocks[r]
     if numerical_rank(M) < model.p:
         raise PreconditionViolated(f"rank(CA^{r}H) < p, gain constraint unsolvable")
 
-    P = _p_matrix(P_prev, model.n)
-    T = noise.Q + model.A @ P @ model.A.T
-    V, CA = _innovation_covariance(model, noise, r, T)
-    if np.linalg.cond(V) > COND_LIMIT:
-        raise InnovationCovarianceSingular("innovation covariance is numerically singular")
-
-    G = T @ CA[r].T
+    V, G = _innovation_terms(model, noise, d, P_prev)
     Vinv_M = np.linalg.solve(V, M)
     Phi = np.linalg.solve((M.T @ Vinv_M).T, (model.H - G @ Vinv_M).T).T
     L = np.linalg.solve(V, (G + Phi @ M.T).T).T
-
-    S = markov_row_stack(model, r)
-    H0 = constraint_target(model, r)
-    tol = _residual_tol(model)
-    gap = L @ S - H0
-    if frob(gap) > 1e-3 * tol:
-        L = L - gap @ pinv_cut(S)
-    residual = unbiasedness_residual(model, r, L)
-    if residual > tol:
-        raise ConstraintViolated(
-            f"gain residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return GainResult(L=L, residual=residual, method=SIMPLIFIED_MINVAR)
+    return _polished(model, d, L, SIMPLIFIED_MINVAR)
 
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
@@ -221,15 +236,9 @@ def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -
     residual gate.
     """
     L = np.asarray(L, dtype=float)
-    if unbiasedness_residual(model, r, L) > _residual_tol(model):
-        raise ConstraintViolated("covariance update requires an unbiased gain")
+    _checked_residual(model, r, L, "covariance update requires an unbiased gain")
     P = _p_matrix(P_prev, model.n)
-
-    CA = [model.C]
-    X = model.C
-    for _ in range(r + 1):
-        X = X @ model.A
-        CA.append(X)
+    CA = _delay(model, r).CA
 
     A_err = model.A - L @ CA[r + 1]
     out = A_err @ P @ A_err.T
@@ -252,8 +261,6 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     the last gain, once the covariance overflows or the innovation
     covariance turns singular, since nothing new is learned after that.
     """
-    if not exists_unbiased_gain(model, r):
-        raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
     P = covariance_state(_p_matrix(P0, model.n))
     gain = minvar_gain(model, noise, r, P)
     for _ in range(max_iter):

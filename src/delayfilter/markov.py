@@ -18,30 +18,17 @@ from .model import SystemModel
 
 
 def markov_parameter(model: SystemModel, d: int) -> np.ndarray:
-    """C A^d H, built by d repeated multiplications of A onto H."""
-    if d < 0:
-        raise DelayOutOfRange(f"Markov parameter index must be >= 0, got {d}")
-    X = model.H
-    for _ in range(d):
-        X = model.A @ X
-    return model.C @ X
+    """C A^d H."""
+    return markov_blocks(model, d)[-1]
 
 
 def markov_blocks(model: SystemModel, dmax: int) -> list[np.ndarray]:
     """[CH, CAH, ..., CA^dmax H] sharing the intermediate products."""
-    if dmax < 0:
-        raise DelayOutOfRange(f"Markov parameter index must be >= 0, got {dmax}")
-    out = []
-    X = model.H
-    for _ in range(dmax + 1):
-        out.append(model.C @ X)
-        X = model.A @ X
-    return out
+    return _blocks_and_scales(model, dmax)[0]
 
 
 def _check_delay(model: SystemModel, r: int, check_range: bool) -> None:
-    if r < 0:
-        raise DelayOutOfRange(f"delay must be >= 0, got {r}")
+    """r < 0 is left to _blocks_and_scales, which every caller runs next."""
     if check_range and r > model.n - 1:
         raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
 
@@ -55,14 +42,13 @@ def _blocks_and_scales(model: SystemModel, dmax: int):
     good largest singular value of its own. The analytic size is what the
     dust is small relative to.
     """
+    if dmax < 0:
+        raise DelayOutOfRange(f"Markov parameter index must be >= 0, got {dmax}")
+    powers = [model.H]                  # A^d H, by repeated multiplication of A onto H
+    for _ in range(dmax):
+        powers.append(model.A @ powers[-1])
     c_norm = float(np.linalg.norm(model.C))
-    blocks, scales = [], []
-    X = model.H
-    for _ in range(dmax + 1):
-        blocks.append(model.C @ X)
-        scales.append(c_norm * float(np.linalg.norm(X)))
-        X = model.A @ X
-    return blocks, scales
+    return [model.C @ X for X in powers], [c_norm * float(np.linalg.norm(X)) for X in powers]
 
 
 def _anchored_rank(matrix: np.ndarray, scale: float) -> int:
@@ -98,19 +84,23 @@ def markov_toeplitz(model: SystemModel, r: int, check_range: bool = True) -> np.
     return out
 
 
+def _rank_gap_is_p(blocks, scales, p: int) -> bool:
+    """The feasibility test below on the blocks and scales of d = 0..r."""
+    r, scale = len(blocks) - 1, max(scales)
+    rank_r = _anchored_rank(np.hstack(blocks[::-1]), scale)
+    rank_prev = 0
+    if r > 0:
+        rank_prev = _anchored_rank(np.hstack(blocks[r - 1::-1]), scale)
+    return rank_r - rank_prev == p
+
+
 def exists_unbiased_gain(model: SystemModel, r: int, check_range: bool = True) -> bool:
     """True iff rank(S_r) - rank(S_(r-1)) = p, with rank(S_(-1)) = 0.
 
     At r = 0 this collapses to the classical full-rank test on CH.
     """
     _check_delay(model, r, check_range)
-    blocks, scales = _blocks_and_scales(model, r)
-    scale = max(scales)
-    rank_r = _anchored_rank(np.hstack(blocks[::-1]), scale)
-    rank_prev = 0
-    if r > 0:
-        rank_prev = _anchored_rank(np.hstack(blocks[r - 1::-1]), scale)
-    return rank_r - rank_prev == model.p
+    return _rank_gap_is_p(*_blocks_and_scales(model, r), model.p)
 
 
 def minimal_delay(model: SystemModel):

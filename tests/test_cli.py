@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +222,53 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "delayfilter", "reproduce", "nope"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
+
+
+def test_filter_divergent_gain_is_reported(model_file, tmp_path, capsys):
+    # the time-varying gain of nonsquare12 cannot be refreshed after k = 4;
+    # it freezes there and the run reports divergence instead of exiting 1
+    mf = model_file("nonsquare12", with_noise=True)
+    traj_csv, est_csv = str(tmp_path / "traj.csv"), str(tmp_path / "est.csv")
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--e2", "prbs:1:5",
+                 "--out", traj_csv]) == 0
+    _report(capsys)
+    rc = main(["filter", mf, traj_csv, "--gain", "minvar", "--out", est_csv])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["verdict"] == "Divergent"
+    assert report["gain"]["frozen_at"] == 4
+    assert report["gain"]["spectral_radius"] == pytest.approx(7.46, abs=0.01)
+    assert np.isfinite(report["innovation_rms"])
+    assert len(open(est_csv).read().splitlines()) == 202
+
+
+def test_filter_overflowing_estimates_exit_1(model_file, tmp_path, capsys):
+    # on a long record the divergent mode (7.46^k) overflows the estimates;
+    # they would read as empty warm-up rows, so nothing is written
+    mf = model_file("nonsquare12", with_noise=True)
+    traj_csv, est_csv = str(tmp_path / "traj.csv"), str(tmp_path / "est.csv")
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--e2", "prbs:1:5",
+                 "--T", "600", "--out", traj_csv]) == 0
+    _report(capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # the overflow is reported, not warned
+        rc = main(["filter", mf, traj_csv, "--gain", "minvar", "--out", est_csv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    k = int(re.search(r"EstimatesNotFinite: estimates are not finite from k=(\d+)",
+                      captured.err).group(1))
+    assert 200 < k <= 600
+    assert "spectral radius 7.46" in captured.err
+    assert not os.path.exists(est_csv)
+
+
+def test_reproduce_writes_divergent_estimates(tmp_path, capsys):
+    rc = main(["reproduce", "nonsquare12", "--outdir", str(tmp_path)])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["estimates_skipped"] is None
+    assert (tmp_path / "nonsquare12-estimates.csv").exists()
 
 
 def test_reproduce_known_example(tmp_path, capsys):

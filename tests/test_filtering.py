@@ -252,3 +252,27 @@ def test_run_filter_rejects_bad_shapes():
         df.run_filter(model, noise, config, y[..., :1], u)  # l = 2 outputs
     with pytest.raises(df.InfeasibleDelay):
         df.run_filter(model, noise, _config(r=0, n=model.n), y, u)
+
+
+def test_run_filter_freezes_a_gain_it_cannot_refresh():
+    # nonsquare12's unique gain has spectral radius 7.46; by k = 4 the
+    # covariance is so large that the innovation covariance is singular,
+    # so the gain freezes at the last one computed instead of raising
+    model, noise, _ = df.reference_example("nonsquare12")
+    config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
+    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7, noise_on=False)
+    run = df.run_filter(model, noise, config, traj.y)
+    assert run.frozen_at == 4
+    assert np.all(np.isfinite(run.state_estimates[2:]))
+    assert df.classify_convergence(model, 1, run.L) == df.DIVERGENT
+    # a step loop freezes at the same k with the same gain; its estimates
+    # agree up to the freeze, after which the unstable error dynamics
+    # amplify the two paths' different rounding by 7.46 per step
+    state = df.init_filter(model, noise, config)
+    for k in range(traj.T + 1):
+        state, out = df.step(state, model, noise, traj.y[k])
+        assert state.gain_frozen == (k >= 4)
+        if out is not None and k <= 4:
+            np.testing.assert_allclose(run.state_estimates[k], out.state_estimate,
+                                       rtol=0, atol=1e-12)
+    assert np.array_equal(run.L, state.L)

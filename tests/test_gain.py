@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter.gain import constraint_target
 from conftest import make_feasible_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -141,3 +142,58 @@ def test_steady_state_singular_innovation_is_not_converged():
     assert converged is False
     assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
     assert np.all(np.isfinite(cov.P))
+
+
+def _covariance_by_hand(model, noise, r, L, P):
+    """covariance_update's formula with every power of A formed afresh."""
+    CA = [model.C @ np.linalg.matrix_power(model.A, j) for j in range(r + 2)]
+    A_err = model.A - L @ CA[r + 1]
+    I_LCAr = np.eye(model.n) - L @ CA[r]
+    out = A_err @ P @ A_err.T + I_LCAr @ noise.Q @ I_LCAr.T + L @ noise.R @ L.T
+    for j in range(1, r + 1):
+        out = out + (L @ CA[r - j]) @ noise.Q @ (L @ CA[r - j]).T
+    return 0.5 * (out + out.T)
+
+
+def test_gain_constants_belong_to_their_model():
+    # more models than the per-(model, r) constants are kept for, visited
+    # in turn so that each call follows calls on other models
+    rng = np.random.default_rng(8)
+    cases = []
+    while len(cases) < 24:
+        drawn = make_feasible_system(rng)
+        if drawn is not None:
+            cases.append(drawn + (random_noise(rng, drawn[0]),))
+    first = df.minvar_gain(cases[0][0], cases[0][2], cases[0][1])
+    for _ in range(2):
+        gains = [df.minvar_gain(model, noise, r) for model, r, noise in cases]
+        covs = [df.covariance_update(model, noise, r, g.L, np.eye(model.n))
+                for (model, r, noise), g in zip(cases, gains)]
+        for (model, r, noise), g, cov in zip(cases, gains, covs):
+            tol = 1e-9 * (1.0 + np.linalg.norm(model.H))
+            S, H0 = df.markov_row_stack(model, r), constraint_target(model, r)
+            own = np.linalg.norm(g.L @ S - H0)
+            assert own <= tol and g.residual == pytest.approx(own, rel=1e-6, abs=1e-15)
+            assert df.unbiasedness_residual(model, r, g.L) == pytest.approx(own, rel=1e-6,
+                                                                           abs=1e-15)
+            want = _covariance_by_hand(model, noise, r, g.L, np.eye(model.n))
+            np.testing.assert_allclose(cov.P, want, rtol=0,
+                                       atol=1e-9 * (1.0 + np.max(np.abs(want))))
+    again = df.minvar_gain(cases[0][0], cases[0][2], cases[0][1])
+    assert np.array_equal(again.L, first.L) and again.residual == first.residual
+
+
+def test_minvar_and_steady_state_error_contract():
+    rng = np.random.default_rng(9)
+    infeasible = 0
+    for model, _ in filter(None, (make_feasible_system(rng) for _ in range(6))):
+        noise = random_noise(rng, model)
+        for fn in (df.minvar_gain, df.steady_state_gain):
+            with pytest.raises(df.DelayOutOfRange):
+                fn(model, noise, model.n)
+            for r in range(model.n):
+                if not df.exists_unbiased_gain(model, r):
+                    infeasible += 1
+                    with pytest.raises(df.NoUnbiasedGainExists):
+                        fn(model, noise, r)
+    assert infeasible >= 5
