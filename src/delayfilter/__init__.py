@@ -69,7 +69,6 @@ from .zeros import (
     ZeroReport,
     classify_zeros,
     invariant_zeros,
-    normal_rank,
     rosenbrock_pencil,
 )
 from .gain import (

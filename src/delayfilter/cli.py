@@ -21,8 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import (DelayFilterError, EstimatesNotFinite, InfeasibleDelay, PencilDegenerate,
-                     UnknownExample)
+from .errors import DelayFilterError, EstimatesNotFinite, InfeasibleDelay, PencilDegenerate
 from .filtering import (
     FIXED_SQUARE,
     TIME_VARYING_MINVAR,
@@ -371,9 +370,6 @@ def main(argv=None) -> int:
     except InfeasibleDelay as exc:
         print(f"delayfilter: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except UnknownExample as exc:
-        print(f"delayfilter: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except DelayFilterError as exc:
         print(f"delayfilter: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -11,11 +11,23 @@ run_filter() drives the same update over a whole record at once, for
 one trajectory or a batch of trials. The gain schedule depends only on
 (model, noise, r, P0), never on the measurements, so every trial of a
 batch shares it and the estimates advance together as (trials, n) arrays.
+
+What no measurement changes is one filter plan (_FilterOps): the
+transposed model constants, the input decoder, the initial gain and, in
+TimeVaryingMinVar mode, the schedule of refreshed gains. Plans are
+memoised, the 16 most recent, keyed on the model object, r, the gain
+mode and, for the time-varying gain, the values of Q, R and P0; a
+user-supplied gain is never memoised. A schedule grows as sessions reach
+steps no session reached before and keeps at most SCHEDULE_CAP entries
+of 2n^2 + nl floats each; past the cap a session refreshes its own gain.
+So a later session reads the gains the first one computed, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +66,9 @@ DEADBEAT_TOL = 1e-8
 SPECTRAL_TOL = 1e-9
 # Gain refresh stops once the covariance fixed point is this tight.
 FREEZE_RTOL = 1e-12
+# Time-varying gain steps a plan keeps; a gain that never freezes would
+# otherwise grow its schedule with every step of the longest record.
+SCHEDULE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -65,14 +80,18 @@ class FilterConfig:
     gain: np.ndarray | None = None      # only read in FixedUserSupplied mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FilterOps:
-    """Precomputed constants reused by every update.
+    """The filter plan: the constants every update reuses.
 
     Matrices are stored transposed: the update right-multiplies, so one
     code path serves (n,), a batch (trials, n) and a leading time axis.
+    schedule[i] is the _Gain after the refresh of the i-th emitted step,
+    filled by _gain_at; it stays empty in the fixed modes.
     """
 
+    model: SystemModel
+    noise: NoiseSpec | None             # the plan's own copy; None in the fixed modes
     r: int
     At: np.ndarray                      # A^T
     CA_rp1t: np.ndarray                 # (C A^(r+1))^T
@@ -80,18 +99,32 @@ class _FilterOps:
     Dt: np.ndarray                      # D^T
     CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () if m=0
     M_pinvt: np.ndarray                 # ((CA^rH)^-1)^T, pseudoinverse if l > p
+    L0: np.ndarray                      # the initial gain
+    Ft0: np.ndarray                     # its error map
+    schedule: list = field(default_factory=list, repr=False)
+
+
+class _Gain(NamedTuple):
+    """A gain, its error map, the covariance it leads to and whether it is final."""
+
+    L: np.ndarray
+    Ft: np.ndarray                      # (A - L C A^(r+1))^T, the error dynamics under L
+    P: CovarianceState
+    frozen: bool
 
 
 @dataclass(frozen=True)
 class FilterState:
     k: int
     xhat_delayed: np.ndarray            # estimate of x at k-r-1 given k-1
-    P: CovarianceState
-    L: np.ndarray
     u_buffer: tuple                     # r+1 most recent known inputs, () if m=0
-    gain_frozen: bool
-    Ft: np.ndarray = field(repr=False)  # (A - L C A^(r+1))^T, the error dynamics under L
+    gain: _Gain
     ops: _FilterOps = field(repr=False)
+    noise: NoiseSpec | None = field(repr=False)     # as given to init_filter
+
+    L = property(lambda self: self.gain.L)
+    P = property(lambda self: self.gain.P)
+    gain_frozen = property(lambda self: self.gain.frozen)
 
 
 @dataclass(frozen=True)
@@ -132,13 +165,14 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if not is_symmetric(P0):
         raise NotSymmetric("initial_covariance is not symmetric")
 
-    if config.gain_mode == FIXED_SQUARE:
-        L = square_gain(model, r).L
-    elif config.gain_mode == TIME_VARYING_MINVAR:
+    mode = config.gain_mode
+    if mode == FIXED_SQUARE:
+        ops = _plan(model, r, mode, None)
+    elif mode == TIME_VARYING_MINVAR:
         if noise is None:
             raise PreconditionViolated("TimeVaryingMinVar needs a noise specification")
-        L = minvar_gain(model, noise, r, P0).L
-    elif config.gain_mode == FIXED_USER_SUPPLIED:
+        ops = _plan(model, r, mode, tuple(map(_frozen, (noise.Q, noise.R, P0))))
+    elif mode == FIXED_USER_SUPPLIED:
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
         L = np.asarray(config.gain, dtype=float)
@@ -146,9 +180,37 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
             raise DimensionMismatch(f"gain must be {(model.n, model.l)}, got {L.shape}")
         # a biased gain would silently invalidate every emitted estimate
         _checked_residual(model, r, L, "supplied gain violates the unbiasedness constraint")
+        ops = _new_plan(model, r, L)
     else:
-        raise PreconditionViolated(f"unknown gain mode {config.gain_mode!r}")
+        raise PreconditionViolated(f"unknown gain mode {mode!r}")
+    gain = _Gain(ops.L0, ops.Ft0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
+    return FilterState(k=0, xhat_delayed=readonly(x0), u_buffer=(), gain=gain, ops=ops,
+                       noise=noise)
 
+
+def _frozen(a) -> tuple:
+    """(shape, bytes): a hashable copy of an array's values."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@lru_cache(maxsize=16)
+def _plan(model: SystemModel, r: int, gain_mode: str, noise_key) -> _FilterOps:
+    """The plan of a FixedSquare or TimeVaryingMinVar session, built once.
+
+    noise_key is None, or _frozen (Q, R, P0) for the time-varying gain:
+    keyed on values, a plan never outlives a change to a NoiseSpec's arrays.
+    """
+    if gain_mode == FIXED_SQUARE:
+        return _new_plan(model, r, square_gain(model, r).L)
+    Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
+    noise = NoiseSpec(Q=Q, R=R)
+    return _new_plan(model, r, minvar_gain(model, noise, r, P0).L, noise)
+
+
+def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> _FilterOps:
+    """The plan of a session whose initial gain is L."""
+    d = _delay(model, r)
     M = d.blocks[r]
     if model.l == model.p:
         if np.linalg.cond(M) > 1e12:
@@ -156,38 +218,53 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         M_pinv = np.linalg.inv(M)
     else:
         M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
-
-    ops = _FilterOps(r=r, At=readonly(model.A.T), CA_rp1t=readonly(d.CA[r + 1].T),
-                     Bt=readonly(model.B.T), Dt=readonly(model.D.T),
-                     CAjBt=tuple(readonly((CA @ model.B).T) for CA in d.CA[:r + 1])
-                     if model.m > 0 else (),
-                     M_pinvt=readonly(M_pinv.T))
-    return FilterState(k=0, xhat_delayed=readonly(x0), P=covariance_state(P0),
-                       L=readonly(L), u_buffer=(),
-                       gain_frozen=config.gain_mode != TIME_VARYING_MINVAR,
-                       Ft=_error_map(ops, L), ops=ops)
+    At, CA_rp1t = readonly(model.A.T), readonly(d.CA[r + 1].T)
+    return _FilterOps(model=model, noise=noise, r=r, At=At, CA_rp1t=CA_rp1t,
+                      Bt=readonly(model.B.T), Dt=readonly(model.D.T),
+                      CAjBt=tuple(readonly((CA @ model.B).T) for CA in d.CA[:r + 1])
+                      if model.m > 0 else (),
+                      M_pinvt=readonly(M_pinv.T), L0=readonly(L),
+                      Ft0=_error_map(At, CA_rp1t, L))
 
 
-def _error_map(ops: _FilterOps, L) -> np.ndarray:
+def _error_map(At, CA_rp1t, L) -> np.ndarray:
     """(A - L C A^(r+1))^T, the error dynamics under L in row form."""
-    return readonly(ops.At - ops.CA_rp1t @ L.T)
+    return readonly(At - CA_rp1t @ L.T)
 
 
-def _refresh_gain(model: SystemModel, noise: NoiseSpec, ops: _FilterOps,
-                  L, Ft, P: CovarianceState):
-    """One time-varying gain step from (L, Ft, P): (L, its error map, next covariance, frozen).
+def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
+    """The gain of the i-th emitted step, refreshed from the gain before it.
+
+    Read from the plan's schedule when a session has been there before;
+    else refreshed and, below SCHEDULE_CAP, kept for the sessions to come.
+    """
+    schedule = ops.schedule
+    if i < len(schedule):
+        return schedule[i]
+    entry = _refresh_gain(ops, gain)
+    if i < SCHEDULE_CAP:
+        # one store, an append unless a session in another thread stored
+        # an equal entry i first; below the cap no session skips an index
+        schedule[i:i + 1] = [entry]
+    return entry
+
+
+def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
+    """One time-varying gain step: the next gain, its error map and covariance.
 
     The gain freezes once the covariance recursion reaches its fixed point
     to FREEZE_RTOL, and keeps the last gain once the innovation covariance
     turns singular, as under a divergent gain: divergence is information.
     """
+    model, noise, P = ops.model, ops.noise, gain.P
     try:
         L = minvar_gain(model, noise, ops.r, P).L
     except InnovationCovarianceSingular:
-        return L, Ft, P, True
+        return gain._replace(frozen=True)
     P_next = covariance_update(model, noise, ops.r, L, P)
+    P_next.P.setflags(write=False)      # shared by every session of the plan
     frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
-    return readonly(L), _error_map(ops, L), P_next, frozen
+    return _Gain(readonly(L), _error_map(ops.At, ops.CA_rp1t, L), P_next, frozen)
 
 
 # The update, shared by step() and run_filter(), is written so that only
@@ -229,9 +306,14 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
 
     Returns (next_state, StepOutput) after warm-up and (next_state,
     None) during it. u_k is required exactly when the model has known
-    inputs.
+    inputs. model, and in TimeVaryingMinVar mode noise, must be the
+    objects given to init_filter: the state's gain belongs to them.
     """
     ops, k = state.ops, state.k
+    if model is not ops.model:
+        raise PreconditionViolated("step got a model other than the one given to init_filter")
+    if ops.noise is not None and noise is not state.noise:
+        raise PreconditionViolated("step got a noise other than the one given to init_filter")
     y, u = _as_vector(y_k, model.l, "y_k"), None
     if model.m > 0:
         if u_k is None:
@@ -242,16 +324,16 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
         buf = state.u_buffer + (u,) if model.m > 0 else ()
         return replace(state, k=k + 1, u_buffer=buf), None
 
-    L, Ft, P, gain_frozen = state.L, state.Ft, state.P, state.gain_frozen
-    if not gain_frozen:
-        L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, L, Ft, P)
+    gain = state.gain
+    if not gain.frozen:
+        gain = _gain_at(ops, k - ops.r - 1, gain)
     z, b = _input_terms(ops, y, u, state.u_buffer[::-1])
-    xhat_new = _update(state.xhat_delayed, Ft, _drive(L, z, b))
+    xhat_new = _update(state.xhat_delayed, gain.Ft, _drive(gain.L, z, b))
     innovation, ehat = _decode(ops, state.xhat_delayed, z)
 
-    next_state = FilterState(k=k + 1, xhat_delayed=readonly(xhat_new), P=P, L=L,
+    next_state = FilterState(k=k + 1, xhat_delayed=readonly(xhat_new),
                              u_buffer=state.u_buffer[1:] + (u,) if model.m > 0 else (),
-                             gain_frozen=gain_frozen, Ft=Ft, ops=ops)
+                             gain=gain, ops=ops, noise=state.noise)
     return next_state, StepOutput(k=k, state_estimate=xhat_new, input_estimate=ehat,
                                   innovation=innovation)
 
@@ -309,17 +391,17 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     # xs[0] is the initial estimate, xs[i] the estimate made at k = r+i
     xs = np.empty((emitted + 1,) + yt.shape[1:-1] + (model.n,))
     xs[0] = state.xhat_delayed
-    L, Ft, P, gain_frozen = state.L, state.Ft, state.P, state.gain_frozen
+    gain = state.gain
     frozen_at = None
     i = 0
     while i < emitted:
-        if not gain_frozen:
-            L, Ft, P, gain_frozen = _refresh_gain(model, noise, ops, L, Ft, P)
-            frozen_at = r + 1 + i if gain_frozen else None
-        stop = emitted if gain_frozen else i + 1
-        d = _drive(L, z[i:stop], None if b is None else b[i:stop])
+        if not gain.frozen:
+            gain = _gain_at(ops, i, gain)
+            frozen_at = r + 1 + i if gain.frozen else None
+        stop = emitted if gain.frozen else i + 1
+        d = _drive(gain.L, z[i:stop], None if b is None else b[i:stop])
         for j in range(i, stop):
-            xs[j + 1] = _update(xs[j], Ft, d[j - i])
+            xs[j + 1] = _update(xs[j], gain.Ft, d[j - i])
         i = stop
     innovations, es = _decode(ops, xs[:-1], z)
 
@@ -329,7 +411,7 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
         return np.moveaxis(out, 0, -2)
 
     return FilterRun(state_estimates=record(xs[1:]), input_estimates=record(es),
-                     innovations=record(innovations), L=L, frozen_at=frozen_at)
+                     innovations=record(innovations), L=gain.L, frozen_at=frozen_at)
 
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:

@@ -106,12 +106,6 @@ def _rank_profile(model: SystemModel, samples: int = 4):
     return best_rank, float(np.median(small_sigmas))
 
 
-def normal_rank(model: SystemModel, samples: int = 4) -> int:
-    """Max rank of Z(s) over random sample points (seeded, deterministic)."""
-    rank, _ = _rank_profile(model, samples)
-    return rank
-
-
 def _cluster(values: list[complex]) -> list[tuple[complex, int]]:
     """Greedy clustering within CLUSTER_TOL; returns (center, count) pairs."""
     groups: list[list[complex]] = []

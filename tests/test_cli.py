@@ -281,6 +281,17 @@ def test_reproduce_known_example(tmp_path, capsys):
     assert all(f["passed"] for f in report["facts"])
 
 
+def test_reproduce_unknown_example_exits_1(tmp_path, capsys):
+    with pytest.raises(df.UnknownExample, match="'nope'"):
+        df.reference_example("nope")
+    rc = main(["reproduce", "nope", "--outdir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("delayfilter: UnknownExample: unknown example 'nope'")
+    assert "nonsquare3" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_reproduce_infeasible_example_skips_estimates(tmp_path, capsys):
     rc = main(["reproduce", "invertibility4", "--outdir", str(tmp_path)])
     report = _report(capsys)

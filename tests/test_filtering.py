@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter import filtering
+from conftest import make_feasible_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -276,3 +278,154 @@ def test_run_filter_freezes_a_gain_it_cannot_refresh():
             np.testing.assert_allclose(run.state_estimates[k], out.state_estimate,
                                        rtol=0, atol=1e-12)
     assert np.array_equal(run.L, state.L)
+
+
+# -- filter plans: one gain schedule per (model, noise, r, P0) ---------------
+
+def _tv_config(model, r=1, P0=None):
+    return df.FilterConfig(r=r, gain_mode=df.TIME_VARYING_MINVAR,
+                           initial_estimate=np.zeros(model.n),
+                           initial_covariance=np.eye(model.n) if P0 is None else P0)
+
+
+def _step_loop(model, noise, config, y):
+    """(estimates, innovations, k at which the gain froze) of a step loop over y."""
+    state = df.init_filter(model, noise, config)
+    rows, innovations, frozen_at = [], [], None
+    for k in range(len(y)):
+        state, out = df.step(state, model, noise, y[k])
+        if state.gain_frozen and frozen_at is None:
+            frozen_at = k
+        if out is not None:
+            rows.append(np.concatenate([out.state_estimate, out.input_estimate]))
+            innovations.append(out.innovation)
+    return np.array(rows), np.array(innovations), frozen_at
+
+
+def _same_run(a, b):
+    return a.frozen_at == b.frozen_at and np.array_equal(a.L, b.L) and all(
+        np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+        for f in ("state_estimates", "input_estimates", "innovations"))
+
+
+def _cold_run(model, noise, config, y):
+    """run_filter with no plan in the memo."""
+    filtering._plan.cache_clear()
+    return df.run_filter(model, noise, config, y)
+
+
+def test_a_second_session_reads_the_first_sessions_schedule():
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = _tv_config(model)
+    y = df.simulate(model, noise, df.example_signals(model), 120, seed=4).y
+    filtering._plan.cache_clear()
+    cold = _step_loop(model, noise, config, y)
+    plan = df.init_filter(model, noise, config).ops
+    # one entry per emitted step up to and including the freeze
+    assert cold[2] is not None and len(plan.schedule) == cold[2] - config.r
+    warm = _step_loop(model, noise, config, y)
+    assert warm[2] == cold[2]
+    assert all(np.array_equal(a, b) for a, b in zip(cold[:2], warm[:2]))
+    # equal values in another NoiseSpec give the same plan
+    twin = df.NoiseSpec(Q=np.array(noise.Q), R=np.array(noise.R))
+    assert df.init_filter(model, twin, config).ops is plan
+
+    cold_run = _cold_run(model, noise, config, y)
+    assert cold_run.frozen_at == cold[2]
+    assert _same_run(df.run_filter(model, noise, config, y), cold_run)
+
+
+def test_each_model_noise_and_p0_gets_its_own_schedule():
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = _tv_config(model)
+    y = df.simulate(model, noise, df.example_signals(model), 120, seed=4).y
+    other_model = df.validate_model(model.A, model.H, 2.0 * model.C)
+    variants = [
+        (model, noise, _tv_config(model, P0=2.0 * np.eye(model.n))),
+        (model, df.validate_noise(50.0 * noise.Q, noise.R, model), config),
+        (model, df.validate_noise(noise.Q, 50.0 * noise.R, model), config),
+        (other_model, noise, config),
+    ]
+    colds = [_cold_run(*case, y) for case in variants]
+    base = df.run_filter(model, noise, config, y)
+    for case, cold in zip(variants, colds):
+        got = df.run_filter(*case, y)
+        assert _same_run(got, cold)
+        assert not np.array_equal(got.state_estimates, base.state_estimates, equal_nan=True)
+
+    # a NoiseSpec built by hand keeps writable arrays; changing one in
+    # place between sessions must change the schedule the next one reads
+    Q = np.array(noise.Q)
+    hand = df.NoiseSpec(Q=Q, R=np.array(noise.R))
+    first = df.run_filter(model, hand, config, y)
+    Q *= 50.0
+    second = df.run_filter(model, hand, config, y)
+    assert not np.array_equal(first.state_estimates, second.state_estimates, equal_nan=True)
+    assert _same_run(second, colds[1])
+
+
+def test_plans_belong_to_their_model():
+    # more models than the memo keeps plans for, visited in turn so that
+    # each session follows sessions on other models
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 20:
+        drawn = make_feasible_system(rng)
+        if drawn is not None:
+            model, r = drawn
+            cases.append((model, random_noise(rng, model), _tv_config(model, r),
+                          rng.standard_normal((30, model.l))))
+    colds = [_cold_run(*case) for case in cases]
+    cold_loops = []
+    for case in cases:
+        filtering._plan.cache_clear()
+        cold_loops.append(_step_loop(*case))
+    for _ in range(2):
+        for case, cold, cold_loop in zip(cases, colds, cold_loops):
+            assert _same_run(df.run_filter(*case), cold)
+            loop = _step_loop(*case)
+            assert loop[2] == cold_loop[2]
+            assert all(np.array_equal(a, b) for a, b in zip(loop[:2], cold_loop[:2]))
+    assert filtering._plan.cache_info().currsize == filtering._plan.cache_info().maxsize == 16
+
+
+def test_schedule_stops_at_the_cap():
+    # nonminphase3's time-varying gain never freezes
+    model, noise, _ = df.reference_example("nonminphase3")
+    config = _tv_config(model)
+    y = df.simulate(model, noise, df.example_signals(model), filtering.SCHEDULE_CAP + 60,
+                    seed=6).y
+    cold = _cold_run(model, noise, config, y)
+    plan = df.init_filter(model, noise, config).ops
+    assert cold.frozen_at is None
+    assert len(plan.schedule) == filtering.SCHEDULE_CAP
+    assert _same_run(df.run_filter(model, noise, config, y), cold)
+    filtering._plan.cache_clear()
+    cold_loop = _step_loop(model, noise, config, y)
+    warm_loop = _step_loop(model, noise, config, y)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(cold_loop[:2], warm_loop[:2]))
+    assert len(df.init_filter(model, noise, config).ops.schedule) == filtering.SCHEDULE_CAP
+
+
+def test_step_rejects_a_model_other_than_its_own():
+    twin = df.validate_model(E1.A, E1.H, E1.C)
+    state = df.init_filter(E1, None, _config())
+    with pytest.raises(df.PreconditionViolated):
+        df.step(state, twin, None, [0.0])
+    model, noise, _ = df.reference_example("nonsquare3")
+    state = df.init_filter(model, noise, _tv_config(model))
+    with pytest.raises(df.PreconditionViolated):
+        df.step(state, df.validate_model(model.A, model.H, model.C), noise, [0.0, 0.0])
+
+
+def test_step_rejects_a_noise_other_than_its_own():
+    model, noise, _ = df.reference_example("nonsquare3")
+    state = df.init_filter(model, noise, _tv_config(model))
+    for other in (None, df.NoiseSpec(Q=noise.Q, R=noise.R)):
+        with pytest.raises(df.PreconditionViolated):
+            df.step(state, model, other, [0.0, 0.0])
+    state, _ = df.step(state, model, noise, [0.0, 0.0])
+    # the fixed modes read no noise
+    state = df.init_filter(E1, None, _config())
+    state, _ = df.step(state, E1, df.NoiseSpec(Q=np.eye(2), R=np.eye(1)), [0.0])
+    assert state.k == 1

@@ -144,6 +144,14 @@ def test_steady_state_singular_innovation_is_not_converged():
     assert np.all(np.isfinite(cov.P))
 
 
+def test_minvar_singular_innovation_covariance_raises():
+    # with Q, R and P all zero the innovation covariance V is zero
+    model, _, _ = df.reference_example("nonsquare3")
+    silent = df.NoiseSpec(Q=np.zeros((model.n, model.n)), R=np.zeros((model.l, model.l)))
+    with pytest.raises(df.InnovationCovarianceSingular):
+        df.minvar_gain(model, silent, 1, np.zeros((model.n, model.n)))
+
+
 def _covariance_by_hand(model, noise, r, L, P):
     """covariance_update's formula with every power of A formed afresh."""
     CA = [model.C @ np.linalg.matrix_power(model.A, j) for j in range(r + 2)]
