@@ -256,15 +256,12 @@ def _filter_rows(model, noise, r, mode, y, u):
     """
     config = FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
                           initial_covariance=np.eye(model.n))
-    with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
-        run = run_filter(model, noise, config, y, u)
-    rows = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
-    bad = np.flatnonzero(~np.isfinite(rows[r + 1:]).all(axis=1))
-    if bad.size:
+    run = run_filter(model, noise, config, y, u)
+    if run.nonfinite_at is not None:
         raise EstimatesNotFinite(
-            f"estimates are not finite from k={r + 1 + bad[0]}: the error dynamics "
+            f"estimates are not finite from k={run.nonfinite_at}: the error dynamics "
             f"diverge (spectral radius {gain_spectral_radius(model, r, run.L):.3g})")
-    return run, rows
+    return run, np.hstack([run.state_estimates, run.input_estimates, run.innovations])
 
 
 def cmd_filter(args) -> int:

@@ -19,13 +19,14 @@ memoised, the 16 most recent, keyed on the model object, r, the gain
 mode and, for the time-varying gain, the values of Q, R and P0; a
 user-supplied gain is never memoised. A schedule grows as sessions reach
 steps no session reached before and keeps at most SCHEDULE_CAP entries
-of 2n^2 + nl floats each; past the cap a session refreshes its own gain.
-So a later session reads the gains the first one computed, bit for bit.
+of n^2 + nl + (n+l)(n+l+p) floats each (the covariance, the gain and its
+update map); past the cap a session refreshes its own gain. So a later
+session reads the gains the first one computed, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -69,6 +70,7 @@ FREEZE_RTOL = 1e-12
 # Time-varying gain steps a plan keeps; a gain that never freezes would
 # otherwise grow its schedule with every step of the longest record.
 SCHEDULE_CAP = 500
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class FilterConfig:
     gain: np.ndarray | None = None      # only read in FixedUserSupplied mode
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _FilterOps:
     """The filter plan: the constants every update reuses.
 
@@ -98,37 +100,37 @@ class _FilterOps:
     Bt: np.ndarray                      # B^T
     Dt: np.ndarray                      # D^T
     CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () if m=0
-    M_pinvt: np.ndarray                 # ((CA^rH)^-1)^T, pseudoinverse if l > p
+    Gd: np.ndarray                      # the columns every update map shares
     L0: np.ndarray                      # the initial gain
-    Ft0: np.ndarray                     # its error map
+    G0: np.ndarray                      # its update map
     schedule: list = field(default_factory=list, repr=False)
 
 
 class _Gain(NamedTuple):
-    """A gain, its error map, the covariance it leads to and whether it is final."""
+    """A gain, its update map, the covariance it leads to and whether it is final."""
 
     L: np.ndarray
-    Ft: np.ndarray                      # (A - L C A^(r+1))^T, the error dynamics under L
+    G: np.ndarray                       # the read-only update map under L, see _update_map
     P: CovarianceState
     frozen: bool
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     k: int
     xhat_delayed: np.ndarray            # estimate of x at k-r-1 given k-1
     u_buffer: tuple                     # r+1 most recent known inputs, () if m=0
     gain: _Gain
-    ops: _FilterOps = field(repr=False)
-    noise: NoiseSpec | None = field(repr=False)     # as given to init_filter
+    ops: _FilterOps
+    noise: NoiseSpec | None             # as given to init_filter
 
     L = property(lambda self: self.gain.L)
     P = property(lambda self: self.gain.P)
     gain_frozen = property(lambda self: self.gain.frozen)
 
 
-@dataclass(frozen=True)
-class StepOutput:
+class StepOutput(NamedTuple):
+    """One emission of step(). Its arrays are read-only views of one array."""
+
     k: int                              # measurement time consumed
     state_estimate: np.ndarray          # estimate of x at k-r
     input_estimate: np.ndarray          # reconstruction of e at k-r-1
@@ -136,10 +138,12 @@ class StepOutput:
 
 
 def _as_vector(x, size: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape != (size,):
-        raise DimensionMismatch(f"{name} must have length {size}, got {v.shape}")
-    return v
+    """x as a float (size,) array; a float 1-d array is returned as it is."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1:
+        x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (size,):
+        raise DimensionMismatch(f"{name} must have length {size}, got {x.shape}")
+    return x
 
 
 def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig) -> FilterState:
@@ -183,9 +187,8 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         ops = _new_plan(model, r, L)
     else:
         raise PreconditionViolated(f"unknown gain mode {mode!r}")
-    gain = _Gain(ops.L0, ops.Ft0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
-    return FilterState(k=0, xhat_delayed=readonly(x0), u_buffer=(), gain=gain, ops=ops,
-                       noise=noise)
+    gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
+    return FilterState(0, readonly(x0), (), gain, ops, noise)
 
 
 def _frozen(a) -> tuple:
@@ -219,17 +222,24 @@ def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> 
     else:
         M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
     At, CA_rp1t = readonly(model.A.T), readonly(d.CA[r + 1].T)
+    # [innovation | ehat] = innovation [I | M^T] with innovation = z - xhat C A^(r+1)^T
+    Gd = readonly(np.vstack([-CA_rp1t, np.eye(model.l)]) @ np.hstack([np.eye(model.l),
+                                                                      M_pinv.T]))
     return _FilterOps(model=model, noise=noise, r=r, At=At, CA_rp1t=CA_rp1t,
                       Bt=readonly(model.B.T), Dt=readonly(model.D.T),
                       CAjBt=tuple(readonly((CA @ model.B).T) for CA in d.CA[:r + 1])
                       if model.m > 0 else (),
-                      M_pinvt=readonly(M_pinv.T), L0=readonly(L),
-                      Ft0=_error_map(At, CA_rp1t, L))
+                      Gd=Gd, L0=readonly(L), G0=_update_map(At, CA_rp1t, Gd, L))
 
 
-def _error_map(At, CA_rp1t, L) -> np.ndarray:
-    """(A - L C A^(r+1))^T, the error dynamics under L in row form."""
-    return readonly(At - CA_rp1t @ L.T)
+def _update_map(At, CA_rp1t, Gd, L) -> np.ndarray:
+    """The read-only G with [xhat | z] G = [xhat' - B u[k-r-1] | innovation | ehat].
+
+    Its first n columns stack F^T = (A - L C A^(r+1))^T on L^T; the rest are Gd.
+    """
+    G = np.hstack([np.vstack([At - CA_rp1t @ L.T, L.T]), Gd])
+    G.setflags(write=False)
+    return G
 
 
 def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
@@ -250,7 +260,7 @@ def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
 
 
 def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
-    """One time-varying gain step: the next gain, its error map and covariance.
+    """One time-varying gain step: the next gain, its update map and covariance.
 
     The gain freezes once the covariance recursion reaches its fixed point
     to FREEZE_RTOL, and keeps the last gain once the innovation covariance
@@ -264,15 +274,15 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     P_next = covariance_update(model, noise, ops.r, L, P)
     P_next.P.setflags(write=False)      # shared by every session of the plan
     frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
-    return _Gain(readonly(L), _error_map(ops.At, ops.CA_rp1t, L), P_next, frozen)
+    return _Gain(readonly(L), _update_map(ops.At, ops.CA_rp1t, ops.Gd, L), P_next, frozen)
 
 
-# The update, shared by step() and run_filter(), is written so that only
-# the recursion depends on the estimate. With xhat estimating x[k-r-1],
+# The update, shared by step() and run_filter(), is one product [xhat | z] G
+# with the gain's map G (_update_map). With xhat estimating x[k-r-1],
 #     xhat' = F xhat + L z[k] + B u[k-r-1],   innovation = z[k] - C A^(r+1) xhat,
 # where z[k] = y[k] - D u[k] - sum_j C A^j B u[k-1-j] and ehat = (CA^rH)^+ innovation.
-# run_filter() evaluates all but the recursion for a whole record at once;
-# every helper takes any leading axes (time, trials).
+# run_filter() recurses on G's first n columns and applies the gain-free rest,
+# Gd, to the whole record after its loop; _input_terms takes any leading axes.
 
 def _input_terms(ops: _FilterOps, y, u, u_lags):
     """(z[k], B u[k-r-1]) with u_lags[j] = u[k-1-j]; (y, None) without known inputs."""
@@ -282,22 +292,6 @@ def _input_terms(ops: _FilterOps, y, u, u_lags):
     for CAjBt, u_j in zip(ops.CAjBt, u_lags):
         z = z - u_j @ CAjBt
     return z, u_lags[ops.r] @ ops.Bt
-
-
-def _drive(L, z, b):
-    """L z[k] + B u[k-r-1], the terms of the update that do not depend on xhat."""
-    return z @ L.T if b is None else z @ L.T + b
-
-
-def _update(xhat, Ft, d):
-    """F xhat + d: the estimate of x[k-r] from xhat, the estimate of x[k-r-1]."""
-    return xhat @ Ft + d
-
-
-def _decode(ops: _FilterOps, xhat, z):
-    """(innovation, input estimate) of y[k] given xhat, the estimate of x[k-r-1]."""
-    innovation = z - xhat @ ops.CA_rp1t
-    return innovation, innovation @ ops.M_pinvt
 
 
 def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
@@ -318,24 +312,25 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
     if model.m > 0:
         if u_k is None:
             raise DimensionMismatch("u_k required: the model has known inputs")
-        u = _as_vector(u_k, model.m, "u_k")
+        u = _as_vector(u_k, model.m, "u_k").copy()     # kept r+1 steps: not the caller's
 
     if k <= ops.r:
         buf = state.u_buffer + (u,) if model.m > 0 else ()
-        return replace(state, k=k + 1, u_buffer=buf), None
+        return state._replace(k=k + 1, u_buffer=buf), None
 
     gain = state.gain
     if not gain.frozen:
         gain = _gain_at(ops, k - ops.r - 1, gain)
     z, b = _input_terms(ops, y, u, state.u_buffer[::-1])
-    xhat_new = _update(state.xhat_delayed, gain.Ft, _drive(gain.L, z, b))
-    innovation, ehat = _decode(ops, state.xhat_delayed, z)
-
-    next_state = FilterState(k=k + 1, xhat_delayed=readonly(xhat_new),
-                             u_buffer=state.u_buffer[1:] + (u,) if model.m > 0 else (),
-                             gain=gain, ops=ops, noise=state.noise)
-    return next_state, StepOutput(k=k, state_estimate=xhat_new, input_estimate=ehat,
-                                  innovation=innovation)
+    out = np.concatenate((state.xhat_delayed, z)) @ gain.G
+    n, l = model.n, model.l
+    if b is not None:
+        out[:n] += b
+    out.setflags(write=False)           # the state and the output share it
+    xhat = out[:n]
+    buf = state.u_buffer[1:] + (u,) if model.m > 0 else ()
+    return (FilterState(k + 1, xhat, buf, gain, ops, state.noise),
+            StepOutput(k, xhat, out[n + l:], out[n:n + l]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +343,8 @@ class FilterRun:
     keeps the leading trial axis: (trials, T+1, n) and so on. L is the
     gain of the last step, and frozen_at the k at which a time-varying
     gain froze (None in the fixed modes or if it never froze).
+    nonfinite_at is the first k whose row, in any trial, is not finite, as
+    once a divergent gain's estimates overflow; None if there is none.
     """
 
     state_estimates: np.ndarray
@@ -355,6 +352,7 @@ class FilterRun:
     innovations: np.ndarray
     L: np.ndarray
     frozen_at: int | None
+    nonfinite_at: int | None
 
 
 def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig,
@@ -365,7 +363,8 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     time. u has y's leading shape with m columns; it is required when
     the model has known inputs and ignored otherwise. A batch shares one
     gain schedule, refreshed once per time step until it freezes, and
-    needs O(trials (T+1) (n+l+p+m)) floats of memory.
+    needs O(trials (T+1) (n+l+p+m)) floats of memory. Estimates that
+    overflow raise no numpy warning; nonfinite_at reports them.
     """
     state = init_filter(model, noise, config)
     y = np.asarray(y, dtype=float)
@@ -384,34 +383,38 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
     yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
 
-    ops, r = state.ops, state.ops.r
+    ops, r, n = state.ops, state.ops.r, model.n
     emitted = max(len(yt) - r - 1, 0)           # rows k = r+1 .. T
     z, b = _input_terms(ops, yt[r + 1:], ut[r + 1:],
                         [ut[r - j:r - j + emitted] for j in range(r + 1)])
-    # xs[0] is the initial estimate, xs[i] the estimate made at k = r+i
-    xs = np.empty((emitted + 1,) + yt.shape[1:-1] + (model.n,))
-    xs[0] = state.xhat_delayed
-    gain = state.gain
-    frozen_at = None
-    i = 0
-    while i < emitted:
-        if not gain.frozen:
-            gain = _gain_at(ops, i, gain)
-            frozen_at = r + 1 + i if gain.frozen else None
-        stop = emitted if gain.frozen else i + 1
-        d = _drive(gain.L, z[i:stop], None if b is None else b[i:stop])
-        for j in range(i, stop):
-            xs[j + 1] = _update(xs[j], gain.Ft, d[j - i])
-        i = stop
-    innovations, es = _decode(ops, xs[:-1], z)
+    # W[i] = [xhat | z]: the estimate made at k = r+i (i = 0: the initial one) and z[k+1]
+    W = np.zeros((emitted + 1,) + yt.shape[1:-1] + (n + model.l,))
+    W[0, ..., :n] = state.xhat_delayed
+    W[:-1, ..., n:] = z
+    gain, frozen_at, i = state.gain, None, 0
+    with np.errstate(over="ignore", invalid="ignore"):      # reported as nonfinite_at
+        while i < emitted:
+            if not gain.frozen:
+                gain = _gain_at(ops, i, gain)
+                frozen_at = r + 1 + i if gain.frozen else None
+            stop = emitted if gain.frozen else i + 1
+            Gx = np.ascontiguousarray(gain.G[:, :n])
+            for j in range(i, stop):
+                W[j + 1, ..., :n] = W[j] @ Gx if b is None else W[j] @ Gx + b[j]
+            i = stop
+        decoded = W[:-1] @ ops.Gd                           # [innovation | ehat]
+    xs = W[1:, ..., :n]
+    axes = tuple(range(1, xs.ndim))
+    bad = np.flatnonzero(~(np.isfinite(xs).all(axis=axes) & np.isfinite(decoded).all(axis=axes)))
 
     def record(rows):
         out = np.full((len(yt),) + rows.shape[1:], np.nan)
         out[len(yt) - emitted:] = rows
         return np.moveaxis(out, 0, -2)
 
-    return FilterRun(state_estimates=record(xs[1:]), input_estimates=record(es),
-                     innovations=record(innovations), L=gain.L, frozen_at=frozen_at)
+    return FilterRun(state_estimates=record(xs), input_estimates=record(decoded[..., model.l:]),
+                     innovations=record(decoded[..., :model.l]), L=gain.L, frozen_at=frozen_at,
+                     nonfinite_at=r + 1 + int(bad[0]) if bad.size else None)
 
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:

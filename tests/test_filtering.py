@@ -1,5 +1,7 @@
 """Online filter protocol: warm-up, emission, gain modes, verdicts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,17 +73,82 @@ def test_non_integer_delay_rejected():
         df.init_filter(E1, None, _config(r=1.5))
 
 
+def _outputs(state, model, noise, ys, us=None):
+    """The final state and the outputs of a step loop from state over ys (and us)."""
+    outs = []
+    for k, y_k in enumerate(ys):
+        state, out = df.step(state, model, noise, y_k, None if us is None else us[k])
+        outs.append(out)
+    return state, outs
+
+
+def _same_outputs(a, b):
+    (state_a, outs_a), (state_b, outs_b) = a, b
+    return state_a.k == state_b.k and np.array_equal(
+        state_a.xhat_delayed, state_b.xhat_delayed) and all(
+        x is y is None or (x.k == y.k and all(
+            np.array_equal(getattr(x, f), getattr(y, f))
+            for f in ("state_estimate", "input_estimate", "innovation")))
+        for x, y in zip(outs_a, outs_b, strict=True))
+
+
 def test_missing_known_input_rejected():
     model = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]])
     state = df.init_filter(model, None, _config())
     with pytest.raises(df.DimensionMismatch):
         df.step(state, model, None, [0.0])
+    # known inputs convert as measurements do: an int array, a (1, m) array
+    # and a strided view give bitwise the outputs of a float (m,) array
+    ys = np.linspace(-1.0, 1.0, 6)[:, None]
+    us = np.arange(-3, 3)[:, None]
+    wide = np.zeros((6, 3))
+    wide[:, ::2] = us
+    want = _outputs(state, model, None, ys, wide[:, :1])
+    for rows in (us, wide[:, None, :1], wide[:, ::2][:, :1]):
+        assert _same_outputs(_outputs(state, model, None, ys, rows), want)
+    with pytest.raises(df.DimensionMismatch):
+        df.step(state, model, None, [0.0], wide[0, ::2])
 
 
 def test_wrong_measurement_size_rejected():
     state = df.init_filter(E1, None, _config())
     with pytest.raises(df.DimensionMismatch):
         df.step(state, E1, None, [0.0, 1.0])
+    # an int array, a (1, l) array and a strided row view give bitwise the
+    # outputs of a float (l,) array; a wrong length still raises
+    model, noise, _ = df.reference_example("nonsquare3")
+    state = df.init_filter(model, noise, _tv_config(model))
+    ys = np.arange(-8, 8).reshape(8, 2)
+    wide = np.zeros((8, 5))
+    wide[:, ::3] = ys
+    want = _outputs(state, model, noise, ys.astype(float))
+    assert wide[0, ::3].strides == (24,)
+    for rows in (ys, ys[:, None, :].astype(float), wide[:, ::3]):
+        assert _same_outputs(_outputs(state, model, noise, rows), want)
+    for bad in (wide[0, ::2], np.zeros((1, 3)), np.zeros(1, dtype=int)):
+        with pytest.raises(df.DimensionMismatch):
+            df.step(state, model, noise, bad)
+
+
+def test_step_outputs_are_read_only():
+    state = df.init_filter(E1, None, _config())
+    for y in ([0.0], [0.1], [0.3]):
+        state, out = df.step(state, E1, None, y)
+    before = out.state_estimate.copy()
+    for name in ("state_estimate", "input_estimate", "innovation"):
+        with pytest.raises(ValueError):
+            getattr(out, name)[0] = 1.0
+    with pytest.raises(ValueError):
+        state.xhat_delayed[:] = 0.0
+    # the next step starts from the estimate it emitted
+    _, nxt = df.step(state, E1, None, [0.2])
+    assert np.array_equal(out.state_estimate, before)
+    expected = df.step(state._replace(xhat_delayed=before), E1, None, [0.2])[1]
+    assert np.array_equal(nxt.state_estimate, expected.state_estimate)
+    with pytest.raises(AttributeError):
+        state.k = 5
+    with pytest.raises(AttributeError):
+        state.extra = 1
 
 
 def test_known_input_buffer_rolls():
@@ -93,6 +160,17 @@ def test_known_input_buffer_rolls():
     assert len(state.u_buffer) == 2
     assert state.u_buffer[0][0] == 2.0
     assert state.u_buffer[1][0] == 3.0
+    # the buffer keeps the values, not the caller's array: one array
+    # refilled before every call gives the outputs of fresh arrays
+    us = np.arange(6.0)[:, None]
+    fresh = _outputs(df.init_filter(model, None, _config()), model, None, np.zeros((6, 1)), us)
+    refilled = np.empty(1)
+    state = df.init_filter(model, None, _config())
+    for k in range(6):
+        refilled[:] = us[k]
+        state, out = df.step(state, model, None, [0.0], refilled)
+    assert np.array_equal(state.xhat_delayed, fresh[0].xhat_delayed)
+    assert np.array_equal(out.input_estimate, fresh[1][-1].input_estimate)
 
 
 def test_user_supplied_gain_mode():
@@ -278,6 +356,25 @@ def test_run_filter_freezes_a_gain_it_cannot_refresh():
             np.testing.assert_allclose(run.state_estimates[k], out.state_estimate,
                                        rtol=0, atol=1e-12)
     assert np.array_equal(run.L, state.L)
+
+
+def test_run_filter_reports_where_estimates_overflow():
+    # on a 600-step record the divergent mode (7.46^k) overflows the
+    # estimates; run_filter reports the first such row instead of warning
+    model, noise, _ = df.reference_example("nonsquare12")
+    config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
+    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7, noise_on=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = df.run_filter(model, noise, config, traj.y)
+        # a batch reports the first such row of any trial
+        batch = df.run_filter(model, noise, config, np.stack([0.0 * traj.y, traj.y]))
+    assert run.nonfinite_at == batch.nonfinite_at == 365
+    rows = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
+    assert np.all(np.isfinite(rows[2:365])) and not np.all(np.isfinite(rows[365]))
+    short = df.run_filter(model, noise, config, traj.y[:365])
+    assert short.nonfinite_at is None
+    assert df.run_filter(model, noise, config, traj.y[:2]).nonfinite_at is None
 
 
 # -- filter plans: one gain schedule per (model, noise, r, P0) ---------------
