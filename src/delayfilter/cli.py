@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -62,6 +61,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _delay_arg(value):
+    """'auto' or a nonnegative integer, for --delay."""
+    if value == "auto":
+        return value
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer or 'auto', got {value!r}")
+    return int(value)
+
+
+def _signal_arg(value):
+    """A --e<i>/--u<i> signal spec; a malformed one is a usage error."""
+    try:
+        return parse_signal_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="delayfilter",
                      description="Delayed state and unknown-input reconstruction filters.")
@@ -89,7 +106,7 @@ def build_parser() -> _Parser:
                                     "columns from a simulation are ignored).")
     pf.add_argument("model")
     pf.add_argument("measurements")
-    pf.add_argument("--delay", default=None,
+    pf.add_argument("--delay", type=_delay_arg, default=None,
                     help="reconstruction delay, an integer or 'auto' (default: value "
                          "from the model file, else auto)")
     pf.add_argument("--gain", choices=("square", "minvar", "auto"), default="auto")
@@ -162,53 +179,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_SIGNAL_FLAG = re.compile(r"([eu])(\d+)")
-
-
-def _collect_signal_flags(rest, parser):
-    signals = {}
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if not tok.startswith("--"):
-            parser.error(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            name, value = body.split("=", 1)
-            i += 1
-        else:
-            name = body
-            if i + 1 >= len(rest):
-                parser.error(f"flag --{name} needs a value")
-            value = rest[i + 1]
-            i += 2
-        match = _SIGNAL_FLAG.fullmatch(name)
-        if match is None:
-            parser.error(f"unrecognized flag --{name}")
-        try:
-            spec = parse_signal_spec(value)
-        except ValueError as exc:
-            parser.error(f"--{name}: {exc}")
-        signals[(match.group(1), int(match.group(2)))] = spec
-    return signals
-
-
 def cmd_simulate(args, rest, parser) -> int:
     model, noise, _ = load_model_file(args.model)
-    flags = _collect_signal_flags(rest, parser)
-
-    e_specs = []
+    # the channel flags depend on the model, so they get a parser of their own
+    channels = _Parser(prog="delayfilter simulate", allow_abbrev=False)
     for c in range(1, model.p + 1):
-        if ("e", c) not in flags:
-            parser.error(f"missing --e{c}: the model has {model.p} unknown-input channels")
-        e_specs.append(flags.pop(("e", c)))
-    u_specs = None
-    if model.m > 0:
-        u_specs = [flags.pop(("u", c), parse_signal_spec("constant:0"))
-                   for c in range(1, model.m + 1)]
-    if flags:
-        bad = ", ".join(f"--{k}{c}" for k, c in sorted(flags))
-        parser.error(f"flags for channels the model does not have: {bad}")
+        channels.add_argument(f"--e{c}", type=_signal_arg, required=True, metavar="SPEC")
+    for c in range(1, model.m + 1):
+        channels.add_argument(f"--u{c}", type=_signal_arg, default="constant:0",
+                              metavar="SPEC")
+    flags = vars(channels.parse_args(rest))
+    e_specs = [flags[f"e{c}"] for c in range(1, model.p + 1)]
+    u_specs = [flags[f"u{c}"] for c in range(1, model.m + 1)]
 
     noise_on = args.noise == "on"
     defaulted = noise_on and noise is None
@@ -241,11 +223,7 @@ def _resolve_delay(flag_value, file_value, model):
         if analysis.minimal_delay is None:
             raise InfeasibleDelay("no feasible delay exists for this model")
         return analysis.minimal_delay
-    try:
-        r = int(chosen)
-    except (TypeError, ValueError):
-        raise InfeasibleDelay(f"delay must be an integer or 'auto', got {chosen!r}") from None
-    return r
+    return chosen
 
 
 def _filter_rows(model, noise, r, mode, y, u):
@@ -356,22 +334,16 @@ def main(argv=None) -> int:
     if rest and args.command != "simulate":
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
         if args.command == "simulate":
             return cmd_simulate(args, rest, parser)
-        if args.command == "filter":
-            return cmd_filter(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
+        commands = {"analyze": cmd_analyze, "filter": cmd_filter, "reproduce": cmd_reproduce}
+        return commands[args.command](args)
     except InfeasibleDelay as exc:
         print(f"delayfilter: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except DelayFilterError as exc:
         print(f"delayfilter: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_ERROR
 
 
 def console() -> None:

@@ -39,15 +39,11 @@ def _write_table(path, header: list[str], rows: np.ndarray, blank=None) -> None:
         fh.write("\r\n".join(lines))
 
 
-def write_trajectory(path, traj: Trajectory, include_truth: bool = True) -> None:
+def write_trajectory(path, traj: Trajectory) -> None:
     """Write a simulated trajectory (measurements plus truth columns)."""
     l, m, n, p = traj.y.shape[1], traj.u.shape[1], traj.x.shape[1], traj.e.shape[1]
-    header = ["k"] + _names("y", l) + _names("u", m)
-    columns = [traj.y, traj.u]
-    if include_truth:
-        header += _names("x", n) + _names("e", p)
-        columns += [traj.x, traj.e]
-    _write_table(path, header, np.hstack(columns))
+    header = ["k"] + _names("y", l) + _names("u", m) + _names("x", n) + _names("e", p)
+    _write_table(path, header, np.hstack([traj.y, traj.u, traj.x, traj.e]))
 
 
 def read_measurements(path, l: int, m: int):
@@ -85,10 +81,13 @@ def read_measurements(path, l: int, m: int):
             if len(row) < len(expected):
                 raise DimensionMismatch(f"{path}:{line_no}: short row")
             try:
-                ks.append(int(float(row[0])))
+                k = float(row[0])
                 samples.append([float(c) for c in row[1:len(expected)]])
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise DimensionMismatch(f"{path}:{line_no}: non-numeric field") from None
+            if not k.is_integer():
+                raise DimensionMismatch(f"{path}:{line_no}: k = {row[0]!r} is not an integer")
+            ks.append(int(k))
     if not ks:
         raise DimensionMismatch(f"{path}: no data rows")
     if ks != list(range(len(ks))):

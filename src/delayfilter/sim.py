@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
-from .filtering import FilterConfig, StepOutput, run_filter
+from .filtering import FilterConfig, run_filter
 from .linalg import psd_factor, readonly
 from .model import NoiseSpec, SystemModel, validate_model
 from .signals import SignalSpec, signal_values
@@ -143,8 +143,10 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     factors = _noise_factors(noise, noise_on)
     w, v, e, u = _draw(model, factors, e_signals, u_signals, T, seed)
-    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float).reshape(model.n)
-    x, y = _propagate(model, start, w, v, e, u)
+    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if start.size != model.n:
+        raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
+    x, y = _propagate(model, start.reshape(model.n), w, v, e, u)
     return Trajectory(T=T, x=readonly(x), y=readonly(y), e=readonly(e),
                       u=readonly(u), w=readonly(w), v=readonly(v), seed=seed)
 
@@ -194,18 +196,14 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
                    config: FilterConfig, trajectory: Trajectory):
     """Drive the filter over a trajectory; score against the truth.
 
-    Returns (ErrorStats, outputs) where outputs is the list of
-    (k, StepOutput or None) rows including the warm-up window. For the
-    estimates CSV, pass np.hstack of run_filter's arrays to write_estimates.
+    Returns (ErrorStats, FilterRun): the scores and the run_filter
+    result they were computed from, warm-up rows included.
     """
     run = run_filter(model, noise, config, trajectory.y, trajectory.u)
     r = int(config.r)
-    xs, es, innovations = run.state_estimates, run.input_estimates, run.innovations
-    rows = [(k, None if k <= r else StepOutput(k, xs[k], es[k], innovations[k]))
-            for k in range(trajectory.T + 1)]
     ks = np.arange(r + 1, trajectory.T + 1)
-    serr = trajectory.x[ks - r] - xs[ks]
-    ierr = trajectory.e[ks - r - 1] - es[ks]
+    serr = trajectory.x[ks - r] - run.state_estimates[ks]
+    ierr = trajectory.e[ks - r - 1] - run.input_estimates[ks]
     stats = ErrorStats(
         ks=ks,
         state_errors=serr,
@@ -216,7 +214,7 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
         input_max_abs=float(np.max(np.abs(ierr))) if ierr.size else 0.0,
         state_bias=serr.mean(axis=0) if serr.size else np.zeros(model.n),
     )
-    return stats, rows
+    return stats, run
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +245,8 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
         ks = (max(1, T // 4), max(1, T // 2), T)
     ks = tuple(int(k) for k in ks)
     r = int(config.r)
+    if trials < 2:
+        raise DimensionMismatch(f"need at least 2 trials for a standard error, got {trials}")
     if min(ks) < r + 1:
         raise DimensionMismatch(f"bias sample times must be >= r+1 = {r + 1}")
     if max(ks) > T:

@@ -31,7 +31,7 @@ CLUSTER_TOL = 1e-6
 # relative to its typical value at non-zero sample points.
 CONFIRM_RATIO = 1e-6
 
-_SAMPLER_SEED = 0x5eed
+_SAMPLE_ANGLES = (0.7, 2.3, 3.9, 5.5)      # radians, see _rank_profile
 _COMPRESS_SEED = 1729
 
 
@@ -67,43 +67,27 @@ def rosenbrock_pencil(model: SystemModel):
     return E, F
 
 
-def _sample_points(model: SystemModel, count: int, rng) -> list[complex]:
-    """Random complex points with modulus in [1.5, 3], away from eig(A)."""
-    eigs = np.linalg.eigvals(model.A)
-    points = []
-    attempts = 0
-    while len(points) < count and attempts < 100 * count:
-        attempts += 1
-        radius = rng.uniform(1.5, 3.0)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        s = radius * np.exp(1j * angle)
-        if np.min(np.abs(eigs - s)) > 1e-2:
-            points.append(complex(s))
-    if len(points) < count:
-        raise PencilDegenerate("could not find sample points away from eig(A)")
-    return points
-
-
-def _rank_profile(model: SystemModel, samples: int = 4):
+def _rank_profile(E, F, radius: float):
     """(normal rank, reference smallest structural singular value).
 
-    The reference is the median sigma_(n+p) of Z(s) over the sample
-    points; a candidate zero must push that value down by CONFIRM_RATIO.
+    Z(s) = s E - F is sampled at four fixed points on the circle
+    |s| = radius + 1.5, radius being the spectral radius of A, so each
+    point lies at least 1.5 from every eigenvalue of A. The normal rank
+    is the largest rank seen, and below n+p it raises PencilDegenerate.
+    The reference is the median sigma_(n+p) over the points; a candidate
+    zero must push that value down by CONFIRM_RATIO.
     """
-    E, F = rosenbrock_pencil(model)
-    rng = np.random.default_rng(_SAMPLER_SEED)
+    s = (radius + 1.5) * np.exp(1j * np.array(_SAMPLE_ANGLES))
+    sv = np.linalg.svd(s[:, None, None] * E - F, compute_uv=False)
+    tol = sv[:, :1] * max(E.shape) * 1e-12
+    nrank = int(np.max(np.count_nonzero(sv > tol, axis=1)))
     cols = E.shape[1]
-    best_rank = 0
-    small_sigmas = []
-    for s in _sample_points(model, samples, rng):
-        sv = np.linalg.svd(s * E - F, compute_uv=False)
-        tol = sv[0] * max(E.shape) * 1e-12
-        best_rank = max(best_rank, int(np.count_nonzero(sv > tol)))
-        if sv.size >= cols:
-            small_sigmas.append(sv[cols - 1])
-        else:
-            small_sigmas.append(0.0)
-    return best_rank, float(np.median(small_sigmas))
+    if nrank < cols:
+        raise PencilDegenerate(
+            f"pencil normal rank {nrank} < n+p = {cols}; no unbiased-gain "
+            "theory applies to this system"
+        )
+    return nrank, float(np.median(sv[:, cols - 1]))
 
 
 def _cluster(values: list[complex]) -> list[tuple[complex, int]]:
@@ -137,15 +121,10 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     """
     import scipy.linalg                   # slow to import; only the QZ step needs it
 
-    nrank, sigma_ref = _rank_profile(model)
-    n, l, p = model.n, model.l, model.p
-    if nrank < n + p:
-        raise PencilDegenerate(
-            f"pencil normal rank {nrank} < n+p = {n + p}; no unbiased-gain "
-            "theory applies to this system"
-        )
-
     E, F = rosenbrock_pencil(model)
+    radius = float(np.max(np.abs(np.linalg.eigvals(model.A))))
+    nrank, sigma_ref = _rank_profile(E, F, radius)
+    n, l, p = model.n, model.l, model.p
     if l == p:
         Fs, Es = F, E
     else:
@@ -155,7 +134,7 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
 
     alpha, beta = scipy.linalg.eig(Fs, Es, right=False, homogeneous_eigvals=True)
 
-    modulus_cap = 1e6 * max(1.0, float(np.max(np.abs(np.linalg.eigvals(model.A)))))
+    modulus_cap = 1e6 * max(1.0, radius)
     confirmed = []
     for a, b in zip(alpha, beta):
         if abs(b) <= 1e-10 * max(1.0, abs(a)):

@@ -141,6 +141,29 @@ def test_simulate_rejects_bad_spec(model_file):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--e1", "sine:1:40", "--e2", "sine:1:30"],     # minphase3 has one unknown input
+    ["--e1", "sine:1:40", "--u1", "constant:1"],    # and no known input
+    ["--e", "sine:1:40"],                           # no abbreviations
+    ["--e1"],                                       # a flag without its value
+    ["--e1", "sine:1:40", "extra"],
+])
+def test_simulate_rejects_bad_channel_flags(model_file, tmp_path, capsys, flags):
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", model_file("minphase3"), *flags, "--out", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
+def test_simulate_flag_value_after_equals_sign(model_file, tmp_path, capsys):
+    mf = model_file("minphase3")
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["simulate", mf, "--e1=sine:1:40", "--out", a]) == 0
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--out", b]) == 0
+    assert open(a).read() == open(b).read()
+
+
 def test_simulate_noise_needs_q_r_or_defaults(model_file, tmp_path, capsys):
     # no Q/R in the file: simulate --noise on falls back to the default pair
     mf = model_file("minphase3")
@@ -180,6 +203,21 @@ def test_filter_infeasible_delay_exits_2(model_file, tmp_path, capsys):
     rc = main(["filter", mf, traj_csv, "--delay", "0",
                "--out", str(tmp_path / "e.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("delay", ["abc", "1.5", "-1"])
+def test_filter_bad_delay_flag_exits_1(model_file, tmp_path, capsys, delay):
+    mf = model_file("minphase3")
+    traj_csv, est_csv = tmp_path / "t.csv", tmp_path / "e.csv"
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--out", str(traj_csv)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", mf, str(traj_csv), "--delay", delay, "--out", str(est_csv)])
+    assert exc.value.code == 1
+    assert "--delay" in capsys.readouterr().err
+    assert not est_csv.exists()
+    # a well-formed delay at or beyond the system order is infeasible, not a usage error
+    assert main(["filter", mf, str(traj_csv), "--delay", "7", "--out", str(est_csv)]) == 2
 
 
 def test_filter_mismatched_measurements_exit_1(model_file, tmp_path, capsys):
@@ -271,13 +309,14 @@ def test_reproduce_writes_divergent_estimates(tmp_path, capsys):
     assert (tmp_path / "nonsquare12-estimates.csv").exists()
 
 
-def test_reproduce_known_example(tmp_path, capsys):
-    rc = main(["reproduce", "minphase3", "--outdir", str(tmp_path)])
+@pytest.mark.parametrize("example", [e for e in df.EXAMPLE_IDS if e != "invertibility4"])
+def test_reproduce_known_example(tmp_path, capsys, example):
+    rc = main(["reproduce", example, "--outdir", str(tmp_path)])
     report = _report(capsys)
     assert rc == 0
     assert report["all_passed"] is True
-    assert (tmp_path / "minphase3-trajectory.csv").exists()
-    assert (tmp_path / "minphase3-estimates.csv").exists()
+    assert (tmp_path / f"{example}-trajectory.csv").exists()
+    assert (tmp_path / f"{example}-estimates.csv").exists()
     assert all(f["passed"] for f in report["facts"])
 
 
@@ -299,11 +338,6 @@ def test_reproduce_infeasible_example_skips_estimates(tmp_path, capsys):
     assert report["estimates_skipped"] == "no feasible delay"
     assert (tmp_path / "invertibility4-trajectory.csv").exists()
     assert not (tmp_path / "invertibility4-estimates.csv").exists()
-
-
-def test_reproduce_unknown_example_exits_1(capsys):
-    rc = main(["reproduce", "not-an-example"])
-    assert rc == 1
 
 
 def test_unknown_flag_exits_1(model_file):

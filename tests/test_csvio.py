@@ -61,6 +61,16 @@ def test_measurements_reject_gap_in_k(tmp_path):
         df.read_measurements(str(path), 1, 0)
 
 
+def test_measurements_reject_fractional_k(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("k,y1\n0,1.0\n1.0,1.0\n2,1.0\n")
+    ks, _, _ = df.read_measurements(str(path), 1, 0)    # integral values pass
+    assert ks == [0, 1, 2]
+    path.write_text("k,y1\n0,1.0\n1.7,1.0\n2,1.0\n")
+    with pytest.raises(df.DimensionMismatch, match=r"m\.csv:3: k = '1\.7'"):
+        df.read_measurements(str(path), 1, 0)
+
+
 def test_measurements_reject_short_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("k,y1,u1\n0,1.0\n")

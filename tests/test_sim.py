@@ -123,6 +123,11 @@ def test_simulate_channel_count_checked():
     sigs = [df.parse_signal_spec("sine:1:40")] * 2
     with pytest.raises(df.DimensionMismatch):
         df.simulate(E1, None, sigs, 10, noise_on=False)
+    for x0 in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(df.DimensionMismatch, match="x0"):
+            df.simulate(E1, None, sigs[:1], 10, x0=x0, noise_on=False)
+    traj = df.simulate(E1, None, sigs[:1], 10, x0=[[1.0], [2.0]], noise_on=False)
+    assert np.array_equal(traj.x[0], [1.0, 2.0])
 
 
 # -- compartmental builder ---------------------------------------------------
@@ -162,14 +167,15 @@ def test_run_experiment_alignment():
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(2),
                              initial_covariance=np.eye(2))
-    stats, rows = df.run_experiment(E1, None, config, traj)
+    stats, run = df.run_experiment(E1, None, config, traj)
     assert stats.ks[0] == 2  # first emission for r=1
     assert stats.ks[-1] == 60
     assert stats.state_rms <= 1e-10
     assert stats.input_rms <= 1e-10
     assert stats.state_max_abs <= 1e-9
-    assert len(rows) == 61
-    assert rows[0][1] is None and rows[2][1] is not None
+    assert run.state_estimates.shape == (61, 2)
+    assert np.isnan(run.state_estimates[:2]).all()
+    assert np.isfinite(run.state_estimates[2:]).all()
     assert np.max(np.abs(stats.state_bias)) <= 1e-10
 
 
@@ -250,3 +256,6 @@ def test_monte_carlo_bias_sample_times_checked():
     for ks in ((1, 10), (10, 61)):
         with pytest.raises(df.DimensionMismatch):
             df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=ks)
+    for trials in (0, 1):     # a standard error needs two trials
+        with pytest.raises(df.DimensionMismatch, match="trials"):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
