@@ -16,6 +16,7 @@ returns for the same substream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,17 @@ def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
     return (psd_factor(noise.Q), psd_factor(noise.R)) if noise_on else None
 
 
+def _integer(name: str, value) -> int:
+    """value as an int if it is an integral number (20, 20.0, np.int64(20))."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+
+
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
-    """Validated (e_signals, u_signals) tuples; omitted u_signals mean zero."""
+    """Validated (T, e_signals, u_signals); omitted u_signals mean zero."""
+    T = _integer("T", T)
     if T < 1:
         raise DimensionMismatch(f"T must be >= 1, got {T}")
     e_signals = tuple(e_signals)
@@ -85,7 +95,7 @@ def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
     if len(u_signals) != model.m:
         raise DimensionMismatch(
             f"need {model.m} known-input signals, got {len(u_signals)}")
-    return e_signals, u_signals
+    return T, e_signals, u_signals
 
 
 def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seed):
@@ -140,7 +150,7 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     input). Noise and stochastic signal channels draw from independent
     substreams spawned off the seed, so runs are byte-reproducible.
     """
-    e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
+    T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     factors = _noise_factors(noise, noise_on)
     w, v, e, u = _draw(model, factors, e_signals, u_signals, T, seed)
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
@@ -241,9 +251,10 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     in the mean error indicts the gain, not the setup. Use at least a
     few hundred trials for the 4-sigma flag to mean anything.
     """
+    T, trials = _integer("T", T), _integer("trials", trials)
     if ks is None:
         ks = (max(1, T // 4), max(1, T // 2), T)
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(_integer("bias sample time", k) for k in ks)
     r = int(config.r)
     if trials < 2:
         raise DimensionMismatch(f"need at least 2 trials for a standard error, got {trials}")
@@ -252,7 +263,7 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    signals, u_signals = _check_signals(model, signals, None, T)
+    T, signals, u_signals = _check_signals(model, signals, None, T)
     factors = _noise_factors(noise, True)
     draws = [_draw(model, factors, signals, u_signals, T, s)
              for s in np.random.SeedSequence(seed).spawn(trials)]

@@ -128,6 +128,11 @@ def test_simulate_channel_count_checked():
             df.simulate(E1, None, sigs[:1], 10, x0=x0, noise_on=False)
     traj = df.simulate(E1, None, sigs[:1], 10, x0=[[1.0], [2.0]], noise_on=False)
     assert np.array_equal(traj.x[0], [1.0, 2.0])
+    for T in (10.5, "10", None):
+        with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
+            df.simulate(E1, None, sigs[:1], T, noise_on=False)
+    for T in (10.0, np.int64(10)):
+        assert df.simulate(E1, None, sigs[:1], T, noise_on=False).y.shape == (11, 1)
 
 
 # -- compartmental builder ---------------------------------------------------
@@ -259,3 +264,23 @@ def test_monte_carlo_bias_sample_times_checked():
     for trials in (0, 1):     # a standard error needs two trials
         with pytest.raises(df.DimensionMismatch, match="trials"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
+    for trials in (2.5, "3"):
+        with pytest.raises(df.DimensionMismatch, match="trials must be an integer"):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
+    for T in (60.5, "60"):
+        with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=T)
+
+
+def test_monte_carlo_bias_fractional_sample_time_rejected():
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+    signals = [df.parse_signal_spec("sine:1:20")]
+    with pytest.raises(df.DimensionMismatch, match="10.7"):
+        df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=(10.7, 20))
+    # integral values of any numeric type pass, as k = 2.0 does in a CSV
+    report = df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60,
+                                 ks=(10.0, np.int64(20)))
+    assert report.ks == (10, 20) and all(type(k) is int for k in report.ks)
