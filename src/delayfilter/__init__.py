@@ -24,7 +24,6 @@ from .errors import (
     DelayOutOfRange,
     DimensionMismatch,
     EstimatesNotFinite,
-    GainSingular,
     InfeasibleDelay,
     InnovationCovarianceSingular,
     LowerMarkovNonzero,

@@ -30,7 +30,7 @@ from .filtering import (
     run_filter,
 )
 from .gain import square_gain, steady_state_gain, unbiasedness_residual
-from .markov import analyze_delays
+from .markov import analyze_delays, minimal_delay
 from .model import load_model_file
 from .registry import (
     EXAMPLE_IDS,
@@ -61,14 +61,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_arg(value):
+    """A nonnegative integer, for --seed."""
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _delay_arg(value):
     """'auto' or a nonnegative integer, for --delay."""
-    if value == "auto":
-        return value
-    if not value.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer or 'auto', got {value!r}")
-    return int(value)
+    return value if value == "auto" else _nonnegative_arg(value)
 
 
 def _signal_arg(value):
@@ -96,7 +98,7 @@ def build_parser() -> _Parser:
                                     "sawtooth, step, constant, prbs, gaussian.")
     ps.add_argument("model")
     ps.add_argument("--T", type=int, default=200, help="horizon, rows = T+1 (default 200)")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_nonnegative_arg, default=0)
     ps.add_argument("--noise", choices=("on", "off"), default="off")
     ps.add_argument("--out", default="trajectory.csv")
 
@@ -219,10 +221,9 @@ def _resolve_delay(flag_value, file_value, model):
     """Delay precedence: --delay flag, then model file, then auto."""
     chosen = flag_value if flag_value is not None else file_value
     if chosen is None or chosen == "auto":
-        analysis = analyze_delays(model)
-        if analysis.minimal_delay is None:
+        chosen = minimal_delay(model)
+        if chosen is None:
             raise InfeasibleDelay("no feasible delay exists for this model")
-        return analysis.minimal_delay
     return chosen
 
 
@@ -296,11 +297,10 @@ def cmd_reproduce(args) -> int:
     files = [traj_path]
 
     estimates_skipped = None
-    analysis = analyze_delays(model)
-    if analysis.minimal_delay is None:
+    r = minimal_delay(model)
+    if r is None:
         estimates_skipped = "no feasible delay"
     else:
-        r = analysis.minimal_delay
         mode = FIXED_SQUARE if model.l == model.p else TIME_VARYING_MINVAR
         try:
             _, rows = _filter_rows(model, noise, r, mode, traj.y, traj.u)

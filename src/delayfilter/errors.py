@@ -93,10 +93,6 @@ class InfeasibleDelay(DelayFilterError):
     """No unbiased gain exists at the requested delay."""
 
 
-class GainSingular(DelayFilterError):
-    pass
-
-
 class EstimatesNotFinite(DelayFilterError):
     """A divergent filter's estimates overflowed before the record ended."""
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    GainSingular,
     InfeasibleDelay,
     InnovationCovarianceSingular,
     NotSymmetric,
@@ -157,10 +156,9 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     r = config.r
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
         raise InfeasibleDelay(f"delay must be an integer, got {r!r}")
-    d = _delay(model, int(r)) if 0 <= r < model.n else None
-    if d is None or not d.feasible:
+    if not (0 <= r < model.n and _delay(model, int(r)).feasible):
         raise InfeasibleDelay(f"no unbiased gain exists at delay {r}")
-    r = d.r
+    r = int(r)
 
     x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
     P0 = np.asarray(config.initial_covariance, dtype=float)
@@ -214,13 +212,7 @@ def _plan(model: SystemModel, r: int, gain_mode: str, noise_key) -> _FilterOps:
 def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> _FilterOps:
     """The plan of a session whose initial gain is L."""
     d = _delay(model, r)
-    M = d.blocks[r]
-    if model.l == model.p:
-        if np.linalg.cond(M) > 1e12:
-            raise GainSingular(f"CA^{r}H condition number exceeds 1e12")
-        M_pinv = np.linalg.inv(M)
-    else:
-        M_pinv = pinv_cut(M)            # left inverse; full column rank p at a feasible r
+    M_pinv = pinv_cut(d.blocks[r])      # left inverse; full column rank p at a feasible r
     At, CA_rp1t = readonly(model.A.T), readonly(d.CA[r + 1].T)
     # [innovation | ehat] = innovation [I | M^T] with innovation = z - xhat C A^(r+1)^T
     Gd = readonly(np.vstack([-CA_rp1t, np.eye(model.l)]) @ np.hstack([np.eye(model.l),

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ConstraintViolated,
-    DelayOutOfRange,
     InnovationCovarianceSingular,
     LowerMarkovNonzero,
     NotSquare,
@@ -26,8 +25,8 @@ from .errors import (
     PreconditionViolated,
     SingularMarkovParameter,
 )
-from .linalg import frob, numerical_rank, pinv_cut, readonly
-from .markov import _blocks_and_scales, _rank_gap_is_p
+from .linalg import frob, pinv_cut, readonly
+from .markov import _check_delay, _profile
 from .model import NoiseSpec, SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
@@ -79,7 +78,7 @@ class _Delay:
     feasible: bool                      # an unbiased gain exists at r
     CA: tuple                           # C A^j for j = 0..r+1
     blocks: tuple                       # C A^j H for j = 0..r
-    lower_nonzero: int | None           # first d < r with CA^dH != 0, else None
+    lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
     S: np.ndarray                       # [CA^rH ... CH]
     S_pinv: np.ndarray
     H0: np.ndarray                      # [H 0 ... 0]
@@ -90,19 +89,21 @@ class _Delay:
 def _delay(model: SystemModel, r: int) -> _Delay:
     """The constants at (model, r), built once per model object.
 
-    Models hash by identity and their arrays are read-only, so an entry
-    never goes stale; the bound keeps runs over many models from holding them all.
+    Feasibility and the blocks come from the model's rank profile. Models
+    hash by identity and their arrays are read-only, so an entry never goes
+    stale; the bound keeps runs over many models from holding them all.
     """
-    blocks, scales = _blocks_and_scales(model, r)
-    scale = 1.0 + max(float(np.max(np.abs(b))) for b in blocks)
-    lower = next((j for j in range(r) if np.max(np.abs(blocks[j])) > 1e-8 * scale), None)
+    _check_delay(model, r)
+    profile = _profile(model)
+    blocks = profile.blocks[:r + 1]
     CA = [model.C]
     for _ in range(r + 1):
         CA.append(CA[-1] @ model.A)
     S = np.hstack(blocks[::-1])
-    return _Delay(r=int(r), feasible=_rank_gap_is_p(blocks, scales, model.p),
-                  CA=tuple(map(readonly, CA)), blocks=tuple(map(readonly, blocks)),
-                  lower_nonzero=lower, S=readonly(S), S_pinv=readonly(pinv_cut(S)),
+    return _Delay(r=int(r), feasible=r in profile.feasible,
+                  CA=tuple(map(readonly, CA)), blocks=blocks,
+                  lower_nonzero=next((d for d in range(r) if profile.markov_ranks[d]), None),
+                  S=readonly(S), S_pinv=readonly(pinv_cut(S)),
                   H0=readonly(constraint_target(model, r)),
                   tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
 
@@ -187,8 +188,6 @@ def minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> Ga
     via pseudoinverse is taken, which does not affect L. The closed
     form is evaluated and then polished onto the constraint.
     """
-    if r > model.n - 1:
-        raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
     d = _delay(model, r)
     if not d.feasible:
         raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
@@ -214,9 +213,9 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
             f"CA^{d.lower_nonzero}H is nonzero; the simplified gain requires zero "
             f"Markov parameters below delay {r}"
         )
-    M = d.blocks[r]
-    if numerical_rank(M) < model.p:
+    if not d.feasible:                  # with the lower blocks zero: rank(CA^rH) < p
         raise PreconditionViolated(f"rank(CA^{r}H) < p, gain constraint unsolvable")
+    M = d.blocks[r]
 
     V, G = _innovation_terms(model, noise, d, P_prev)
     Vinv_M = np.linalg.solve(V, M)

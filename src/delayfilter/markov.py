@@ -3,17 +3,21 @@
 Decides which reconstruction delays r admit an unbiased gain, reports
 the smallest one, and separately reports the delays from which the
 input sequence is recoverable at all (a strictly weaker property; see
-the bundled 4-state counterexample in the registry).
+the bundled 4-state counterexample in the registry). Every verdict on a
+delay, here and in the gain functions, is read from one rank profile
+per model (_profile).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DelayOutOfRange
-from .linalg import RANK_RCOND, numerical_rank
+from .linalg import RANK_RCOND, numerical_rank, readonly
 from .model import SystemModel
 
 
@@ -27,9 +31,8 @@ def markov_blocks(model: SystemModel, dmax: int) -> list[np.ndarray]:
     return _blocks_and_scales(model, dmax)[0]
 
 
-def _check_delay(model: SystemModel, r: int, check_range: bool) -> None:
-    """r < 0 is left to _blocks_and_scales, which every caller runs next."""
-    if check_range and r > model.n - 1:
+def _check_delay(model: SystemModel, r: int) -> None:
+    if not 0 <= r < model.n:
         raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
 
 
@@ -57,50 +60,69 @@ def _anchored_rank(matrix: np.ndarray, scale: float) -> int:
     return numerical_rank(matrix, tol=scale * max(matrix.shape) * RANK_RCOND)
 
 
-def markov_row_stack(model: SystemModel, r: int, check_range: bool = True) -> np.ndarray:
-    """The l x (r+1)p block row [CA^rH  CA^(r-1)H  ...  CH].
-
-    check_range=False evaluates the stack beyond r = n-1; useful only
-    as a diagnostic (the gain constraint is provably unsolvable there).
-    """
-    _check_delay(model, r, check_range)
-    blocks = markov_blocks(model, r)
-    return np.hstack(blocks[::-1])
+def _rank_steps(ranks, p: int) -> tuple:
+    """Every r with ranks[r] - ranks[r-1] = p, reading ranks[-1] as 0."""
+    return tuple(r for r, (prev, rank) in enumerate(zip((0,) + ranks, ranks))
+                 if rank - prev == p)
 
 
-def markov_toeplitz(model: SystemModel, r: int, check_range: bool = True) -> np.ndarray:
+def markov_row_stack(model: SystemModel, r: int) -> np.ndarray:
+    """The l x (r+1)p block row [CA^rH  CA^(r-1)H  ...  CH]."""
+    _check_delay(model, r)
+    return np.hstack(markov_blocks(model, r)[::-1])
+
+
+def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
     """Block lower-triangular (r+1)l x (r+1)p map from inputs to outputs.
 
     Block (i, j) is CA^(i-j)H for i >= j and zero above the diagonal,
     so row block i collects the output contribution of inputs 0..i.
     """
-    _check_delay(model, r, check_range)
-    blocks = markov_blocks(model, r)
-    l, p = model.l, model.p
-    out = np.zeros(((r + 1) * l, (r + 1) * p))
-    for i in range(r + 1):
-        for j in range(i + 1):
-            out[i * l:(i + 1) * l, j * p:(j + 1) * p] = blocks[i - j]
-    return out
+    _check_delay(model, r)
+    blocks, zero = markov_blocks(model, r), np.zeros((model.l, model.p))
+    return np.block([[blocks[i - j] if i >= j else zero for j in range(r + 1)]
+                     for i in range(r + 1)])
 
 
-def _rank_gap_is_p(blocks, scales, p: int) -> bool:
-    """The feasibility test below on the blocks and scales of d = 0..r."""
-    r, scale = len(blocks) - 1, max(scales)
-    rank_r = _anchored_rank(np.hstack(blocks[::-1]), scale)
-    rank_prev = 0
-    if r > 0:
-        rank_prev = _anchored_rank(np.hstack(blocks[r - 1::-1]), scale)
-    return rank_r - rank_prev == p
+class _Profile(NamedTuple):
+    """The rank profile every delay question of one model is answered from."""
+
+    blocks: tuple                       # C A^d H for d = 0..n, read-only
+    scales: tuple                       # ||C|| ||A^d H||, the size each rank is judged at
+    markov_ranks: tuple                 # rank C A^d H for d = 0..n
+    s_ranks: tuple                      # rank S_r for r = 0..n-1
+    feasible: tuple                     # every r with rank S_r - rank S_(r-1) = p
+
+
+@lru_cache(maxsize=16)
+def _profile(model: SystemModel) -> _Profile:
+    """The rank profile of a model, built once per model object.
+
+    S_r = [CA^rH ... CH] is the last (r+1)p columns of S_(n-1), ranked at
+    the largest scale among its blocks. Models hash by identity and their
+    arrays are read-only, so an entry never goes stale.
+    """
+    n, p = model.n, model.p
+    blocks, scales = _blocks_and_scales(model, n)
+    S = np.hstack(blocks[n - 1::-1])
+    s_ranks = tuple(_anchored_rank(S[:, (n - 1 - r) * p:], max(scales[:r + 1]))
+                    for r in range(n))
+    return _Profile(blocks=tuple(map(readonly, blocks)), scales=tuple(scales),
+                    markov_ranks=tuple(map(_anchored_rank, blocks, scales)),
+                    s_ranks=s_ranks, feasible=_rank_steps(s_ranks, p))
 
 
 def exists_unbiased_gain(model: SystemModel, r: int, check_range: bool = True) -> bool:
     """True iff rank(S_r) - rank(S_(r-1)) = p, with rank(S_(-1)) = 0.
 
     At r = 0 this collapses to the classical full-rank test on CH.
+    check_range=False answers False at r >= n instead of raising: by
+    Cayley-Hamilton CA^rH adds no columns to the span of S_(r-1) there.
     """
-    _check_delay(model, r, check_range)
-    return _rank_gap_is_p(*_blocks_and_scales(model, r), model.p)
+    if not check_range and r >= model.n:
+        return False
+    _check_delay(model, r)
+    return r in _profile(model).feasible
 
 
 def minimal_delay(model: SystemModel):
@@ -110,10 +132,8 @@ def minimal_delay(model: SystemModel):
     A^n is a combination of lower powers and the new stack block adds
     no row space.
     """
-    for r in range(model.n):
-        if exists_unbiased_gain(model, r):
-            return r
-    return None
+    feasible = _profile(model).feasible
+    return feasible[0] if feasible else None
 
 
 @dataclass(frozen=True)
@@ -145,35 +165,20 @@ class DelayAnalysis:
 
 
 def analyze_delays(model: SystemModel) -> DelayAnalysis:
-    """Full rank sweep over d = 0..n and r = 0..n-1."""
-    n, l, p = model.n, model.l, model.p
-    blocks, scales = _blocks_and_scales(model, n)
-    markov_ranks = tuple((d, _anchored_rank(blocks[d], scales[d]))
-                         for d in range(n + 1))
+    """The rank profile plus the invertibility sweep over r = 0..n-1.
 
-    s_ranks = []
-    prev_rank = 0
-    feasible = []
-    for r in range(n):
-        rank_r = _anchored_rank(np.hstack(blocks[r::-1]), max(scales[:r + 1]))
-        s_ranks.append((r, rank_r))
-        if rank_r - prev_rank == p:
-            feasible.append(r)
-        prev_rank = rank_r
-
-    invertible = []
-    prev_rank = 0
-    for r in range(n):
-        rank_r = _anchored_rank(markov_toeplitz(model, r), max(scales[:r + 1]))
-        if rank_r - prev_rank == p:
-            invertible.append(r)
-        prev_rank = rank_r
-
+    T_r is the leading (r+1)l x (r+1)p corner of T_(n-1), ranked at the
+    scale of S_r.
+    """
+    profile, n, l, p = _profile(model), model.n, model.l, model.p
+    T = markov_toeplitz(model, n - 1)
+    t_ranks = tuple(_anchored_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
+                    for r in range(n))
     return DelayAnalysis(
-        markov_ranks=markov_ranks,
-        s_ranks=tuple(s_ranks),
-        feasible_delays=tuple(feasible),
-        minimal_delay=feasible[0] if feasible else None,
-        invertible_delays=tuple(invertible),
-        conjecture_violated=len(feasible) > 1,
+        markov_ranks=tuple(enumerate(profile.markov_ranks)),
+        s_ranks=tuple(enumerate(profile.s_ranks)),
+        feasible_delays=profile.feasible,
+        minimal_delay=minimal_delay(model),
+        invertible_delays=_rank_steps(t_ranks, p),
+        conjecture_violated=len(profile.feasible) > 1,
     )

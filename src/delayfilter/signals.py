@@ -31,6 +31,9 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}; pick one of {KINDS}")
+        if not np.all(np.isfinite([self.amplitude, self.period, self.phase])):
+            raise ValueError(f"{self.kind} needs a finite amplitude, period and phase, got "
+                             f"{self.amplitude}, {self.period}, {self.phase}")
         if self.kind in (SINE, SAWTOOTH, PRBS) and self.period <= 0:
             raise ValueError(f"{self.kind} needs period > 0, got {self.period}")
 

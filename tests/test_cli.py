@@ -147,12 +147,28 @@ def test_simulate_rejects_bad_spec(model_file):
     ["--e", "sine:1:40"],                           # no abbreviations
     ["--e1"],                                       # a flag without its value
     ["--e1", "sine:1:40", "extra"],
+    ["--e1", "sine:nan:40"],                        # non-finite amplitude, period, phase
+    ["--e1", "sine:1:nan"],
+    ["--e1", "sine:inf:40"],
+    ["--e1", "gaussian:nan"],
+    ["--e1", "sine:1:40:inf"],
 ])
 def test_simulate_rejects_bad_channel_flags(model_file, tmp_path, capsys, flags):
     out = tmp_path / "t.csv"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", model_file("minphase3"), *flags, "--out", str(out)])
     assert exc.value.code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+def test_simulate_rejects_bad_seed(model_file, tmp_path, capsys, seed):
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", model_file("minphase3"), "--e1", "sine:1:40",
+              "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 1
+    assert "--seed: must be a nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -83,10 +83,16 @@ def test_simplified_minvar_agrees_on_its_domain():
 
 
 def test_simplified_minvar_guards_rank():
-    # rank(CA^rH) < p: the simplified normal equations are not solvable
+    # CH != 0 below the delay: the simplified closed form does not apply
     model, noise, _ = df.reference_example("nonsquare12")
     with pytest.raises(df.PreconditionViolated):
         df.simplified_minvar_gain(model, noise, 1, np.eye(model.n))
+    # rank(CA^rH) < p: the simplified normal equations are not solvable
+    model = df.validate_model(0.5 * np.eye(3), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    noise = df.NoiseSpec(Q=np.eye(3), R=np.eye(2))
+    with pytest.raises(df.PreconditionViolated, match="rank"):
+        df.simplified_minvar_gain(model, noise, 0, np.eye(3))
 
 
 def test_covariance_update_shapes_and_symmetry():

@@ -102,3 +102,24 @@ def test_constructed_systems_feasible_exactly_from_delay():
         assert df.exists_unbiased_gain(model, d)
         for r in range(d):
             assert df.exists_unbiased_gain(model, r) is False
+        feasible = df.analyze_delays(model).feasible_delays
+        for r in range(model.n):
+            assert df.exists_unbiased_gain(model, r) == (r in feasible)
+
+
+def test_one_rank_rule_on_widely_scaled_blocks():
+    # CH = 1e-9 is small beside CAH ~ 1e6 but has rank 1 at its own scale,
+    # so rank S_1 = rank S_0 = 1 and delay 1 admits no unbiased gain
+    model = df.validate_model([[0.5, 0.0, 0.0], [1e6, 0.5, 0.0], [0.0, 1.0, 0.5]],
+                              [[1.0], [0.0], [0.0]], [[1e-9, 1.0, 0.0]])
+    feasible = df.analyze_delays(model).feasible_delays
+    assert feasible == (0,)
+    for r in range(model.n):
+        assert df.exists_unbiased_gain(model, r) == (r in feasible)
+    assert df.minimal_delay(model) == 0
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(3), initial_covariance=np.eye(3))
+    with pytest.raises(df.InfeasibleDelay):
+        df.init_filter(model, None, config)
+    with pytest.raises(df.LowerMarkovNonzero):
+        df.square_gain(model, 1)
