@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     pf.add_argument("--delay", type=_delay_arg, default=None,
                     help="reconstruction delay, an integer or 'auto' (default: value "
                          "from the model file, else auto)")
-    pf.add_argument("--gain", choices=("square", "minvar", "auto"), default="auto")
     pf.add_argument("--out", default="estimates.csv")
 
     pr = sub.add_parser("reproduce", help="re-run a bundled example",
@@ -133,16 +132,22 @@ def _zeros_json(model) -> dict:
         return {"error": f"PencilDegenerate: {exc}"}
 
 
+def _gain_policy(model, noise):
+    """(gain mode, noise, noise_defaulted): a square model's one unbiased gain, else
+    the minimum-variance gain, under the default noise pair when the file has none."""
+    if model.l == model.p:
+        return FIXED_SQUARE, noise, False
+    defaulted = noise is None
+    return TIME_VARYING_MINVAR, default_noise(model) if defaulted else noise, defaulted
+
+
 def _gain_for_verdict(model, noise, r):
     """(L, summary dict, noise_defaulted) at delay r."""
-    defaulted = False
-    if model.l == model.p:
+    mode, noise, defaulted = _gain_policy(model, noise)
+    if mode == FIXED_SQUARE:
         res = square_gain(model, r)
         converged = None
     else:
-        if noise is None:
-            noise = default_noise(model)
-            defaulted = True
         # A moderate cap: the verdict only needs some constrained gain and
         # divergent recursions would otherwise burn the full iteration budget.
         res, _, converged = steady_state_gain(model, noise, r, max_iter=2000)
@@ -247,15 +252,7 @@ def cmd_filter(args) -> int:
     model, noise, file_delay = load_model_file(args.model)
     _, y, u = read_measurements(args.measurements, model.l, model.m)
     r = _resolve_delay(args.delay, file_delay, model)
-
-    gain_choice = args.gain
-    if gain_choice == "auto":
-        gain_choice = "square" if model.l == model.p else "minvar"
-    defaulted = gain_choice == "minvar" and noise is None
-    if defaulted:
-        noise = default_noise(model)
-
-    mode = FIXED_SQUARE if gain_choice == "square" else TIME_VARYING_MINVAR
+    mode, noise, defaulted = _gain_policy(model, noise)
     run, rows = _filter_rows(model, noise, r, mode, y, u)
     write_estimates(args.out, rows, model.n, model.p, model.l)
 
@@ -301,7 +298,7 @@ def cmd_reproduce(args) -> int:
     if r is None:
         estimates_skipped = "no feasible delay"
     else:
-        mode = FIXED_SQUARE if model.l == model.p else TIME_VARYING_MINVAR
+        mode, noise, _ = _gain_policy(model, noise)
         try:
             _, rows = _filter_rows(model, noise, r, mode, traj.y, traj.u)
         except DelayFilterError as exc:

@@ -63,7 +63,7 @@ class NotSquare(DelayFilterError):
 
 
 class SingularMarkovParameter(DelayFilterError):
-    """CA^rH is numerically singular where an inverse is required."""
+    """The rank profile puts rank CA^rH below p where an inverse is required."""
 
 
 class LowerMarkovNonzero(DelayFilterError):

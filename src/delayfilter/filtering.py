@@ -78,7 +78,7 @@ class FilterConfig:
     gain_mode: str
     initial_estimate: np.ndarray
     initial_covariance: np.ndarray
-    gain: np.ndarray | None = None      # only read in FixedUserSupplied mode
+    gain: np.ndarray | None = None      # FixedUserSupplied mode only; the others build their own
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -168,6 +168,8 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         raise NotSymmetric("initial_covariance is not symmetric")
 
     mode = config.gain_mode
+    if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
+        raise PreconditionViolated(f"{mode} builds its own gain; config.gain must be None")
     if mode == FIXED_SQUARE:
         ops = _plan(model, r, mode, None)
     elif mode == TIME_VARYING_MINVAR:

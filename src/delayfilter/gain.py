@@ -30,7 +30,7 @@ from .markov import _check_delay, _profile
 from .model import NoiseSpec, SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12             # of the innovation covariance V
 
 SQUARE_INVERSE = "SquareInverse"
 MINVAR_LAGRANGIAN = "MinVarLagrangian"
@@ -125,22 +125,20 @@ def _checked_residual(model: SystemModel, r: int, L, what: str) -> float:
 def square_gain(model: SystemModel, r: int) -> GainResult:
     """The unique unbiased gain H (CA^rH)^-1 for square systems.
 
-    Below-delay Markov parameters must vanish: a square system with
-    CA^dH != 0 for some d < r admits no unbiased gain at delay r at
-    all, so using the inverse formula there would be silently wrong.
+    It exists exactly when the rank profile calls r feasible: a square
+    system with CA^dH != 0 for some d < r has none at delay r. A solve
+    whose residual exceeds the tolerance raises ConstraintViolated.
     """
     if model.l != model.p:
         raise NotSquare(f"square gain needs l = p, got l={model.l}, p={model.p}")
     d = _delay(model, r)
-    if d.lower_nonzero is not None:
-        raise LowerMarkovNonzero(
-            f"CA^{d.lower_nonzero}H is nonzero; no unbiased gain exists at delay {r}"
-        )
-    M = d.blocks[r]
-    if np.linalg.cond(M) > COND_LIMIT:
-        raise SingularMarkovParameter(f"CA^{r}H condition number exceeds {COND_LIMIT:.0e}")
-    L = np.linalg.solve(M.T, model.H.T).T
-    residual = unbiasedness_residual(model, r, L)
+    if not d.feasible:
+        if d.lower_nonzero is not None:
+            raise LowerMarkovNonzero(
+                f"CA^{d.lower_nonzero}H is nonzero; no unbiased gain exists at delay {r}")
+        raise SingularMarkovParameter(f"rank CA^{r}H < p; no unbiased gain exists at delay {r}")
+    L = np.linalg.solve(d.blocks[r].T, model.H.T).T
+    residual = _checked_residual(model, r, L, "square gain")
     method = NO_DELAY_CLASSICAL if r == 0 else SQUARE_INVERSE
     return GainResult(L=L, residual=residual, method=method)
 

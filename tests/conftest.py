@@ -73,6 +73,19 @@ def make_square_system(rng, n=None, p=None, delay=None, cond_limit=None,
     return None
 
 
+def ill_conditioned_square_model(seed):
+    """A = diag(0.5, 0.4, 0.3), H = [e1 e2], C = [U diag(1, 1e-8) V^T | 0].
+
+    U and V are random orthogonal. The rank profile calls r = 0 feasible,
+    but for seeds 1, 2 and 5 the inverse of CH leaves an unbiasedness
+    residual above the tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+    C = np.hstack([U @ np.diag([1.0, 1e-8]) @ V.T, np.zeros((2, 1))])
+    return validate_model(np.diag([0.5, 0.4, 0.3]), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], C)
+
+
 def random_noise(rng, model, scale=1e-2):
     """A random valid (Q PSD, R PD) pair."""
     n, l = model.n, model.l

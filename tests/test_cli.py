@@ -12,6 +12,7 @@ import pytest
 
 import delayfilter as df
 from delayfilter.cli import main
+from conftest import ill_conditioned_square_model
 
 
 @pytest.fixture()
@@ -196,8 +197,7 @@ def test_filter_delay_flag_overrides_file(model_file, tmp_path, capsys):
     main(["simulate", mf, "--e1", "sine:1:40", "--out", traj_csv])
     capsys.readouterr()
 
-    rc = main(["filter", mf, traj_csv, "--gain", "minvar",
-               "--out", str(tmp_path / "e2.csv")])
+    rc = main(["filter", mf, traj_csv, "--out", str(tmp_path / "e2.csv")])
     report = _report(capsys)
     assert rc == 0
     assert report["delay"] == 2  # file value honored
@@ -234,6 +234,70 @@ def test_filter_bad_delay_flag_exits_1(model_file, tmp_path, capsys, delay):
     assert not est_csv.exists()
     # a well-formed delay at or beyond the system order is infeasible, not a usage error
     assert main(["filter", mf, str(traj_csv), "--delay", "7", "--out", str(est_csv)]) == 2
+
+
+def test_filter_square_gain_over_tolerance_exits_1_and_writes_nothing(tmp_path, capsys):
+    model = ill_conditioned_square_model(1)
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps({name: getattr(model, name).tolist() for name in "AHC"}))
+    meas, out = tmp_path / "meas.csv", tmp_path / "est.csv"
+    traj = df.simulate(model, None, df.example_signals(model), 50, noise_on=False)
+    df.write_trajectory(str(meas), traj)
+    rc = main(["filter", str(mf), str(meas), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "ConstraintViolated: square gain: residual" in captured.err
+    assert not out.exists()
+
+
+def test_filter_auto_delay_without_a_feasible_delay_exits_2(model_file, tmp_path, capsys):
+    model, noise, _ = df.reference_example("invertibility4")
+    meas, out = tmp_path / "meas.csv", tmp_path / "est.csv"
+    df.write_trajectory(str(meas), df.simulate(model, noise, df.example_signals(model), 50))
+    rc = main(["filter", model_file("invertibility4"), str(meas), "--delay", "auto",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "no feasible delay" in captured.err
+    assert not out.exists()
+
+
+def test_filter_nonsquare_defaults_noise(model_file, tmp_path, capsys):
+    mf = model_file("nonsquare3")
+    meas = str(tmp_path / "t.csv")
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--out", meas]) == 0
+    capsys.readouterr()
+    rc = main(["filter", mf, meas, "--out", str(tmp_path / "e.csv")])
+    report = _report(capsys)
+    assert rc == 0
+    assert report["noise_defaulted"] is True
+    assert report["gain"]["mode"] == "TimeVaryingMinVar"
+
+
+def test_simulate_known_input_then_filter(tmp_path, capsys):
+    model, _, _ = df.reference_example("nonsquare3")
+    doc = {"A": model.A.tolist(), "H": model.H.tolist(), "C": model.C.tolist(),
+           "B": [[0.3], [0.1], [0.2]], "D": [[0.5], [0.0]]}
+    mf, traj_csv = tmp_path / "model.json", str(tmp_path / "t.csv")
+    mf.write_text(json.dumps(doc))
+    assert main(["simulate", str(mf), "--e1", "sine:1:40", "--u1", "step:2:10",
+                 "--out", traj_csv]) == 0
+    capsys.readouterr()
+    assert open(traj_csv).readline().rstrip("\r\n") == "k,y1,y2,u1,x1,x2,x3,e1"
+    rc = main(["filter", str(mf), traj_csv, "--out", str(tmp_path / "e.csv")])
+    assert rc == 0
+    assert _report(capsys)["emitted"] == 199
+
+
+def test_analyze_degenerate_pencil_exits_2(tmp_path, capsys):
+    mf = tmp_path / "model.json"
+    mf.write_text(json.dumps({"A": np.diag([0.5, 0.4, 0.3]).tolist(), "H": [[0], [0], [1]],
+                              "C": [[1, 0, 0], [0, 1, 0]]}))
+    rc = main(["analyze", str(mf)])
+    report = _report(capsys)
+    assert rc == 2
+    assert report["zeros"]["error"].startswith("PencilDegenerate")
+    assert report["verdict"] is None
 
 
 def test_filter_mismatched_measurements_exit_1(model_file, tmp_path, capsys):
@@ -286,7 +350,7 @@ def test_filter_divergent_gain_is_reported(model_file, tmp_path, capsys):
     assert main(["simulate", mf, "--e1", "sine:1:40", "--e2", "prbs:1:5",
                  "--out", traj_csv]) == 0
     _report(capsys)
-    rc = main(["filter", mf, traj_csv, "--gain", "minvar", "--out", est_csv])
+    rc = main(["filter", mf, traj_csv, "--out", est_csv])
     report = _report(capsys)
     assert rc == 0
     assert report["verdict"] == "Divergent"
@@ -306,7 +370,7 @@ def test_filter_overflowing_estimates_exit_1(model_file, tmp_path, capsys):
     _report(capsys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")        # the overflow is reported, not warned
-        rc = main(["filter", mf, traj_csv, "--gain", "minvar", "--out", est_csv])
+        rc = main(["filter", mf, traj_csv, "--out", est_csv])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""

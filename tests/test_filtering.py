@@ -1,5 +1,6 @@
 """Online filter protocol: warm-up, emission, gain modes, verdicts."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -61,6 +62,29 @@ def test_deadbeat_reconstruction_with_wrong_start():
         worst_e = max(worst_e, abs(out.input_estimate[0] - e_seq[out.k - 2]))
     assert worst_x <= 1e-10
     assert worst_e <= 1e-10
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (dict(initial_covariance=np.eye(3)), df.DimensionMismatch, "initial_covariance must be"),
+    (dict(initial_covariance=[[1.0, 0.1], [0.0, 1.0]]), df.NotSymmetric, "not symmetric"),
+    (dict(gain_mode=df.TIME_VARYING_MINVAR), df.PreconditionViolated, "needs a noise"),
+    (dict(gain_mode=df.FIXED_USER_SUPPLIED), df.PreconditionViolated, "needs config.gain"),
+    (dict(gain_mode=df.FIXED_USER_SUPPLIED, gain=np.zeros((2, 2))), df.DimensionMismatch,
+     "gain must be"),
+    (dict(gain_mode="Bogus"), df.PreconditionViolated, "unknown gain mode"),
+], ids=["p0-shape", "p0-asymmetric", "no-noise", "no-gain", "gain-shape", "unknown-mode"])
+def test_init_filter_rejects_a_bad_config(change, error, message):
+    with pytest.raises(error, match=message):
+        df.init_filter(E1, None, dataclasses.replace(_config(), **change))
+
+
+@pytest.mark.parametrize("mode", [df.FIXED_SQUARE, df.TIME_VARYING_MINVAR])
+def test_init_filter_rejects_a_gain_its_mode_would_ignore(mode):
+    noise = df.NoiseSpec(Q=1e-3 * np.eye(2), R=1e-3 * np.eye(1))
+    L = df.square_gain(E1, 1).L
+    with pytest.raises(df.PreconditionViolated, match="config.gain must be None"):
+        df.init_filter(E1, noise, _config(mode=mode, gain=L))
+    df.init_filter(E1, noise, _config(mode=mode))
 
 
 def test_infeasible_delay_rejected_at_init():

@@ -5,7 +5,7 @@ import pytest
 
 import delayfilter as df
 from delayfilter.gain import constraint_target
-from conftest import make_feasible_system, random_noise
+from conftest import ill_conditioned_square_model, make_feasible_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -40,6 +40,35 @@ def test_square_gain_lower_markov_gate():
     model = df.validate_model([[0.9, 0.1], [0.0, 0.8]], [[1.0], [0.0]], [[1.0, 0.0]])
     with pytest.raises(df.LowerMarkovNonzero):
         df.square_gain(model, 1)
+
+
+def test_square_gain_reads_feasibility_from_the_rank_profile():
+    # CH = diag(1, 1.5e-12) has condition number 6.7e11 and solves without
+    # complaint, but 1.5e-12 is below the rank tolerance 2 ||C|| ||H|| 1e-12
+    model = df.validate_model(np.diag([0.5, 0.4, 0.3]), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                              [[1.0, 0.0, 0.0], [0.0, 1.5e-12, 0.0]])
+    assert df.analyze_delays(model).feasible_delays == ()
+    with pytest.raises(df.SingularMarkovParameter):
+        df.square_gain(model, 0)
+    for r in range(model.n):
+        try:
+            df.square_gain(model, r)
+            built = True
+        except (df.SingularMarkovParameter, df.LowerMarkovNonzero):
+            built = False
+        assert built == df.exists_unbiased_gain(model, r)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_square_gain_gates_its_residual(seed):
+    model = ill_conditioned_square_model(seed)
+    assert df.exists_unbiased_gain(model, 0)
+    with pytest.raises(df.ConstraintViolated, match="square gain: residual"):
+        df.square_gain(model, 0)
+    config = df.FilterConfig(r=0, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(3),
+                             initial_covariance=np.eye(3))
+    with pytest.raises(df.ConstraintViolated, match="square gain: residual"):
+        df.init_filter(model, None, config)
 
 
 def test_unbiasedness_residual_measures_violation():
@@ -137,6 +166,13 @@ def test_steady_state_flags_divergence():
     noise = df.NoiseSpec(Q=1e-4 * np.eye(model.n), R=1e-4 * np.eye(model.l))
     _, _, converged = df.steady_state_gain(model, noise, 1, max_iter=3000)
     assert converged is False
+
+
+def test_steady_state_stops_at_the_iteration_cap():
+    model, noise, _ = df.reference_example("nonsquare3")
+    res, _, converged = df.steady_state_gain(model, noise, 1, max_iter=1)
+    assert converged is False
+    assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
 
 
 def test_steady_state_singular_innovation_is_not_converged():
