@@ -7,7 +7,7 @@ Subcommands:
   reproduce  re-run a bundled reference system and check its facts
 
 Every command prints a JSON report (schema_version 1) to stdout. Exit
-codes: 0 success, 1 usage, input or overflow errors, 2 mathematical
+codes: 0 success, 1 usage, input, I/O or overflow errors, 2 mathematical
 infeasibility (no unbiased gain at the requested delay), 3 a failed fact.
 """
 
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except InfeasibleDelay as exc:
         print(f"delayfilter: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DelayFilterError as exc:
+    except (DelayFilterError, OSError) as exc:     # OSError: an unwritable --out or --outdir
         print(f"delayfilter: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

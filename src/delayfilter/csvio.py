@@ -9,7 +9,7 @@ innov1..innovl with every estimate field left empty during warm-up.
 Floats are written as %.17g, which round-trips every double exactly
 (0.0 is written 0, 0.1 as 0.10000000000000001). The reader parses the
 k,y,u prefix in one numpy pass; only a file that pass rejects is
-scanned line by line, to name the line at fault.
+scanned line by line, to skip its blank rows or name the line at fault.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .errors import DimensionMismatch, MeasurementFileError
 from .sim import Trajectory
 
 _CHUNK = 4096       # rows per formatted block written to the file
-# a line that may hold only empty cells: whitespace, commas and quotes
-_MAYBE_BLANK = r'\n(?:[^\S\n]|[,"])*(?=\n|\Z)'
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -59,45 +57,39 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def _is_blank(row: list[str]) -> bool:
-    return not row or all(not c.strip() for c in row)
+    return not "".join(row).strip()
 
 
-def _drop_blank_rows(body: str) -> str:
-    """body without its rows of empty cells, as the csv module finds them."""
-    def keep(match):
-        line = match.group()
-        return "" if _is_blank(next(csv.reader([line[1:]]), [])) else line
-    return re.sub(_MAYBE_BLANK, keep, "\n" + body.rstrip("\n"))[1:]
+def _numeric(cells: list[str]) -> list[float]:
+    """float() of each cell, restricted to what the bulk parser reads: ASCII, no '_'."""
+    text = "".join(cells)
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return list(map(float, cells))
 
 
-def _numeric(cell: str) -> float:
-    """float(cell) restricted to what the bulk parser reads: ASCII, no '_'."""
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(cell)
-    return float(cell)
+def _scan(path, body: str, width: int) -> np.ndarray:
+    """The first `width` fields of body's rows as the csv module reads them.
 
-
-def _diagnose(path, body: str, width: int, fault: str) -> None:
-    """Name the first line the bulk parse or the k check rejected; always raises.
-
-    Scans the data rows as the csv module reads them, in file order, and
-    raises on the first short row, non-numeric field or fractional k.
-    With none found the k column has a gap, or `fault` says what failed.
+    Skips blank rows and raises on the first short row, non-numeric field
+    or fractional k, in file order, or on a body with no data rows.
     """
+    rows = []
     for line_no, row in enumerate(csv.reader(io.StringIO(body)), start=2):
         if _is_blank(row):
             continue
         if len(row) < width:
             raise DimensionMismatch(f"{path}:{line_no}: short row")
         try:
-            k = _numeric(row[0])
-            for c in row[1:width]:
-                _numeric(c)
+            values = _numeric(row[:width])
         except ValueError:
             raise DimensionMismatch(f"{path}:{line_no}: non-numeric field") from None
-        if not k.is_integer():
+        if not values[0].is_integer():
             raise DimensionMismatch(f"{path}:{line_no}: k = {row[0]!r} is not an integer")
-    raise DimensionMismatch(f"{path}: {fault}")
+        rows.append(values)
+    if not rows:
+        raise DimensionMismatch(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def read_measurements(path, l: int, m: int):
@@ -132,16 +124,16 @@ def read_measurements(path, l: int, m: int):
                 f"{path}: unexpected column {name.strip()!r} after the "
                 f"y/u block (truth columns are x<i>/e<i>)")
     width = len(expected)
-    rows = _drop_blank_rows(body)
-    if not rows:
-        raise DimensionMismatch(f"{path}: no data rows")
     try:
-        data = np.loadtxt(io.StringIO(rows), delimiter=",", usecols=range(width),
+        if body.isspace() or not body:      # numpy warns on a body without rows
+            raise ValueError("no data rows")
+        data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=range(width),
                           quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:
-        _diagnose(path, body, width, str(exc))
+    except ValueError:
+        data = _scan(path, body, width)
     if not np.array_equal(data[:, 0], np.arange(len(data))):
-        _diagnose(path, body, width, "k column must run 0..T without gaps")
+        _scan(path, body, width)         # names a fractional k before the gap
+        raise DimensionMismatch(f"{path}: k column must run 0..T without gaps")
     samples = data[:, 1:]
     bad = np.argwhere(~np.isfinite(samples))
     if bad.size:

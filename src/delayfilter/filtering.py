@@ -164,6 +164,9 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     P0 = np.asarray(config.initial_covariance, dtype=float)
     if P0.shape != (model.n, model.n):
         raise DimensionMismatch(f"initial_covariance must be {(model.n, model.n)}")
+    for name, a in (("initial_estimate", x0), ("initial_covariance", P0)):
+        if not np.isfinite(a).all():
+            raise DimensionMismatch(f"{name} must be finite")
     if not is_symmetric(P0):
         raise NotSymmetric("initial_covariance is not symmetric")
 

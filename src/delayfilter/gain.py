@@ -115,7 +115,9 @@ def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
 
 
 def _checked_residual(model: SystemModel, r: int, L, what: str) -> float:
-    """The residual of L, or ConstraintViolated when it exceeds the tolerance."""
+    """The residual of L; ConstraintViolated if L is not finite or its residual is too large."""
+    if not np.isfinite(L).all():        # a NaN residual would pass the comparison below
+        raise ConstraintViolated(f"{what}: gain is not finite")
     residual, tol = unbiasedness_residual(model, r, L), _delay(model, r).tol
     if residual > tol:
         raise ConstraintViolated(f"{what}: residual {residual:.3e} exceeds tolerance {tol:.3e}")

@@ -173,7 +173,7 @@ def load_model_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file {path} is not valid JSON: {exc}") from None

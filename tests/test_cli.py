@@ -314,6 +314,53 @@ def test_filter_missing_measurements_exit_1(model_file, tmp_path, capsys):
     assert "MeasurementFileError" in capsys.readouterr().err
 
 
+def _one_line_error(capsys, name):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"delayfilter: {name}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_simulate_unwritable_out_exits_1(model_file, tmp_path, capsys):
+    out = tmp_path / "absent" / "t.csv"
+    rc = main(["simulate", model_file("minphase3"), "--e1", "sine:1:10", "--out", str(out)])
+    assert rc == 1
+    _one_line_error(capsys, "FileNotFoundError")
+
+
+@pytest.mark.parametrize("out, error", [(".", "IsADirectoryError"),
+                                        ("afile/e.csv", "NotADirectoryError")])
+def test_filter_unwritable_out_exits_1_and_writes_nothing(model_file, tmp_path, capsys,
+                                                          out, error):
+    mf = model_file("minphase3")
+    meas = tmp_path / "meas.csv"
+    meas.write_text("k,y1\n" + "".join(f"{k},{0.1 * k}\n" for k in range(6)))
+    (tmp_path / "afile").write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    rc = main(["filter", mf, str(meas), "--out", str(tmp_path / out)])
+    assert rc == 1
+    _one_line_error(capsys, error)
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_reproduce_outdir_that_is_a_file_exits_1(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    rc = main(["reproduce", "minphase3", "--outdir", str(afile)])
+    assert rc == 1
+    _one_line_error(capsys, "FileExistsError")
+    assert afile.read_text() == "kept\n"
+
+
+def test_analyze_model_file_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"A": [[0.5\xe9]]}')
+    rc = main(["analyze", str(path)])
+    assert rc == 1
+    _one_line_error(capsys, "ModelFileError")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_filter_nonfinite_sample_exits_1(model_file, tmp_path, capsys, value):
     meas = tmp_path / "meas.csv"

@@ -1,6 +1,7 @@
 """Trajectory/estimate CSV round-trips and malformed-input rejection."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,24 @@ def test_measurements_reject_number_float_alone_reads(tmp_path, cell):
         df.read_measurements(str(path), 1, 0)
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\n\n", " \n,,\n\"\"\n\t\n"],
+                         ids=["header-only", "newline", "newlines", "blank-cells"])
+def test_measurements_without_data_rows(tmp_path, body):
+    path = tmp_path / "m.csv"
+    path.write_text("k,y1\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(df.DimensionMismatch, match=r"m\.csv: no data rows$"):
+            df.read_measurements(str(path), 1, 0)
+
+
+def test_measurements_empty_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    with pytest.raises(df.DimensionMismatch, match=r"m\.csv: empty file$"):
+        df.read_measurements(str(path), 1, 0)
+
+
 def test_measurements_undecodable_file(tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes(b"k,y1\n0,1\xe9\n")
@@ -197,6 +216,17 @@ def test_written_floats_read_back_bit_for_bit(values, tmp_path_factory):
     ks, y, u = df.read_measurements(str(path), 1, 1)
     assert ks == list(range(T + 1))
     assert _bits(y) == _bits(arr[:, :1]) and _bits(u) == _bits(arr[:, 1:])
+
+    # the same rows among blank ones: the line scan reads what the bulk parse read
+    header, *data = path.read_text().splitlines()
+    blanks = ["", " \t", ",,", '""']
+    padded = [header, ",,"] + [line for i, row in enumerate(data)
+                              for line in (row, blanks[i % len(blanks)])] + blanks
+    path.write_text("\n".join(padded) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ks2, y2, u2 = df.read_measurements(str(path), 1, 1)
+    assert ks2 == ks and _bits(y2) == _bits(y) and _bits(u2) == _bits(u)
 
     # estimates: two warm-up rows of NaN, then the values in every column
     rows = np.vstack([np.full((2, 3), np.nan), np.hstack([arr, arr[:, :1]])])

@@ -67,15 +67,27 @@ def test_deadbeat_reconstruction_with_wrong_start():
 @pytest.mark.parametrize("change, error, message", [
     (dict(initial_covariance=np.eye(3)), df.DimensionMismatch, "initial_covariance must be"),
     (dict(initial_covariance=[[1.0, 0.1], [0.0, 1.0]]), df.NotSymmetric, "not symmetric"),
+    # a NaN seed would poison every estimate; a NaN covariance is not an asymmetric one
+    (dict(initial_estimate=[np.nan, 0.0]), df.DimensionMismatch,
+     "initial_estimate must be finite"),
+    (dict(initial_estimate=[np.inf, 0.0]), df.DimensionMismatch,
+     "initial_estimate must be finite"),
+    (dict(initial_covariance=[[np.nan, 0.0], [0.0, 1.0]]), df.DimensionMismatch,
+     "initial_covariance must be finite"),
+    (dict(initial_covariance=[[np.inf, 0.0], [0.0, 1.0]]), df.DimensionMismatch,
+     "initial_covariance must be finite"),
     (dict(gain_mode=df.TIME_VARYING_MINVAR), df.PreconditionViolated, "needs a noise"),
     (dict(gain_mode=df.FIXED_USER_SUPPLIED), df.PreconditionViolated, "needs config.gain"),
     (dict(gain_mode=df.FIXED_USER_SUPPLIED, gain=np.zeros((2, 2))), df.DimensionMismatch,
      "gain must be"),
     (dict(gain_mode="Bogus"), df.PreconditionViolated, "unknown gain mode"),
-], ids=["p0-shape", "p0-asymmetric", "no-noise", "no-gain", "gain-shape", "unknown-mode"])
+], ids=["p0-shape", "p0-asymmetric", "x0-nan", "x0-inf", "p0-nan", "p0-inf", "no-noise",
+        "no-gain", "gain-shape", "unknown-mode"])
 def test_init_filter_rejects_a_bad_config(change, error, message):
-    with pytest.raises(error, match=message):
-        df.init_filter(E1, None, dataclasses.replace(_config(), **change))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            df.init_filter(E1, None, dataclasses.replace(_config(), **change))
 
 
 @pytest.mark.parametrize("mode", [df.FIXED_SQUARE, df.TIME_VARYING_MINVAR])

@@ -1,5 +1,7 @@
 """Gain construction: square inversion, minimum variance, covariance."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,24 @@ def test_covariance_update_rejects_biased_gain():
     L = df.square_gain(E1, 1).L + 0.05
     with pytest.raises(df.ConstraintViolated):
         df.covariance_update(E1, noise, 1, L, np.eye(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_residual_gate_rejects_a_nonfinite_gain(value):
+    # L S_r - [H 0 ... 0] of a NaN gain has a NaN norm, which no "residual > tol" catches
+    model, noise, _ = df.reference_example("nonsquare3")
+    L = np.full((model.n, model.l), value)
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_USER_SUPPLIED,
+                             initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n), gain=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(df.ConstraintViolated, match="gain is not finite"):
+            df.init_filter(model, noise, config)
+        with pytest.raises(df.ConstraintViolated, match="gain is not finite"):
+            df.covariance_update(model, noise, 1, L, np.eye(model.n))
+        with pytest.raises(df.ConstraintViolated, match="gain is not finite"):
+            df.classify_convergence(model, 1, L)
 
 
 def test_covariance_monotone_in_noise():
