@@ -148,8 +148,7 @@ def _gain_for_verdict(model, noise, r):
         res = square_gain(model, r)
         converged = None
     else:
-        # A moderate cap: the verdict only needs some constrained gain and
-        # divergent recursions would otherwise burn the full iteration budget.
+        # the cap bounds the covariance steps of a non-unique gain that never stabilises
         res, _, converged = steady_state_gain(model, noise, r, max_iter=2000)
     summary = {
         "method": res.method,

@@ -74,8 +74,9 @@ def _scan(path, body: str, width: int) -> np.ndarray:
     Skips blank rows and raises on the first short row, non-numeric field
     or fractional k, in file order, or on a body with no data rows.
     """
-    rows = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+    rows, reader, end = [], csv.reader(io.StringIO(body)), 0
+    for row in reader:      # a quoted field may span lines; name the line the row starts on
+        line_no, end = end + 2, reader.line_num
         if _is_blank(row):
             continue
         if len(row) < width:

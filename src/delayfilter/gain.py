@@ -5,8 +5,8 @@ unbiasedness constraint, the block inverse H (CA^rH)^-1. Non-square
 systems have infinitely many; minvar_gain picks the one minimizing the
 trace of the delayed error covariance via a Lagrangian with a
 pseudoinverse multiplier. covariance_update propagates the covariance
-for any constrained gain, and steady_state_gain iterates the pair to a
-fixed point when one exists.
+for any constrained gain, and steady_state_gain finds the pair's fixed
+point by policy iteration (Hewer, IEEE TAC 16(4), 1971) when one exists.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolated,
     SingularMarkovParameter,
 )
-from .linalg import frob, pinv_cut, readonly
+from .linalg import frob, pinv_cut, readonly, spectral_radius
 from .markov import _check_delay, _profile
 from .model import NoiseSpec, SystemModel
 
@@ -224,54 +224,54 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
     return _polished(model, d, L, SIMPLIFIED_MINVAR)
 
 
-def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
-    """One covariance step for an unbiased gain.
-
-    P+ = (A - L C A^(r+1)) P (A - L C A^(r+1))^T
-         + (I - L C A^r) Q (I - L C A^r)^T
-         + sum_{j=1..r} (L C A^(r-j)) Q (L C A^(r-j))^T
-         + L R L^T,
-    symmetrized. Only valid when L satisfies the constraint, hence the
-    residual gate.
+def _error_terms(model: SystemModel, noise: NoiseSpec, r: int, L):
+    """(F, W) of an unbiased gain L, whose covariance step is P+ = F P F^T + W:
+    F = A - L C A^(r+1), W = L R L^T + sum G Q G^T over G = I - L C A^r and
+    G = L C A^(r-j), j = 1..r. The residual gate holds L to the constraint.
     """
     L = np.asarray(L, dtype=float)
     _checked_residual(model, r, L, "covariance update requires an unbiased gain")
-    P = _p_matrix(P_prev, model.n)
     CA = _delay(model, r).CA
+    Gs = [np.eye(model.n) - L @ CA[r]] + [L @ CA[r - j] for j in range(1, r + 1)]
+    return model.A - L @ CA[r + 1], L @ noise.R @ L.T + sum(G @ noise.Q @ G.T for G in Gs)
 
-    A_err = model.A - L @ CA[r + 1]
-    out = A_err @ P @ A_err.T
-    I_LCAr = np.eye(model.n) - L @ CA[r]
-    out = out + I_LCAr @ noise.Q @ I_LCAr.T
-    for j in range(1, r + 1):
-        W = L @ CA[r - j]
-        out = out + W @ noise.Q @ W.T
-    out = out + L @ noise.R @ L.T
-    return covariance_state(out)
+
+def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
+    """One covariance step F P F^T + W for an unbiased gain (see _error_terms), symmetrized."""
+    F, W = _error_terms(model, noise, r, L)
+    return covariance_state(F @ _p_matrix(P_prev, model.n) @ F.T + W)
 
 
 def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
                       P0=None, max_iter: int = 10000):
-    """Iterate gain and covariance to a fixed point.
+    """Gain and covariance at their fixed point, by policy iteration.
 
-    Returns (GainResult, CovarianceState, converged). Non-convergence
-    is information, not an error: systems with zeros on or outside the
-    unit circle legitimately diverge. The iteration stops early, with
-    the last gain, once the covariance overflows or the innovation
-    covariance turns singular, since nothing new is learned after that.
+    Returns (GainResult, CovarianceState, converged); non-convergence is
+    information, not an error. A round returns (minvar_gain(P), P), converged,
+    once one covariance step under that gain moves P by at most 1e-10 ||P||.
+    Otherwise a gain whose error map F is stable jumps to its exact
+    covariance, one Lyapunov solve P = F P F^T + W, and any other takes the
+    step. An unstable unique gain (rank S_r = l) returns at once with P0; an
+    overflow or a singular innovation covariance ends the run with the last
+    gain. max_iter caps the rounds.
     """
+    from scipy.linalg import solve_discrete_lyapunov   # slow to import; filter never gets here
+
     P = covariance_state(_p_matrix(P0, model.n))
     gain = minvar_gain(model, noise, r, P)
     for _ in range(max_iter):
-        P_next = covariance_update(model, noise, r, gain.L, P)
+        F, W = _error_terms(model, noise, r, gain.L)
+        stable = spectral_radius(F) < 1.0
+        if not stable and _profile(model).s_ranks[r] == model.l:
+            return gain, P, False
+        P_next = covariance_state(F @ P.P @ F.T + W)
         if not np.all(np.isfinite(P_next.P)) or P_next.trace > 1e30:
             return gain, P_next, False
-        gap = frob(P_next.P - P.P)
-        P = P_next
+        if frob(P_next.P - P.P) <= 1e-10 * frob(P.P):
+            return gain, P, True
+        P = covariance_state(solve_discrete_lyapunov(F, W)) if stable else P_next
         try:
             gain = minvar_gain(model, noise, r, P)
         except InnovationCovarianceSingular:
             return gain, P, False
-        if gap <= 1e-10 * (1.0 + frob(P.P)):
-            return gain, P, True
     return gain, P, False

@@ -219,12 +219,12 @@ def _steady_state_fact(r, expect_converged, rho=None, rho_tol=1e-4):
         gain, cov, converged = steady_state_gain(model, noise, r)
         if converged != expect_converged:
             return False, f"converged={converged}, expected {expect_converged}"
-        if rho is not None:
-            got = gain_spectral_radius(model, r, gain.L)
-            if abs(got - rho) > rho_tol:
-                return False, f"steady spectral radius {got:.6f}, expected {rho:.6f}"
-            return True, f"converged={converged}, spectral radius {got:.6f}"
-        return True, f"converged={converged}, trace {cov.trace:.3e}"
+        got = gain_spectral_radius(model, r, gain.L)
+        if rho is not None and abs(got - rho) > rho_tol:
+            return False, f"steady spectral radius {got:.6f}, expected {rho:.6f}"
+        if converged and rho is None:
+            return True, f"converged=True, trace {cov.trace:.3e}"
+        return True, f"converged={converged}, spectral radius {got:.6f}"
     return check
 
 

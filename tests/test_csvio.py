@@ -124,6 +124,15 @@ def test_measurements_fault_named_by_physical_line(tmp_path, bad_row, message):
         df.read_measurements(str(path), 1, 1)
 
 
+@pytest.mark.parametrize("body, line", [('"0\n",1\n1,abc\n', 4), ('0,1\n"1\n\n",abc\n', 3)])
+def test_measurements_fault_named_by_the_line_its_row_starts_on(tmp_path, body, line):
+    # a quoted field spanning lines counts every line it spans
+    path = tmp_path / "m.csv"
+    path.write_text("k,y1\n" + body)
+    with pytest.raises(df.DimensionMismatch, match=rf"m\.csv:{line}: non-numeric field$"):
+        df.read_measurements(str(path), 1, 0)
+
+
 def test_measurements_blank_rows_skipped(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("k,y1,u1\n\n0,1.5,2\n,,,\n , ,\n\n1,3,4\n,,\n\n")

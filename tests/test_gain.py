@@ -196,14 +196,106 @@ def test_steady_state_stops_at_the_iteration_cap():
 
 
 def test_steady_state_singular_innovation_is_not_converged():
-    # the unique gain of nonsquare12 is violently unstable, so the
-    # covariance grows until the innovation covariance is numerically
-    # singular; that ends the iteration as a non-convergence, not an error
+    # nonsquare12's gain is unique (rank S_1 = l) and violently unstable, so
+    # the run ends at once as a non-convergence, not an error, with the finite
+    # initial covariance; the singular-innovation exit itself is reached by
+    # test_steady_state_stops_when_the_innovation_covariance_turns_singular
     model, noise, _ = df.reference_example("nonsquare12")
     res, cov, converged = df.steady_state_gain(model, noise, 1, max_iter=2000)
     assert converged is False
     assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
     assert np.all(np.isfinite(cov.P))
+
+
+def _stepped_fixed_point(model, noise, r, max_iter=10000):
+    """(L, converged) of the plain gain/covariance recursion from P = I, one step a round."""
+    P = np.eye(model.n)
+    L = df.minvar_gain(model, noise, r, P).L
+    for _ in range(max_iter):
+        P_next = df.covariance_update(model, noise, r, L, P).P
+        if not np.isfinite(P_next).all() or np.trace(P_next) > 1e30:
+            return L, False
+        gap, P = np.linalg.norm(P_next - P), P_next
+        try:
+            L = df.minvar_gain(model, noise, r, P).L
+        except df.InnovationCovarianceSingular:
+            return L, False
+        if gap <= 1e-10 * (1.0 + np.linalg.norm(P)):
+            return L, True
+    return L, False
+
+
+def test_steady_state_matches_the_stepped_recursion():
+    rng = np.random.default_rng(13)
+    cases = converged_cases = 0
+    while cases < 40:
+        drawn = make_feasible_system(rng)
+        if drawn is None or drawn[0].l == drawn[0].p:
+            continue
+        model, noise = drawn[0], random_noise(rng, drawn[0])
+        for r in df.analyze_delays(model).feasible_delays:
+            cases += 1
+            L_ref, converged_ref = _stepped_fixed_point(model, noise, r)
+            res, cov, converged = df.steady_state_gain(model, noise, r)
+            assert converged is converged_ref
+            if converged:
+                converged_cases += 1
+                np.testing.assert_allclose(res.L, L_ref, rtol=0, atol=1e-6)
+                again = df.covariance_update(model, noise, r, res.L, cov.P).P
+                assert np.linalg.norm(again - cov.P) <= 1e-10 * np.linalg.norm(cov.P)
+    assert converged_cases >= 30
+
+
+def _count_minvar_calls(monkeypatch):
+    calls = []
+    minvar_gain = df.gain.minvar_gain
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minvar_gain(*args, **kwargs)
+
+    monkeypatch.setattr(df.gain, "minvar_gain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("example", ["nonminphase3", "nonsquare12"])
+def test_steady_state_stops_at_once_on_an_unstable_unique_gain(monkeypatch, example):
+    model, noise, _ = df.reference_example(example)
+    calls = _count_minvar_calls(monkeypatch)
+    _, cov, converged = df.steady_state_gain(model, noise, 1)
+    assert converged is False and len(calls) == 1
+    assert np.array_equal(cov.P, np.eye(model.n))
+
+
+def test_steady_state_on_a_stable_unique_gain_takes_at_most_three_gains(monkeypatch):
+    model, noise, _ = df.reference_example("minphase3")
+    calls = _count_minvar_calls(monkeypatch)
+    _, _, converged = df.steady_state_gain(model, noise, 1)
+    assert converged is True and len(calls) <= 3
+
+
+def test_steady_state_stops_when_the_innovation_covariance_turns_singular():
+    # a copy of nonsquare12's first output leaves the gain free (rank S_1 < l)
+    # but gives it no hold on the unstable modes, and the two copies' common
+    # part of the innovation covariance outgrows their independent noise
+    base, _, _ = df.reference_example("nonsquare12")
+    model = df.validate_model(base.A, base.H, np.vstack([base.C, base.C[:1]]))
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(model.n), R=1e-4 * np.eye(model.l))
+    res, cov, converged = df.steady_state_gain(model, noise, 1)
+    assert converged is False and np.all(np.isfinite(cov.P))
+    assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
+    with pytest.raises(df.InnovationCovarianceSingular):
+        df.minvar_gain(model, noise, 1, cov)
+
+
+def test_steady_state_stops_when_the_covariance_overflows():
+    # x2 is unstable and unobserved, so no gain reaches it, while the
+    # innovation covariance, which does not see x2, stays well conditioned
+    model = df.validate_model([[0.5, 0.0], [0.0, 2.0]], [[1.0], [1.0]], [[1.0, 0.0], [1.0, 0.0]])
+    noise = df.NoiseSpec(Q=1e-2 * np.eye(2), R=1e-2 * np.eye(2))
+    res, cov, converged = df.steady_state_gain(model, noise, 0)
+    assert converged is False and cov.trace > 1e30
+    assert df.gain_spectral_radius(model, 0, res.L) == pytest.approx(2.0)
 
 
 def test_minvar_singular_innovation_covariance_raises():
