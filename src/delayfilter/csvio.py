@@ -68,15 +68,16 @@ def _numeric(cells: list[str]) -> list[float]:
     return list(map(float, cells))
 
 
-def _scan(path, body: str, width: int) -> np.ndarray:
+def _scan(path, body: str, width: int, header_lines: int) -> np.ndarray:
     """The first `width` fields of body's rows as the csv module reads them.
 
     Skips blank rows and raises on the first short row, non-numeric field
-    or fractional k, in file order, or on a body with no data rows.
+    or fractional k, in file order, or on a body with no data rows. The
+    body starts after the header's header_lines physical lines.
     """
-    rows, reader, end = [], csv.reader(io.StringIO(body)), 0
+    rows, reader, end = [], csv.reader(io.StringIO(body)), header_lines
     for row in reader:      # a quoted field may span lines; name the line the row starts on
-        line_no, end = end + 2, reader.line_num
+        line_no, end = end + 1, header_lines + reader.line_num
         if _is_blank(row):
             continue
         if len(row) < width:
@@ -106,7 +107,8 @@ def read_measurements(path, l: int, m: int):
         raise MeasurementFileError(f"cannot read measurement file {path}: {exc}") from None
     with fh:
         try:
-            header = next(csv.reader(fh))
+            head = csv.reader(fh)
+            header = next(head)
             body = fh.read()
         except StopIteration:
             raise DimensionMismatch(f"{path}: empty file") from None
@@ -131,9 +133,9 @@ def read_measurements(path, l: int, m: int):
         data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=range(width),
                           quotechar='"', comments=None, ndmin=2)
     except ValueError:
-        data = _scan(path, body, width)
+        data = _scan(path, body, width, head.line_num)
     if not np.array_equal(data[:, 0], np.arange(len(data))):
-        _scan(path, body, width)         # names a fractional k before the gap
+        _scan(path, body, width, head.line_num)     # names a fractional k before the gap
         raise DimensionMismatch(f"{path}: k column must run 0..T without gaps")
     samples = data[:, 1:]
     bad = np.argwhere(~np.isfinite(samples))

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionViolated
+
 SINE = "sine"
 SAWTOOTH = "sawtooth"
 STEP = "step"
@@ -18,7 +20,7 @@ PRBS = "prbs"
 GAUSSIAN = "gaussian"
 KINDS = (SINE, SAWTOOTH, STEP, CONSTANT, PRBS, GAUSSIAN)
 
-_RANDOM_KINDS = (PRBS, GAUSSIAN)
+RANDOM_KINDS = (PRBS, GAUSSIAN)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,8 @@ def parse_signal_spec(text: str) -> SignalSpec:
 def signal_values(spec: SignalSpec, T: int, rng=None) -> np.ndarray:
     """Evaluate the signal at k = 0..T.
 
-    prbs and gaussian need the rng; sine and friends ignore it, so the
+    prbs and gaussian (RANDOM_KINDS) draw from the rng and raise
+    PreconditionViolated without one; sine and friends ignore it, so the
     deterministic kinds are reproducible without any seed bookkeeping.
     """
     k = np.arange(T + 1, dtype=float)
@@ -85,7 +88,7 @@ def signal_values(spec: SignalSpec, T: int, rng=None) -> np.ndarray:
     if spec.kind == CONSTANT:
         return np.full(T + 1, a)
     if rng is None:
-        rng = np.random.default_rng(0)
+        raise PreconditionViolated(f"a {spec.kind} signal needs an rng to draw from")
     if spec.kind == PRBS:
         hold = max(1, int(round(spec.period)))
         ndraws = (T + 1 + hold - 1) // hold + 1

@@ -2,16 +2,19 @@
 
 simulate() realizes the system recursion exactly, so trajectory
 residuals are zero by construction and every run is reproducible from
-its seed. It is two stages: _draw() takes one trial's noise and signal
-samples from substreams of the seed, and _propagate() runs the state
-recursion over arrays that may carry a leading trial axis.
+its seed. It is two stages: _draw() takes a batch of seeds and returns
+each one's noise and signal samples on a leading trial axis, and
+_propagate() runs the state recursion over the batch, time-major. A seed
+is an int, a list of ints or a SeedSequence; substream i of a seed is the
+child seed.spawn would hand out i-th, built without advancing the seed,
+so one seed always gives one trajectory.
 
 run_experiment() drives the filter over a trajectory with run_filter()
 and scores it against the truth. monte_carlo_bias() repeats that over
-many seeded noise realizations to estimate the error bias: it draws
-each trial in turn, then propagates and filters all trials together in
-one pass. A trial drawn by monte_carlo_bias is the trajectory simulate()
-returns for the same substream.
+many seeded noise realizations to estimate the error bias: trial t
+draws from child t of the seed, and all trials are drawn, propagated
+and filtered together in one pass. A trial drawn by monte_carlo_bias is
+the trajectory simulate() returns for the same child.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionV
 from .filtering import FilterConfig, run_filter
 from .linalg import psd_factor, readonly
 from .model import NoiseSpec, SystemModel, validate_model
-from .signals import SignalSpec, signal_values
+from .signals import RANDOM_KINDS, SignalSpec, signal_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,46 +101,55 @@ def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
     return T, e_signals, u_signals
 
 
-def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seed):
-    """One trial's inputs (w, v, e, u), each with T+1 rows.
+def _sequence(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
-    The seed spawns 2 + p + m substreams in a fixed order: w, v, the e
-    channels, then the u channels. Keeping that order keeps every seed's
-    trajectory unchanged.
+
+def _child(seed, i: int) -> np.random.SeedSequence:
+    """Child i of the seed: what seed.spawn would hand out i-th, built without advancing it."""
+    ss = _sequence(seed)
+    return np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
+                                  spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
+
+
+def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seeds):
+    """Each seed's inputs (w, v, e, u), stacked on a leading trial axis.
+
+    A seed's children feed w, v, the e channels, then the u channels, in
+    that order, and only the ones a trial reads are built: w and v with
+    noise on, and the prbs and gaussian channels. Any other channel is
+    evaluated once for all trials. The order keeps every seed's trajectory.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(2 + model.p + model.m)
+    w, v = np.zeros((len(seeds), T + 1, model.n)), np.zeros((len(seeds), T + 1, model.l))
     if factors is not None:
-        Gw, Gv = factors
-        w = np.random.default_rng(children[0]).standard_normal((T + 1, model.n)) @ Gw.T
-        v = np.random.default_rng(children[1]).standard_normal((T + 1, model.l)) @ Gv.T
-    else:
-        w = np.zeros((T + 1, model.n))
-        v = np.zeros((T + 1, model.l))
-
-    def channels(specs, first):
-        if not specs:
-            return np.zeros((T + 1, 0))
-        return np.column_stack([
-            signal_values(spec, T, rng=np.random.default_rng(children[first + c]))
-            for c, spec in enumerate(specs)
-        ])
-
-    return w, v, channels(e_signals, 2), channels(u_signals, 2 + model.p)
+        for t, seed in enumerate(seeds):
+            np.random.default_rng(_child(seed, 0)).standard_normal(out=w[t])
+            np.random.default_rng(_child(seed, 1)).standard_normal(out=v[t])
+        w, v = w @ factors[0].T, v @ factors[1].T
+    ch = np.empty((len(seeds), T + 1, model.p + model.m))
+    for c, spec in enumerate(e_signals + u_signals):
+        if spec.kind in RANDOM_KINDS:
+            for t, seed in enumerate(seeds):
+                ch[t, :, c] = signal_values(spec, T, np.random.default_rng(_child(seed, 2 + c)))
+        else:
+            ch[:, :, c] = signal_values(spec, T)
+    return w, v, ch[..., :model.p], ch[..., model.p:]
 
 
 def _propagate(model: SystemModel, x0, w, v, e, u):
     """(x, y) from x[k+1] = A x + B u + H e + w and y = C x + D u + v.
 
     The inputs have T+1 rows, optionally behind a leading trial axis;
-    x0 is (n,) or one row per trial. Row T of w is unused.
+    x0 is (n,) or one row per trial. Row T of w is unused. The recursion
+    runs time-major, over one contiguous (trials, n) slice per step.
     """
-    drive = u @ model.B.T + e @ model.H.T + w
-    x = np.empty(w.shape)
-    x[..., 0, :] = x0
+    drive = np.ascontiguousarray(np.moveaxis(u @ model.B.T + e @ model.H.T + w, -2, 0))
+    xt = np.empty_like(drive)
+    xt[0] = x0
     At = model.A.T
-    for k in range(w.shape[-2] - 1):
-        x[..., k + 1, :] = x[..., k, :] @ At + drive[..., k, :]
+    for k in range(len(xt) - 1):
+        xt[k + 1] = xt[k] @ At + drive[k]
+    x = np.moveaxis(xt, 0, -2)
     return x, x @ model.C.T + u @ model.D.T + v
 
 
@@ -148,11 +160,12 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     e_signals must give one SignalSpec per unknown-input channel, and
     u_signals one per known-input channel (omitted means zero known
     input). Noise and stochastic signal channels draw from independent
-    substreams spawned off the seed, so runs are byte-reproducible.
+    children of the seed, which is not advanced, so runs are
+    byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     factors = _noise_factors(noise, noise_on)
-    w, v, e, u = _draw(model, factors, e_signals, u_signals, T, seed)
+    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, [seed]))
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
         raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
@@ -246,7 +259,7 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
                      signals, trials: int, T: int, seed=0, ks=None) -> BiasReport:
     """Estimate the state-error bias over independent noise realizations.
 
-    Each trial draws its own substream from the seed; the truth starts
+    Trial t draws from child t of the seed (see simulate); the truth starts
     at zero and the filter is seeded exactly, so any systematic offset
     in the mean error indicts the gain, not the setup. Use at least a
     few hundred trials for the 4-sigma flag to mean anything.
@@ -265,9 +278,9 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
 
     T, signals, u_signals = _check_signals(model, signals, None, T)
     factors = _noise_factors(noise, True)
-    draws = [_draw(model, factors, signals, u_signals, T, s)
-             for s in np.random.SeedSequence(seed).spawn(trials)]
-    w, v, e, u = (np.stack(a) for a in zip(*draws))
+    root = _sequence(seed)
+    w, v, e, u = _draw(model, factors, signals, u_signals, T,
+                       [_child(root, t) for t in range(trials)])
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
     run = run_filter(model, noise, config, y, u)
     idx = np.asarray(ks)

@@ -133,6 +133,14 @@ def test_measurements_fault_named_by_the_line_its_row_starts_on(tmp_path, body, 
         df.read_measurements(str(path), 1, 0)
 
 
+def test_measurements_lines_counted_from_a_multiline_header(tmp_path):
+    # a quoted header field spanning lines shifts every body line by one
+    path = tmp_path / "m.csv"
+    path.write_text('k,y1,"x1\n"\n0,1,2\n1,abc,3\n')
+    with pytest.raises(df.DimensionMismatch, match=r"m\.csv:4: non-numeric field$"):
+        df.read_measurements(str(path), 1, 0)
+
+
 def test_measurements_blank_rows_skipped(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("k,y1,u1\n\n0,1.5,2\n,,,\n , ,\n\n1,3,4\n,,\n\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter import sim
 from delayfilter.linalg import psd_factor
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -65,6 +66,12 @@ def test_gaussian_needs_rng_and_scales():
     assert abs(float(np.std(v)) - 0.1) < 0.01
 
 
+@pytest.mark.parametrize("text", ["prbs:1:5", "gaussian:0.1"])
+def test_random_signals_need_an_rng(text):
+    with pytest.raises(df.PreconditionViolated, match="needs an rng"):
+        df.signal_values(df.parse_signal_spec(text), 10)
+
+
 # -- simulate ----------------------------------------------------------------
 
 def test_simulate_shapes_and_noiseless():
@@ -111,6 +118,40 @@ def test_simulate_draw_order():
         assert np.allclose(traj.y[k], model.C @ x + model.D @ traj.u[k] + v[k],
                            rtol=0, atol=1e-12)
         x = model.A @ x + model.B @ traj.u[k] + model.H @ traj.e[k] + w[k]
+
+    # _draw follows the same recipe for each seed of a batch, row by row; a
+    # deterministic channel takes no substream, and no seed is advanced
+    sine = df.parse_signal_spec("sine:1:7")
+    seeds = [5, [3, 4], np.random.SeedSequence(9)]
+    for factors in (sim._noise_factors(noise, True), None):
+        w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, seeds)
+        assert w.shape == (3, 31, 2) and v.shape == (3, 31, 1)
+        assert e.shape == u.shape == (3, 31, 1)
+        for t, root in enumerate([5, [3, 4], 9]):
+            w_ss, v_ss, _, u_ss = np.random.SeedSequence(root).spawn(4)
+            if factors is None:
+                assert not w[t].any() and not v[t].any()
+            else:
+                assert np.array_equal(w[t], rng(w_ss).standard_normal((31, 2)) @ factors[0].T)
+                assert np.array_equal(v[t], rng(v_ss).standard_normal((31, 1)) @ factors[1].T)
+            assert np.array_equal(e[t, :, 0], df.signal_values(sine, 30))
+            assert np.array_equal(u[t, :, 0], df.signal_values(u_spec, 30, rng=rng(u_ss)))
+    assert seeds[2].n_children_spawned == 0
+
+
+def test_simulate_leaves_a_seed_sequence_as_it_was():
+    # a SeedSequence seed hands out the children it would spawn next, without spawning them
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    sigs = [df.parse_signal_spec("prbs:1:7")]
+    ss = np.random.SeedSequence(3)
+    ss.spawn(2)
+    a = df.simulate(E1, noise, sigs, 40, seed=ss)
+    b = df.simulate(E1, noise, sigs, 40, seed=ss)
+    assert ss.n_children_spawned == 2
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    w_ss = np.random.SeedSequence(3, spawn_key=(2,))
+    w = np.random.default_rng(w_ss).standard_normal((41, 2)) @ psd_factor(noise.Q).T
+    assert np.array_equal(a.w, w)
 
 
 def test_simulate_noise_requires_spec():
@@ -250,6 +291,22 @@ def test_monte_carlo_bias_matches_per_trial_loop(case):
     assert np.max(np.abs(report.mean - mean)) <= 1e-12
     assert np.max(np.abs(report.stderr - stderr) / stderr) <= 1e-9
     assert np.array_equal(report.flagged, flagged)
+
+
+def test_monte_carlo_bias_takes_a_seed_sequence():
+    # trial t draws from child t of the SeedSequence, which is left as it was
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+    signals = [df.parse_signal_spec("prbs:1:5")]
+    ss = np.random.SeedSequence(3)
+    runs = [df.monte_carlo_bias(E1, noise, config, signals, trials=10, T=30, seed=seed)
+            for seed in (3, ss, ss)]
+    assert ss.n_children_spawned == 0
+    for report in runs[1:]:
+        assert np.array_equal(report.mean, runs[0].mean)
+        assert np.array_equal(report.stderr, runs[0].stderr)
 
 
 def test_monte_carlo_bias_sample_times_checked():
