@@ -46,15 +46,14 @@ from .gain import (
     minvar_gain,
     square_gain,
     _checked_residual,
-    _delay,
 )
 from .linalg import frob, is_symmetric, pinv_cut, readonly, spectral_radius
+from .markov import _delay
 from .model import NoiseSpec, SystemModel
 
 FIXED_SQUARE = "FixedSquare"
 TIME_VARYING_MINVAR = "TimeVaryingMinVar"
 FIXED_USER_SUPPLIED = "FixedUserSupplied"
-GAIN_MODES = (FIXED_SQUARE, TIME_VARYING_MINVAR, FIXED_USER_SUPPLIED)
 
 DEADBEAT = "DeadbeatUnbiased"
 ASYMPTOTIC = "AsymptoticallyUnbiased"
@@ -447,6 +446,8 @@ def predicted_error_sequence(model: SystemModel, r: int, L, eps0, T: int) -> np.
     running filter, which makes overlay comparisons against simulated
     errors meaningful.
     """
+    if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 0:
+        raise DimensionMismatch(f"T must be an integer >= 0, got {T!r}")
     eps = _as_vector(eps0, model.n, "eps0")
     M = error_dynamics_matrix(model, r, L)
     out = np.empty((T + 1, model.n))

@@ -7,12 +7,13 @@ trace of the delayed error covariance via a Lagrangian with a
 pseudoinverse multiplier. covariance_update propagates the covariance
 for any constrained gain, and steady_state_gain finds the pair's fixed
 point by policy iteration (Hewer, IEEE TAC 16(4), 1971) when one exists.
+Every constant the constraint fixes at a delay, its verdict included, is
+read from the model's profile in markov (_delay).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,11 +26,10 @@ from .errors import (
     PreconditionViolated,
     SingularMarkovParameter,
 )
-from .linalg import frob, pinv_cut, readonly, spectral_radius
-from .markov import _check_delay, _profile
+from .linalg import frob, pinv_cut, spectral_radius
+from .markov import _Delay, _delay, _profile
 from .model import NoiseSpec, SystemModel
 
-RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
 COND_LIMIT = 1e12             # of the innovation covariance V
 
 SQUARE_INVERSE = "SquareInverse"
@@ -67,45 +67,7 @@ def _p_matrix(P_prev, n: int) -> np.ndarray:
 
 def constraint_target(model: SystemModel, r: int) -> np.ndarray:
     """[H 0 ... 0], the right-hand side of the unbiasedness constraint."""
-    return np.hstack([model.H] + [np.zeros((model.n, model.p))] * r)
-
-
-@dataclass(frozen=True, eq=False)
-class _Delay:
-    """Everything the constraint L S_r = [H 0 ... 0] fixes at one (model, r)."""
-
-    r: int
-    feasible: bool                      # an unbiased gain exists at r
-    CA: tuple                           # C A^j for j = 0..r+1
-    blocks: tuple                       # C A^j H for j = 0..r
-    lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
-    S: np.ndarray                       # [CA^rH ... CH]
-    S_pinv: np.ndarray
-    H0: np.ndarray                      # [H 0 ... 0]
-    tol: float                          # residual tolerance of the constraint
-
-
-@lru_cache(maxsize=16)
-def _delay(model: SystemModel, r: int) -> _Delay:
-    """The constants at (model, r), built once per model object.
-
-    Feasibility and the blocks come from the model's rank profile. Models
-    hash by identity and their arrays are read-only, so an entry never goes
-    stale; the bound keeps runs over many models from holding them all.
-    """
-    _check_delay(model, r)
-    profile = _profile(model)
-    blocks = profile.blocks[:r + 1]
-    CA = [model.C]
-    for _ in range(r + 1):
-        CA.append(CA[-1] @ model.A)
-    S = np.hstack(blocks[::-1])
-    return _Delay(r=int(r), feasible=r in profile.feasible,
-                  CA=tuple(map(readonly, CA)), blocks=blocks,
-                  lower_nonzero=next((d for d in range(r) if profile.markov_ranks[d]), None),
-                  S=readonly(S), S_pinv=readonly(pinv_cut(S)),
-                  H0=readonly(constraint_target(model, r)),
-                  tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
+    return _delay(model, r).H0.copy()
 
 
 def unbiasedness_residual(model: SystemModel, r: int, L) -> float:

@@ -1,11 +1,11 @@
-"""Markov-parameter rank analysis.
+"""Markov-parameter rank analysis and the constants of the unbiasedness constraint.
 
 Decides which reconstruction delays r admit an unbiased gain, reports
 the smallest one, and separately reports the delays from which the
 input sequence is recoverable at all (a strictly weaker property; see
 the bundled 4-state counterexample in the registry). Every verdict on a
-delay, here and in the gain functions, is read from one rank profile
-per model (_profile).
+delay and every constant the constraint L S_r = [H 0 ... 0] fixes at it,
+here and in the gain functions, is read from one profile per model.
 """
 
 from __future__ import annotations
@@ -17,18 +17,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DelayOutOfRange
-from .linalg import RANK_RCOND, numerical_rank, readonly
+from .linalg import RANK_RCOND, frob, numerical_rank, pinv_cut
 from .model import SystemModel
+
+RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
 
 
 def markov_parameter(model: SystemModel, d: int) -> np.ndarray:
-    """C A^d H."""
+    """C A^d H for 0 <= d <= n, read-only."""
     return markov_blocks(model, d)[-1]
 
 
 def markov_blocks(model: SystemModel, dmax: int) -> list[np.ndarray]:
-    """[CH, CAH, ..., CA^dmax H] sharing the intermediate products."""
-    return _blocks_and_scales(model, dmax)[0]
+    """[CH, CAH, ..., CA^dmax H] for 0 <= dmax <= n, read-only.
+
+    By Cayley-Hamilton a block beyond n is a combination of the ones before it.
+    """
+    if not 0 <= dmax <= model.n:
+        raise DelayOutOfRange(f"Markov parameter index {dmax} outside 0..{model.n}")
+    return list(_profile(model).blocks[:dmax + 1])
 
 
 def _check_delay(model: SystemModel, r: int) -> None:
@@ -36,22 +43,10 @@ def _check_delay(model: SystemModel, r: int) -> None:
         raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
 
 
-def _blocks_and_scales(model: SystemModel, dmax: int):
-    """Markov blocks plus the analytic size ||C||*||A^d H|| of each.
-
-    Rank decisions on these blocks cannot use a tolerance relative to the
-    computed matrix itself: a block that is zero in exact arithmetic comes
-    out as O(eps)*||C||*||A^d H|| rounding dust, and dust has a perfectly
-    good largest singular value of its own. The analytic size is what the
-    dust is small relative to.
-    """
-    if dmax < 0:
-        raise DelayOutOfRange(f"Markov parameter index must be >= 0, got {dmax}")
-    powers = [model.H]                  # A^d H, by repeated multiplication of A onto H
-    for _ in range(dmax):
-        powers.append(model.A @ powers[-1])
-    c_norm = float(np.linalg.norm(model.C))
-    return [model.C @ X for X in powers], [c_norm * float(np.linalg.norm(X)) for X in powers]
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A freshly computed array, with its write flag cleared in place."""
+    a.setflags(write=False)
+    return a
 
 
 def _anchored_rank(matrix: np.ndarray, scale: float) -> int:
@@ -68,8 +63,7 @@ def _rank_steps(ranks, p: int) -> tuple:
 
 def markov_row_stack(model: SystemModel, r: int) -> np.ndarray:
     """The l x (r+1)p block row [CA^rH  CA^(r-1)H  ...  CH]."""
-    _check_delay(model, r)
-    return np.hstack(markov_blocks(model, r)[::-1])
+    return _delay(model, r).S.copy()
 
 
 def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
@@ -78,10 +72,24 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
     Block (i, j) is CA^(i-j)H for i >= j and zero above the diagonal,
     so row block i collects the output contribution of inputs 0..i.
     """
-    _check_delay(model, r)
-    blocks, zero = markov_blocks(model, r), np.zeros((model.l, model.p))
+    blocks, zero = _delay(model, r).blocks, np.zeros((model.l, model.p))
     return np.block([[blocks[i - j] if i >= j else zero for j in range(r + 1)]
                      for i in range(r + 1)])
+
+
+@dataclass(frozen=True, eq=False)
+class _Delay:
+    """Everything the constraint L S_r = [H 0 ... 0] fixes at one (model, r), read-only."""
+
+    r: int
+    feasible: bool                      # an unbiased gain exists at r
+    CA: tuple                           # C A^j for j = 0..r+1
+    blocks: tuple                       # C A^j H for j = 0..r
+    lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
+    S: np.ndarray                       # [CA^rH ... CH], contiguous
+    S_pinv: np.ndarray | None           # S^+ where r is feasible, else None
+    H0: np.ndarray                      # [H 0 ... 0]
+    tol: float                          # residual tolerance of the constraint
 
 
 class _Profile(NamedTuple):
@@ -92,24 +100,47 @@ class _Profile(NamedTuple):
     markov_ranks: tuple                 # rank C A^d H for d = 0..n
     s_ranks: tuple                      # rank S_r for r = 0..n-1
     feasible: tuple                     # every r with rank S_r - rank S_(r-1) = p
+    delays: tuple                       # the _Delay of r for r = 0..n-1
 
 
 @lru_cache(maxsize=16)
 def _profile(model: SystemModel) -> _Profile:
-    """The rank profile of a model, built once per model object.
+    """The rank profile and constraint constants of a model, built once per model object.
 
-    S_r = [CA^rH ... CH] is the last (r+1)p columns of S_(n-1), ranked at
-    the largest scale among its blocks. Models hash by identity and their
-    arrays are read-only, so an entry never goes stale.
+    S_r = [CA^rH ... CH] is ranked at the largest analytic size ||C|| ||A^d H||
+    among its blocks: a block that is zero in exact arithmetic comes out as
+    rounding dust of that size, with a perfectly good largest singular value
+    of its own. Models hash by identity and their arrays are read-only, so an
+    entry never goes stale; the bound keeps runs over many models from holding
+    them all.
     """
     n, p = model.n, model.p
-    blocks, scales = _blocks_and_scales(model, n)
-    S = np.hstack(blocks[n - 1::-1])
-    s_ranks = tuple(_anchored_rank(S[:, (n - 1 - r) * p:], max(scales[:r + 1]))
-                    for r in range(n))
-    return _Profile(blocks=tuple(map(readonly, blocks)), scales=tuple(scales),
-                    markov_ranks=tuple(map(_anchored_rank, blocks, scales)),
-                    s_ranks=s_ranks, feasible=_rank_steps(s_ranks, p))
+    powers, CA = [model.H], [model.C]   # A^d H and C A^d, by repeated multiplication
+    for _ in range(n):
+        powers.append(model.A @ powers[-1])
+        CA.append(_sealed(CA[-1] @ model.A))
+    c_norm = float(np.linalg.norm(model.C))
+    scales = tuple(c_norm * float(np.linalg.norm(X)) for X in powers)
+    blocks = tuple(_sealed(model.C @ X) for X in powers)
+    markov_ranks = tuple(map(_anchored_rank, blocks, scales))
+    S = [_sealed(np.hstack(blocks[r::-1])) for r in range(n)]
+    s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
+    feasible = _rank_steps(s_ranks, p)
+    H0 = _sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))]))
+    delays = tuple(
+        _Delay(r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), blocks=blocks[:r + 1],
+               lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
+               S=S[r], S_pinv=_sealed(pinv_cut(S[r])) if r in feasible else None,
+               H0=H0[:, :(r + 1) * p], tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
+        for r in range(n))
+    return _Profile(blocks=blocks, scales=scales, markov_ranks=markov_ranks,
+                    s_ranks=s_ranks, feasible=feasible, delays=delays)
+
+
+def _delay(model: SystemModel, r: int) -> _Delay:
+    """The constraint constants at (model, r), from the model's profile."""
+    _check_delay(model, r)
+    return _profile(model).delays[r]
 
 
 def exists_unbiased_gain(model: SystemModel, r: int, check_range: bool = True) -> bool:

@@ -169,6 +169,8 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
         raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
+    if not np.isfinite(start).all():
+        raise DimensionMismatch("x0 must be finite")
     x, y = _propagate(model, start.reshape(model.n), w, v, e, u)
     return Trajectory(T=T, x=readonly(x), y=readonly(y), e=readonly(e),
                       u=readonly(u), w=readonly(w), v=readonly(v), seed=seed)
@@ -264,7 +266,8 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     in the mean error indicts the gain, not the setup. Use at least a
     few hundred trials for the 4-sigma flag to mean anything.
     """
-    T, trials = _integer("T", T), _integer("trials", trials)
+    T, signals, u_signals = _check_signals(model, signals, None, T)
+    trials = _integer("trials", trials)
     if ks is None:
         ks = (max(1, T // 4), max(1, T // 2), T)
     ks = tuple(_integer("bias sample time", k) for k in ks)
@@ -276,7 +279,6 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    T, signals, u_signals = _check_signals(model, signals, None, T)
     factors = _noise_factors(noise, True)
     root = _sequence(seed)
     w, v, e, u = _draw(model, factors, signals, u_signals, T,

@@ -5,6 +5,7 @@ import pytest
 
 import delayfilter as df
 from conftest import make_feasible_system
+from delayfilter.gain import constraint_target
 
 # 2-state system with CH = 0 and CAH = 1: feasible exactly at delay 1
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -17,10 +18,38 @@ def test_markov_parameter_values():
 
 
 def test_markov_blocks_prefix():
-    blocks = df.markov_blocks(E1, 3)
-    assert len(blocks) == 4
+    blocks = df.markov_blocks(E1, E1.n)
+    assert len(blocks) == E1.n + 1
     for d, blk in enumerate(blocks):
         assert np.allclose(blk, df.markov_parameter(E1, d))
+        assert not blk.flags.writeable and not df.markov_parameter(E1, d).flags.writeable
+    for index in (-1, E1.n + 1):
+        with pytest.raises(df.DelayOutOfRange):
+            df.markov_blocks(E1, index)
+        with pytest.raises(df.DelayOutOfRange):
+            df.markov_parameter(E1, index)
+    # more models than the profile cache keeps, each visited twice in turn,
+    # against the matrix powers written out
+    rng = np.random.default_rng(15)
+    models = []
+    while len(models) < 20:
+        drawn = make_feasible_system(rng)
+        if drawn is not None:
+            models.append(drawn[0])
+    for _ in range(2):
+        for model in models:
+            n, p = model.n, model.p
+            want = [model.C @ np.linalg.matrix_power(model.A, d) @ model.H for d in range(n + 1)]
+            np.testing.assert_allclose(df.markov_blocks(model, n), want, rtol=1e-9, atol=1e-12)
+            for r in range(n):
+                S, H0 = df.markov_row_stack(model, r), constraint_target(model, r)
+                np.testing.assert_allclose(S, np.hstack(want[r::-1]), rtol=1e-9, atol=1e-12)
+                assert np.array_equal(H0, np.hstack([model.H, np.zeros((n, r * p))]))
+                assert S.flags.writeable and H0.flags.writeable
+                T = np.block([[want[i - j] if i >= j else np.zeros((model.l, p))
+                               for j in range(r + 1)] for i in range(r + 1)])
+                np.testing.assert_allclose(df.markov_toeplitz(model, r), T,
+                                           rtol=1e-9, atol=1e-12)
 
 
 def test_row_stack_orders_highest_power_first():

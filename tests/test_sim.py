@@ -176,6 +176,13 @@ def test_simulate_channel_count_checked():
         assert df.simulate(E1, None, sigs[:1], T, noise_on=False).y.shape == (11, 1)
 
 
+def test_simulate_rejects_a_nonfinite_x0():
+    sigs = [df.parse_signal_spec("sine:1:40")]
+    for x0 in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(df.DimensionMismatch, match="x0 must be finite"):
+            df.simulate(E1, None, sigs, 10, x0=x0, noise_on=False)
+
+
 # -- compartmental builder ---------------------------------------------------
 
 def test_compartmental_structure():
@@ -326,6 +333,9 @@ def test_monte_carlo_bias_sample_times_checked():
             df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
     for T in (60.5, "60"):
         with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=T)
+    for T in (0, -3):         # the default sample times are built from T
+        with pytest.raises(df.DimensionMismatch, match="T must be >= 1"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=T)
 
 
