@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DelayOutOfRange,
     DimensionMismatch,
     InfeasibleDelay,
     InnovationCovarianceSingular,
@@ -46,6 +47,7 @@ from .gain import (
     minvar_gain,
     square_gain,
     _checked_residual,
+    _overflowed,
 )
 from .linalg import frob, is_symmetric, pinv_cut, readonly, spectral_radius
 from .markov import _delay
@@ -153,10 +155,11 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     dynamics instead of being fixed during warm-up.
     """
     r = config.r
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise InfeasibleDelay(f"delay must be an integer, got {r!r}")
-    if not (0 <= r < model.n and _delay(model, int(r)).feasible):
-        raise InfeasibleDelay(f"no unbiased gain exists at delay {r}")
+    try:
+        if not _delay(model, r).feasible:
+            raise InfeasibleDelay(f"no unbiased gain exists at delay {r}")
+    except DelayOutOfRange as exc:
+        raise InfeasibleDelay(str(exc)) from None
     r = int(r)
 
     x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
@@ -182,8 +185,6 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
         L = np.asarray(config.gain, dtype=float)
-        if L.shape != (model.n, model.l):
-            raise DimensionMismatch(f"gain must be {(model.n, model.l)}, got {L.shape}")
         # a biased gain would silently invalidate every emitted estimate
         _checked_residual(model, r, L, "supplied gain violates the unbiasedness constraint")
         ops = _new_plan(model, r, L)
@@ -259,8 +260,9 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     """One time-varying gain step: the next gain, its update map and covariance.
 
     The gain freezes once the covariance recursion reaches its fixed point
-    to FREEZE_RTOL, and keeps the last gain once the innovation covariance
-    turns singular, as under a divergent gain: divergence is information.
+    to FREEZE_RTOL or overflows (gain.COVARIANCE_CAP), and keeps the last
+    gain once the innovation covariance turns singular, as under a divergent
+    gain: divergence is information.
     """
     model, noise, P = ops.model, ops.noise, gain.P
     try:
@@ -269,7 +271,8 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
         return gain._replace(frozen=True)
     P_next = covariance_update(model, noise, ops.r, L, P)
     P_next.P.setflags(write=False)      # shared by every session of the plan
-    frozen = frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P))
+    frozen = (_overflowed(P_next)
+              or frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P)))
     return _Gain(readonly(L), _update_map(ops.At, ops.CA_rp1t, ops.Gd, L), P_next, frozen)
 
 

@@ -8,7 +8,9 @@ pseudoinverse multiplier. covariance_update propagates the covariance
 for any constrained gain, and steady_state_gain finds the pair's fixed
 point by policy iteration (Hewer, IEEE TAC 16(4), 1971) when one exists.
 Every constant the constraint fixes at a delay, its verdict included, is
-read from the model's profile in markov (_delay).
+read from the model's profile in markov (_delay). The noise structure is
+one map per delay, Eb = [CA^r ... CA C | I]: the innovation covariance,
+its cross term and the covariance step all read it (_noise_covariance).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ConstraintViolated,
+    DimensionMismatch,
     InnovationCovarianceSingular,
     LowerMarkovNonzero,
     NotSquare,
@@ -31,6 +34,7 @@ from .markov import _Delay, _delay, _profile
 from .model import NoiseSpec, SystemModel
 
 COND_LIMIT = 1e12             # of the innovation covariance V
+COVARIANCE_CAP = 1e30         # of a covariance's trace: past it the recursion has overflowed
 
 SQUARE_INVERSE = "SquareInverse"
 MINVAR_LAGRANGIAN = "MinVarLagrangian"
@@ -57,12 +61,19 @@ def covariance_state(P) -> CovarianceState:
     return CovarianceState(P=P, trace=float(np.trace(P)))
 
 
+def _overflowed(P: CovarianceState) -> bool:
+    """True once P is not finite or its trace passes COVARIANCE_CAP."""
+    return P.trace > COVARIANCE_CAP or not np.isfinite(P.P).all()
+
+
 def _p_matrix(P_prev, n: int) -> np.ndarray:
+    """P_prev as a finite (n, n) matrix, the identity when omitted."""
     if P_prev is None:
         return np.eye(n)
-    if isinstance(P_prev, CovarianceState):
-        return P_prev.P
-    return np.asarray(P_prev, dtype=float)
+    P = P_prev.P if isinstance(P_prev, CovarianceState) else np.asarray(P_prev, dtype=float)
+    if P.shape != (n, n) or not np.isfinite(P).all():
+        raise DimensionMismatch(f"covariance must be a finite {(n, n)} matrix, got {P.shape}")
+    return P
 
 
 def constraint_target(model: SystemModel, r: int) -> np.ndarray:
@@ -77,7 +88,9 @@ def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
 
 
 def _checked_residual(model: SystemModel, r: int, L, what: str) -> float:
-    """The residual of L; ConstraintViolated if L is not finite or its residual is too large."""
+    """The residual of an n x l gain L; ConstraintViolated if L is not finite or biased."""
+    if np.shape(L) != (model.n, model.l):
+        raise DimensionMismatch(f"{what}: gain must be {(model.n, model.l)}, got {np.shape(L)}")
     if not np.isfinite(L).all():        # a NaN residual would pass the comparison below
         raise ConstraintViolated(f"{what}: gain is not finite")
     residual, tol = unbiasedness_residual(model, r, L), _delay(model, r).tol
@@ -107,22 +120,26 @@ def square_gain(model: SystemModel, r: int) -> GainResult:
     return GainResult(L=L, residual=residual, method=method)
 
 
-def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
-    """(V, T A^rT C^T) with T = Q + A P A^T; the innovation covariance V must be nonsingular.
+def _noise_covariance(E: np.ndarray, Caa: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """E blkdiag(Caa, Q, ..., Q, R) E^T for E with n + jn + l columns, j >= 0."""
+    n, l = Caa.shape[0], noise.R.shape[0]
+    mid = E[:, n:-l]                    # the Q blocks, one row of n columns per lag
+    EC = np.concatenate((E[:, :n] @ Caa, (mid.reshape(-1, n) @ noise.Q).reshape(mid.shape),
+                         E[:, -l:] @ noise.R), axis=1)
+    return EC @ E.T
 
-    V = CA^r T A^rT C^T + sum_j CA^(r-j) Q A^(r-j)T C^T + R, j = 1..r.
-    """
+
+def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
+    """(V, G): the nonsingular innovation covariance and G = Caa (CA^r)^T, its cross
+    covariance with a = A eps_(k-1) + w_(k-r-1). Eb maps [a, w_(k-r), ..., w_(k-1), v_k],
+    taken as uncorrelated, to the input-free innovation; Caa = Q + A P A^T."""
     P = _p_matrix(P_prev, model.n)
-    T = noise.Q + model.A @ P @ model.A.T
-    CA, r = d.CA, d.r
-    V = CA[r] @ T @ CA[r].T + noise.R
-    for j in range(1, r + 1):
-        W = CA[r - j]
-        V = V + W @ noise.Q @ W.T
+    Caa = noise.Q + model.A @ P @ model.A.T
+    V = _noise_covariance(d.Eb, Caa, noise)
     V = 0.5 * (V + V.T)
     if np.linalg.cond(V) > COND_LIMIT:
         raise InnovationCovarianceSingular("innovation covariance is numerically singular")
-    return V, T @ CA[r].T
+    return V, Caa @ d.CA[d.r].T
 
 
 def _polished(model: SystemModel, d: _Delay, L, method: str) -> GainResult:
@@ -186,21 +203,20 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
     return _polished(model, d, L, SIMPLIFIED_MINVAR)
 
 
-def _error_terms(model: SystemModel, noise: NoiseSpec, r: int, L):
-    """(F, W) of an unbiased gain L, whose covariance step is P+ = F P F^T + W:
-    F = A - L C A^(r+1), W = L R L^T + sum G Q G^T over G = I - L C A^r and
-    G = L C A^(r-j), j = 1..r. The residual gate holds L to the constraint.
-    """
-    L = np.asarray(L, dtype=float)
-    _checked_residual(model, r, L, "covariance update requires an unbiased gain")
-    CA = _delay(model, r).CA
-    Gs = [np.eye(model.n) - L @ CA[r]] + [L @ CA[r - j] for j in range(1, r + 1)]
-    return model.A - L @ CA[r + 1], L @ noise.R @ L.T + sum(G @ noise.Q @ G.T for G in Gs)
+def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray):
+    """(F, W) of a gain L that passed the residual gate, whose covariance step is
+    P+ = F P F^T + W: the next error is K [a, w_(k-r), ..., w_(k-1), v_k] with
+    K = [I 0 ... 0] - L Eb, so F = K_a A and W = K blkdiag(Q, ..., Q, R) K^T."""
+    K = -L @ d.Eb
+    K[:, :model.n] += np.eye(model.n)
+    return K[:, :model.n] @ model.A, _noise_covariance(K, noise.Q, noise)
 
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
     """One covariance step F P F^T + W for an unbiased gain (see _error_terms), symmetrized."""
-    F, W = _error_terms(model, noise, r, L)
+    L = np.asarray(L, dtype=float)
+    _checked_residual(model, r, L, "covariance update requires an unbiased gain")
+    F, W = _error_terms(model, noise, _delay(model, r), L)
     return covariance_state(F @ _p_matrix(P_prev, model.n) @ F.T + W)
 
 
@@ -220,14 +236,14 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     from scipy.linalg import solve_discrete_lyapunov   # slow to import; filter never gets here
 
     P = covariance_state(_p_matrix(P0, model.n))
-    gain = minvar_gain(model, noise, r, P)
+    gain, d = minvar_gain(model, noise, r, P), _delay(model, r)
     for _ in range(max_iter):
-        F, W = _error_terms(model, noise, r, gain.L)
+        F, W = _error_terms(model, noise, d, gain.L)     # minvar_gain gated every gain
         stable = spectral_radius(F) < 1.0
         if not stable and _profile(model).s_ranks[r] == model.l:
             return gain, P, False
         P_next = covariance_state(F @ P.P @ F.T + W)
-        if not np.all(np.isfinite(P_next.P)) or P_next.trace > 1e30:
+        if _overflowed(P_next):
             return gain, P_next, False
         if frob(P_next.P - P.P) <= 1e-10 * frob(P.P):
             return gain, P, True

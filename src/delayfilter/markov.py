@@ -38,8 +38,11 @@ def markov_blocks(model: SystemModel, dmax: int) -> list[np.ndarray]:
     return list(_profile(model).blocks[:dmax + 1])
 
 
-def _check_delay(model: SystemModel, r: int) -> None:
-    if not 0 <= r < model.n:
+def _check_delay(model: SystemModel, r: int, bounded: bool = True) -> None:
+    """DelayOutOfRange unless r is an integer in 0..n-1 (any r >= 0 if not bounded)."""
+    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+        raise DelayOutOfRange(f"delay must be an integer, got {r!r}")
+    if r < 0 or (bounded and r >= model.n):
         raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
 
 
@@ -87,6 +90,7 @@ class _Delay:
     blocks: tuple                       # C A^j H for j = 0..r
     lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
     S: np.ndarray                       # [CA^rH ... CH], contiguous
+    Eb: np.ndarray                      # [CA^r ... CA C | I]: the innovation's noise map
     S_pinv: np.ndarray | None           # S^+ where r is feasible, else None
     H0: np.ndarray                      # [H 0 ... 0]
     tol: float                          # residual tolerance of the constraint
@@ -127,10 +131,12 @@ def _profile(model: SystemModel) -> _Profile:
     s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
     feasible = _rank_steps(s_ranks, p)
     H0 = _sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))]))
+    Eb = _sealed(np.hstack(CA[n - 1::-1] + [np.eye(model.l)]))     # [CA^(n-1) ... C | I]
     delays = tuple(
         _Delay(r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), blocks=blocks[:r + 1],
                lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
-               S=S[r], S_pinv=_sealed(pinv_cut(S[r])) if r in feasible else None,
+               S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
+               S_pinv=_sealed(pinv_cut(S[r])) if r in feasible else None,
                H0=H0[:, :(r + 1) * p], tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
         for r in range(n))
     return _Profile(blocks=blocks, scales=scales, markov_ranks=markov_ranks,
@@ -150,9 +156,7 @@ def exists_unbiased_gain(model: SystemModel, r: int, check_range: bool = True) -
     check_range=False answers False at r >= n instead of raising: by
     Cayley-Hamilton CA^rH adds no columns to the span of S_(r-1) there.
     """
-    if not check_range and r >= model.n:
-        return False
-    _check_delay(model, r)
+    _check_delay(model, r, bounded=check_range)
     return r in _profile(model).feasible
 
 

@@ -157,14 +157,8 @@ def parse_model_document(doc: dict):
         noise = validate_noise(doc["Q"], doc["R"], model)
 
     delay = doc.get("delay")
-    if delay is not None:
-        if delay == "auto":
-            pass
-        elif isinstance(delay, int) and not isinstance(delay, bool):
-            if delay < 0:
-                raise ModelFileError("delay must be a nonnegative integer or \"auto\"")
-        else:
-            raise ModelFileError("delay must be a nonnegative integer or \"auto\"")
+    if delay not in (None, "auto") and (type(delay) is not int or delay < 0):  # not a bool
+        raise ModelFileError("delay must be a nonnegative integer or \"auto\"")
     return model, noise, delay
 
 

@@ -83,12 +83,7 @@ def _nonsquare12_model() -> SystemModel:
     for i, blk in enumerate(_NS12_BLOCKS):
         A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
     H = np.zeros((12, 2))
-    H[0, 0] = 0.4
-    H[2, 0] = 0.2
-    H[4, 0] = 0.2
-    H[6, 1] = 0.2
-    H[8, 1] = 0.2
-    H[10, 1] = 0.2
+    H[[0, 2, 4, 6, 8, 10], [0, 0, 0, 1, 1, 1]] = [0.4, 0.2, 0.2, 0.2, 0.2, 0.2]
     return validate_model(A, H, _NS12_C)
 
 
@@ -140,10 +135,9 @@ class FactResult:
 
 def _match_multiset(values, expected, tol: float):
     """Greedy one-to-one matching of two complex multisets within tol."""
-    vals = list(values)
-    if len(vals) != len(expected):
-        return False, f"got {len(vals)} values, expected {len(expected)}"
-    remaining = list(vals)
+    remaining = list(values)
+    if len(remaining) != len(expected):
+        return False, f"got {len(remaining)} values, expected {len(expected)}"
     worst = 0.0
     for target in expected:
         dists = [abs(v - target) for v in remaining]
@@ -297,11 +291,8 @@ def _invertibility_gap_fact():
             return False, f"feasible delays {analysis.feasible_delays}, expected none"
         if analysis.invertible_delays != (1, 2, 3):
             return False, f"invertible delays {analysis.invertible_delays}, expected (1, 2, 3)"
-        gaps = []
-        prev = 0
-        for rr, rank in analysis.s_ranks:
-            gaps.append(rank - prev)
-            prev = rank
+        ranks = [rank for _, rank in analysis.s_ranks]
+        gaps = [rank - prev for prev, rank in zip([0] + ranks, ranks)]
         if any(g >= model.p for g in gaps):
             return False, f"stack rank gaps {gaps} reach p={model.p}"
         return True, f"invertible at (1, 2, 3) while stack gaps are {gaps}"

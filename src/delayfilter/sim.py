@@ -203,18 +203,9 @@ def compartmental_model(n: int, alpha: float, beta: float,
     if set(inp) & set(out):
         raise BadIndices("input and output compartments must be disjoint")
 
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, 1.0 - beta - alpha)
-    for i in range(n - 1):
-        A[i, i + 1] = alpha
-        A[i + 1, i] = alpha
-    H = np.zeros((n, len(inp)))
-    for j, i in enumerate(inp):
-        H[i - 1, j] = 1.0
-    C = np.zeros((len(out), n))
-    for j, i in enumerate(out):
-        C[j, i - 1] = 1.0
-    return validate_model(A, H, C)
+    A = (1.0 - beta - alpha) * np.eye(n) + alpha * (np.eye(n, k=1) + np.eye(n, k=-1))
+    eye = np.eye(n)
+    return validate_model(A, eye[:, np.subtract(inp, 1)], eye[np.subtract(out, 1)])
 
 
 def run_experiment(model: SystemModel, noise: NoiseSpec | None,

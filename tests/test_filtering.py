@@ -413,12 +413,42 @@ def test_run_filter_reports_where_estimates_overflow():
         run = df.run_filter(model, noise, config, traj.y)
         # a batch reports the first such row of any trial
         batch = df.run_filter(model, noise, config, np.stack([0.0 * traj.y, traj.y]))
-    assert run.nonfinite_at == batch.nonfinite_at == 365
+    N = run.nonfinite_at
+    assert N is not None
     rows = np.hstack([run.state_estimates, run.input_estimates, run.innovations])
-    assert np.all(np.isfinite(rows[2:365])) and not np.all(np.isfinite(rows[365]))
-    short = df.run_filter(model, noise, config, traj.y[:365])
-    assert short.nonfinite_at is None
+    assert np.all(np.isfinite(rows[2:N])) and not np.all(np.isfinite(rows[N]))
+    batch_rows = np.concatenate([batch.state_estimates, batch.input_estimates,
+                                 batch.innovations], axis=-1)
+    finite = np.isfinite(batch_rows[:, 2:]).all(axis=(0, 2))
+    assert batch.nonfinite_at == 2 + int(np.argmin(finite)) and not finite.all()
+    assert np.all(np.isfinite(batch_rows[0, 2:]))
+    assert df.run_filter(model, noise, config, traj.y[:N]).nonfinite_at is None
     assert df.run_filter(model, noise, config, traj.y[:2]).nonfinite_at is None
+
+    # The noiseless error is rounding grown by the gain's unstable mode, so
+    # N records where rounding happened to seed it, not a property of the
+    # filter: any change in summation order moves it by a step or two.
+    # What is fixed is the growth rate and the window the seed implies.
+    # With the error at row k on the line s rho^k, row N is the first whose
+    # update [xhat | z] G overflows: s rho^(N-1) g >= f, with f the largest
+    # float and g the largest column sum of |G|, while xhat at N-1 is finite:
+    # s rho^(N-1) <= f. Seeds s from eps to the residual tolerance tol give
+    #     1 + ln(f / (g tol)) / ln rho  <=  N  <=  1 + ln(f / eps) / ln rho,
+    # here (709.8 + 20.3 - 11.1) / 2.010 + 1 = 358.7 and (709.8 + 36.0) / 2.010
+    # + 1 = 372.1 with rho = 7.4633, tol = 1.6e-9 and g = 6.6e4; README's
+    # "about 360 steps".
+    k = np.arange(100, 301)
+    log_err = np.log(np.max(np.abs(run.state_estimates[k] - traj.x[k - 1]), axis=1))
+    slope, log_seed = np.polyfit(k, log_err, 1)
+    log_rho = np.log(df.gain_spectral_radius(model, 1, run.L))
+    assert slope == pytest.approx(log_rho, rel=1e-8)
+    eps, f = np.finfo(float).eps, np.finfo(float).max
+    tol = 1e-9 * (1.0 + np.linalg.norm(model.H))
+    assert eps <= np.exp(log_seed) <= tol
+    ops = df.init_filter(model, noise, config).ops
+    g = np.abs(filtering._update_map(ops.At, ops.CA_rp1t, ops.Gd, run.L)).sum(axis=0).max()
+    lo, hi = (1.0 + (np.log(f) - np.log(seed)) / log_rho for seed in (g * tol, eps))
+    assert lo <= N <= hi
 
 
 # -- filter plans: one gain schedule per (model, noise, r, P0) ---------------
@@ -427,6 +457,28 @@ def _tv_config(model, r=1, P0=None):
     return df.FilterConfig(r=r, gain_mode=df.TIME_VARYING_MINVAR,
                            initial_estimate=np.zeros(model.n),
                            initial_covariance=np.eye(model.n) if P0 is None else P0)
+
+
+def test_the_gain_schedule_freezes_once_the_covariance_overflows():
+    # x2 is unstable and unobserved: the covariance grows fourfold a step
+    # while the gain, which does not see x2, stops changing. The schedule
+    # freezes at the first covariance past the cap steady_state_gain stops
+    # at, long before the covariance itself overflows (k = 256) and
+    # warns inside the next refresh.
+    model = df.validate_model([[0.5, 0.0], [0.0, 2.0]], [[1.0], [1.0]], [[1.0, 0.0], [1.0, 0.0]])
+    noise = df.NoiseSpec(Q=1e-2 * np.eye(2), R=1e-2 * np.eye(2))
+    config = _tv_config(model, r=0)
+    state, over, frozen = df.init_filter(model, noise, config), None, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(300):
+            state, _ = df.step(state, model, noise, np.zeros(model.l))
+            if over is None and state.P.trace > 1e30:
+                over = k
+            if frozen is None and state.gain_frozen:
+                frozen = k
+        run = df.run_filter(model, noise, config, np.zeros((300, model.l)))
+    assert over is not None and over == frozen == run.frozen_at
 
 
 def _step_loop(model, noise, config, y):

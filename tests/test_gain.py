@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter.gain import constraint_target
+from delayfilter.gain import _innovation_terms, constraint_target
+from delayfilter.markov import _delay
 from conftest import ill_conditioned_square_model, make_feasible_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -317,6 +318,37 @@ def _covariance_by_hand(model, noise, r, L, P):
     return 0.5 * (out + out.T)
 
 
+def _innovation_by_hand(model, noise, r, P):
+    """(V, G) of the delayed innovation, every power of A formed afresh and
+    every noise term summed on its own: eps_(k-1) through C A^(r+1),
+    w_(k-1-j) through C A^j for j = 0..r, and v_k."""
+    CA = [model.C @ np.linalg.matrix_power(model.A, j) for j in range(r + 2)]
+    V = CA[r + 1] @ P @ CA[r + 1].T + noise.R
+    for j in range(r + 1):
+        V = V + CA[j] @ noise.Q @ CA[j].T
+    G = model.A @ P @ CA[r + 1].T + noise.Q @ CA[r].T
+    return V, G
+
+
+def test_innovation_terms_match_the_noise_terms_one_by_one():
+    rng = np.random.default_rng(16)
+    cases = 0
+    while cases < 40:
+        drawn = make_feasible_system(rng)
+        if drawn is None:
+            continue
+        model, noise = drawn[0], random_noise(rng, drawn[0])
+        X = rng.standard_normal((model.n, model.n))
+        P = X @ X.T
+        for r in df.analyze_delays(model).feasible_delays:
+            V, G = _innovation_terms(model, noise, _delay(model, r), P)
+            assert np.array_equal(V, V.T)
+            for got, want in zip((V, G), _innovation_by_hand(model, noise, r, P)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-10 * (1.0 + np.max(np.abs(want))))
+            cases += 1
+
+
 def test_gain_constants_belong_to_their_model():
     # more models than the per-(model, r) constants are kept for, visited
     # in turn so that each call follows calls on other models
@@ -359,3 +391,22 @@ def test_minvar_and_steady_state_error_contract():
                     with pytest.raises(df.NoUnbiasedGainExists):
                         fn(model, noise, r)
     assert infeasible >= 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, noise, L: df.minvar_gain(m, noise, 1, P_prev=np.eye(2)),
+    lambda m, noise, L: df.minvar_gain(m, noise, 1, P_prev=np.full((m.n, m.n), np.nan)),
+    lambda m, noise, L: df.steady_state_gain(m, noise, 1, P0=np.eye(m.n + 1)),
+    lambda m, noise, L: df.covariance_update(m, noise, 1, L, np.eye(m.n - 1)),
+    lambda m, noise, L: df.covariance_update(m, noise, 1, L, np.full((m.n, m.n), np.inf)),
+    lambda m, noise, L: df.covariance_update(m, noise, 1, L[:, :1], np.eye(m.n)),
+    lambda m, noise, L: df.classify_convergence(m, 1, L.T),
+], ids=["minvar-P-shape", "minvar-P-nan", "steady-state-P0-shape", "update-P-shape",
+        "update-P-inf", "update-L-shape", "verdict-L-shape"])
+def test_a_malformed_covariance_or_gain_is_a_structured_error(call):
+    model, noise, _ = df.reference_example("nonsquare3")
+    L = df.minvar_gain(model, noise, 1).L
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(df.DimensionMismatch):
+            call(model, noise, L)

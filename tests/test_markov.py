@@ -86,6 +86,23 @@ def test_delay_range_guard():
     assert df.exists_unbiased_gain(E1, 2, check_range=False) is False
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, np.float64(1.0), True])
+def test_a_non_integer_delay_is_out_of_range(r):
+    model, noise, _ = df.reference_example("nonsquare3")
+    square, _, _ = df.reference_example("minphase3")
+    L = df.minvar_gain(model, noise, 1).L
+    calls = (lambda: df.minvar_gain(model, noise, r), lambda: df.markov_row_stack(model, r),
+             lambda: df.square_gain(square, r), lambda: df.classify_convergence(model, r, L),
+             lambda: df.exists_unbiased_gain(model, r),
+             lambda: df.exists_unbiased_gain(model, r, check_range=False))
+    for call in calls:
+        with pytest.raises(df.DelayOutOfRange, match="integer"):
+            call()
+    # a numpy integer is a delay
+    assert df.exists_unbiased_gain(model, np.int64(1)) is True
+    assert np.array_equal(df.minvar_gain(model, noise, np.int64(1)).L, L)
+
+
 def test_minimal_delay():
     assert df.minimal_delay(E1) == 1
     model, _, _ = df.reference_example("invertibility4")
