@@ -428,8 +428,15 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     finitely many steps; spectral radius below one means it decays; a
     radius pinned to one leaves a persistent error; beyond one the
     error grows without bound.
+
+    A square system with n = (r+1)p at a feasible r is deadbeat by an
+    integer test: the n rows of [C; CA; ...; CA^r] are independent, F is
+    nilpotent on the quotient by their kernel, and that kernel is {0}.
+    Its computed eigenvalues would scatter like eps^(1/n) ||F||.
     """
     _checked_residual(model, r, L, "verdict is only defined for unbiased gains")
+    if model.l == model.p and model.n == (r + 1) * model.p and _delay(model, r).feasible:
+        return DEADBEAT
     eigs = np.linalg.eigvals(error_dynamics_matrix(model, r, L))
     moduli = np.abs(eigs)
     if np.all(moduli <= DEADBEAT_TOL):

@@ -203,17 +203,24 @@ def analyze_delays(model: SystemModel) -> DelayAnalysis:
     """The rank profile plus the invertibility sweep over r = 0..n-1.
 
     T_r is the leading (r+1)l x (r+1)p corner of T_(n-1), ranked at the
-    scale of S_r.
+    scale of S_r. The gap rank T_r - rank T_(r-1) never shrinks as r
+    grows, so the sweep stops at the first r whose gap is p and reports
+    every delay from there to n-1.
     """
     profile, n, l, p = _profile(model), model.n, model.l, model.p
     T = markov_toeplitz(model, n - 1)
-    t_ranks = tuple(_anchored_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
-                    for r in range(n))
+    invertible, prev = (), 0
+    for r in range(n):
+        rank = _anchored_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
+        if rank - prev == p:
+            invertible = tuple(range(r, n))
+            break
+        prev = rank
     return DelayAnalysis(
         markov_ranks=tuple(enumerate(profile.markov_ranks)),
         s_ranks=tuple(enumerate(profile.s_ranks)),
         feasible_delays=profile.feasible,
         minimal_delay=minimal_delay(model),
-        invertible_delays=_rank_steps(t_ranks, p),
+        invertible_delays=invertible,
         conjecture_violated=len(profile.feasible) > 1,
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import UnknownExample
 from .filtering import (
     ASYMPTOTIC,
+    DEADBEAT,
     DIVERGENT,
     FIXED_SQUARE,
     FilterConfig,
@@ -252,11 +253,11 @@ def _growth_rate_fact(r, rate, j_lo=20, j_hi=60, rel_tol=0.05):
     return check
 
 
-def _divergent_verdict_fact(r):
+def _verdict_fact(r, expected):
     def check(model, noise):
         L = square_gain(model, r).L
         verdict = classify_convergence(model, r, L)
-        return verdict == DIVERGENT, f"verdict {verdict}"
+        return verdict == expected, f"verdict {verdict}"
     return check
 
 
@@ -312,6 +313,9 @@ _FACTS = {
         Fact("delay-profile", _delay_profile_fact(2, (2,))),
         Fact("markov-ranks", _markov_rank_fact(1, 2, 2)),
         Fact("invariant-zeros", _zeros_fact((), 0.0)),
+        # square at r = 2 with p = 2: n = (r+1)p = 6, so [C; CA; CA^2] is
+        # invertible and F = A - L CA^3 is nilpotent
+        Fact("verdict", _verdict_fact(2, DEADBEAT)),
         Fact("noiseless-input-rms", _noiseless_rms_fact(2)),
     ),
     "minphase3": (
@@ -323,7 +327,7 @@ _FACTS = {
     ),
     "nonminphase3": (
         Fact("invariant-zeros", _zeros_fact((-1.0564,), 1e-3)),
-        Fact("verdict", _divergent_verdict_fact(1)),
+        Fact("verdict", _verdict_fact(1, DIVERGENT)),
         Fact("steady-state", _steady_state_fact(1, False)),
         Fact("growth-rate", _growth_rate_fact(1, 1.0564)),
     ),

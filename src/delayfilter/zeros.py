@@ -1,13 +1,14 @@
-"""Invariant zeros of (A, H, C) from the system pencil.
+"""Invariant zeros of (A, H, C) from the output-nulling subspace.
 
 A zero is a complex z at which the pencil
 
     Z(z) = [[zI - A, H], [C, 0]]
 
-loses column rank relative to its normal rank. Zeros are computed as
-generalized eigenvalues of the pencil pair and then confirmed by a
-rank-drop test, which filters out the spurious finite eigenvalues the
-structurally singular leading matrix introduces.
+loses column rank relative to its normal rank. They are read off the
+largest subspace V* of ker C that A maps into V* + im H (Wonham, *Linear
+Multivariable Control: A Geometric Approach*, 1979). When the pencil has
+normal rank n + p, the columns of [V*, H] are independent, so
+A V* = V* X + H Y fixes X, and the zeros are the eigenvalues of X.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PencilDegenerate
-from .linalg import numerical_rank
+from .linalg import RANK_RCOND
 from .model import SystemModel
 
 NO_ZEROS = "NoZeros"
@@ -27,12 +28,6 @@ OUTSIDE = "OutsideUnitCircle"
 
 UNIT_CIRCLE_TOL = 1e-9
 CLUSTER_TOL = 1e-6
-# Confirmation: smallest structural singular value must drop by this factor
-# relative to its typical value at non-zero sample points.
-CONFIRM_RATIO = 1e-6
-
-_SAMPLE_ANGLES = (0.7, 2.3, 3.9, 5.5)      # radians, see _rank_profile
-_COMPRESS_SEED = 1729
 
 
 @dataclass(frozen=True)
@@ -67,27 +62,10 @@ def rosenbrock_pencil(model: SystemModel):
     return E, F
 
 
-def _rank_profile(E, F, radius: float):
-    """(normal rank, reference smallest structural singular value).
-
-    Z(s) = s E - F is sampled at four fixed points on the circle
-    |s| = radius + 1.5, radius being the spectral radius of A, so each
-    point lies at least 1.5 from every eigenvalue of A. The normal rank
-    is the largest rank seen, and below n+p it raises PencilDegenerate.
-    The reference is the median sigma_(n+p) over the points; a candidate
-    zero must push that value down by CONFIRM_RATIO.
-    """
-    s = (radius + 1.5) * np.exp(1j * np.array(_SAMPLE_ANGLES))
-    sv = np.linalg.svd(s[:, None, None] * E - F, compute_uv=False)
-    tol = sv[:, :1] * max(E.shape) * 1e-12
-    nrank = int(np.max(np.count_nonzero(sv > tol, axis=1)))
-    cols = E.shape[1]
-    if nrank < cols:
-        raise PencilDegenerate(
-            f"pencil normal rank {nrank} < n+p = {cols}; no unbiased-gain "
-            "theory applies to this system"
-        )
-    return nrank, float(np.median(sv[:, cols - 1]))
+def _svd_rank(matrix: np.ndarray, scale: float):
+    """(rank, U, Vt) of the full SVD, rank counted above RANK_RCOND max(shape) scale."""
+    U, s, Vt = np.linalg.svd(matrix)
+    return int(np.count_nonzero(s > RANK_RCOND * max(matrix.shape) * scale)), U, Vt
 
 
 def _cluster(values: list[complex]) -> list[tuple[complex, int]]:
@@ -111,46 +89,36 @@ def _cluster(values: list[complex]) -> list[tuple[complex, int]]:
 
 
 def invariant_zeros(model: SystemModel) -> ZeroReport:
-    """Confirmed finite rank-drop points of the pencil, with multiplicities.
+    """The eigenvalues of the map A induces on V*, with multiplicities.
 
-    Non-square pencils are first compressed to square by one fixed
-    random row mixing; any true zero survives the compression, and the
-    rank-drop confirmation removes everything the compression invents.
-    Candidates of modulus beyond 1e6 * max(1, spectral radius of A) are
-    treated as artifacts of the eigenvalue at infinity and dropped.
+    V_0 = ker C and V_(k+1) = V_k ∩ A^-1(V_k + im H), until the dimension
+    stops falling: V_k a stays when A V_k a lies in the range of [V_k, H].
+    Every basis comes from one SVD at the package cutoff, judged at the
+    size of what it factors: ||C|| for ker C, ||A|| for each step and 1
+    for [V, H/||H||]. A dependent [V*, H] means V* meets im H, so the
+    pencil's normal rank is below n + p and PencilDegenerate is raised.
     """
-    import scipy.linalg                   # slow to import; only the QZ step needs it
-
-    E, F = rosenbrock_pencil(model)
-    radius = float(np.max(np.abs(np.linalg.eigvals(model.A))))
-    nrank, sigma_ref = _rank_profile(E, F, radius)
-    n, l, p = model.n, model.l, model.p
-    if l == p:
-        Fs, Es = F, E
-    else:
-        rng = np.random.default_rng(_COMPRESS_SEED)
-        W = rng.standard_normal((n + p, n + l))
-        Fs, Es = W @ F, W @ E
-
-    alpha, beta = scipy.linalg.eig(Fs, Es, right=False, homogeneous_eigvals=True)
-
-    modulus_cap = 1e6 * max(1.0, radius)
-    confirmed = []
-    for a, b in zip(alpha, beta):
-        if abs(b) <= 1e-10 * max(1.0, abs(a)):
-            continue                      # eigenvalue at infinity
-        z = a / b
-        if abs(z) > modulus_cap:
-            continue                      # infinity leaking through roundoff
-        sv = np.linalg.svd(z * E - F, compute_uv=False)
-        if sv[n + p - 1] <= CONFIRM_RATIO * sigma_ref:
-            confirmed.append(complex(z))
-
+    A, n, p = model.A, model.n, model.p
+    a_norm = float(np.linalg.norm(A, 2))
+    rank, _, Vt = _svd_rank(model.C, float(np.linalg.norm(model.C, 2)))
+    V, H = Vt[rank:].T, model.H / np.linalg.norm(model.H, 2)
+    while True:
+        rank, U, _ = _svd_rank(np.hstack([V, H]), 1.0)
+        AV = A @ V
+        drop, _, Wt = _svd_rank(AV - U[:, :rank] @ (U[:, :rank].T @ AV), a_norm)
+        if drop == 0:
+            break
+        V = V @ Wt[drop:].T
+    k = V.shape[1]
+    if rank < k + p:
+        raise PencilDegenerate(f"rank [V*, H] = {rank} < dim V* + p = {k + p}: pencil normal "
+                               f"rank below n+p = {n + p}; no unbiased-gain theory applies")
+    X = np.linalg.lstsq(np.hstack([V, model.H]), AV, rcond=None)[0][:k]
     zeros = []
-    for center, mult in _cluster(confirmed):
+    for center, mult in _cluster([complex(z) for z in np.linalg.eigvals(X)]):
         zeros.extend([center] * mult)
     zeros = tuple(sorted(zeros, key=lambda c: (c.real, c.imag)))
-    return ZeroReport(zeros=zeros, normal_rank=nrank, classification=classify_zeros(zeros))
+    return ZeroReport(zeros=zeros, normal_rank=n + p, classification=classify_zeros(zeros))
 
 
 def classify_zeros(report) -> str:

@@ -474,8 +474,8 @@ def test_unknown_flag_exits_1(model_file):
 
 
 def test_import_skips_scipy_linalg():
-    # scipy.linalg only serves the QZ step of invariant_zeros; importing
-    # it costs more than the rest of the package
+    # scipy.linalg only serves the Lyapunov solve of steady_state_gain;
+    # importing it costs more than the rest of the package
     src = os.path.dirname(os.path.dirname(df.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -8,7 +8,7 @@ import pytest
 
 import delayfilter as df
 from delayfilter import filtering
-from conftest import make_feasible_system, random_noise
+from conftest import make_feasible_system, make_square_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -284,6 +284,21 @@ def test_classify_convergence_verdicts():
     model, _, _ = df.reference_example("nonminphase3")
     L3 = df.square_gain(model, 1).L
     assert df.classify_convergence(model, 1, L3) == df.DIVERGENT
+
+
+def test_square_deadbeat_verdict_by_the_integer_test():
+    # n = (r+1)p makes [C; CA; ...; CA^r] invertible, so F is nilpotent even
+    # where its computed eigenvalues scatter past DEADBEAT_TOL
+    model, _, _ = df.reference_example("compartmental-34")
+    F = df.error_dynamics_matrix(model, 2, df.square_gain(model, 2).L)
+    assert np.max(np.abs(np.linalg.eigvals(F))) > filtering.DEADBEAT_TOL
+    assert df.classify_convergence(model, 2, df.square_gain(model, 2).L) == df.DEADBEAT
+    rng = np.random.default_rng(34)
+    for n, p, r in ((6, 2, 2), (4, 1, 3), (6, 3, 1), (5, 1, 4)):
+        drawn = make_square_system(rng, n=n, p=p, delay=r)
+        assert drawn is not None
+        model, _ = drawn
+        assert df.classify_convergence(model, r, df.square_gain(model, r).L) == df.DEADBEAT
 
 
 def test_classify_convergence_persistent():

@@ -169,3 +169,11 @@ def test_one_rank_rule_on_widely_scaled_blocks():
         df.init_filter(model, None, config)
     with pytest.raises(df.LowerMarkovNonzero):
         df.square_gain(model, 1)
+
+
+def test_invertible_delays_are_the_suffix_from_the_first_full_gap():
+    # every T_r is lower triangular with diagonal blocks CH = 1e-9 != 0, so
+    # its rank gap is p = 1 at r = 0, and a gap never shrinks as r grows
+    model = df.validate_model([[0.5, 0.0, 0.0], [1e6, 0.5, 0.0], [0.0, 1.0, 0.5]],
+                              [[1.0], [0.0], [0.0]], [[1e-9, 1.0, 0.0]])
+    assert df.analyze_delays(model).invertible_delays == (0, 1, 2)
