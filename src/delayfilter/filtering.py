@@ -11,6 +11,9 @@ run_filter() drives the same update over a whole record at once, for
 one trajectory or a batch of trials. The gain schedule depends only on
 (model, noise, r, P0), never on the measurements, so every trial of a
 batch shares it and the estimates advance together as (trials, n) arrays.
+Once the gain is frozen and its error map stable, the rest of the record
+advances by a two-level block scan in about 2 sqrt(N) array steps instead
+of N; its estimates agree with step()'s within 1e-12 of the largest value.
 
 What no measurement changes is one filter plan (_FilterOps): the
 transposed model constants, the input decoder, the initial gain and, in
@@ -26,6 +29,7 @@ session reads the gains the first one computed, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -70,6 +74,10 @@ FREEZE_RTOL = 1e-12
 # Time-varying gain steps a plan keeps; a gain that never freezes would
 # otherwise grow its schedule with every step of the longest record.
 SCHEDULE_CAP = 500
+# run_filter scans a frozen tail only while a row holds at most this many
+# estimate values (trials x n); a wider step is bound by memory, not by
+# Python, and there the scan's extra passes over the tail cost more.
+SCAN_WIDTH = 256
 _FLOAT = np.dtype(float)
 
 
@@ -280,8 +288,8 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
 # with the gain's map G (_update_map). With xhat estimating x[k-r-1],
 #     xhat' = F xhat + L z[k] + B u[k-r-1],   innovation = z[k] - C A^(r+1) xhat,
 # where z[k] = y[k] - D u[k] - sum_j C A^j B u[k-1-j] and ehat = (CA^rH)^+ innovation.
-# run_filter() recurses on G's first n columns and applies the gain-free rest,
-# Gd, to the whole record after its loop; _input_terms takes any leading axes.
+# run_filter() recurses on G's first n columns, by steps or by _scan, and applies
+# the gain-free rest, Gd, to the whole record after; _input_terms takes any leading axes.
 
 def _input_terms(ops: _FilterOps, y, u, u_lags):
     """(z[k], B u[k-r-1]) with u_lags[j] = u[k-1-j]; (y, None) without known inputs."""
@@ -358,12 +366,17 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
                y, u=None) -> FilterRun:
     """Drive the filter over a record y of shape (T+1, l) or (trials, T+1, l).
 
-    Gives the same estimates as feeding step() one measurement at a
-    time. u has y's leading shape with m columns; it is required when
-    the model has known inputs and ignored otherwise. A batch shares one
-    gain schedule, refreshed once per time step until it freezes, and
-    needs O(trials (T+1) (n+l+p+m)) floats of memory. Estimates that
-    overflow raise no numpy warning; nonfinite_at reports them.
+    Runs the update of step() and gives its estimates within 1e-12 of
+    the largest value. u has y's leading shape with m columns; it is
+    required when the model has known inputs and ignored otherwise. A
+    batch shares one gain schedule, refreshed once per time step until it
+    freezes, and needs O(trials (T+1) (n+l+p+m)) floats of memory. Estimates
+    that overflow raise no numpy warning; nonfinite_at reports them.
+
+    Rows are stepped one product each while the gain is refreshed. The
+    frozen tail is scanned (_scan) when its error map F has spectral radius
+    below 1 and a row holds at most SCAN_WIDTH estimate values; otherwise it
+    is stepped too, so a divergent map overflows where stepping says.
     """
     state = init_filter(model, noise, config)
     y = np.asarray(y, dtype=float)
@@ -396,8 +409,12 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
             if not gain.frozen:
                 gain = _gain_at(ops, i, gain)
                 frozen_at = r + 1 + i if gain.frozen else None
-            stop = emitted if gain.frozen else i + 1
             Gx = np.ascontiguousarray(gain.G[:, :n])
+            if (gain.frozen and W[i, ..., :n].size <= SCAN_WIDTH
+                    and spectral_radius(Gx[:n]) < 1.0):
+                _scan(W[i:], Gx, z[i:], None if b is None else b[i:])
+                break
+            stop = emitted if gain.frozen else i + 1
             for j in range(i, stop):
                 W[j + 1, ..., :n] = W[j] @ Gx if b is None else W[j] @ Gx + b[j]
             i = stop
@@ -414,6 +431,45 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     return FilterRun(state_estimates=record(xs), input_estimates=record(decoded[..., model.l:]),
                      innovations=record(decoded[..., :model.l]), L=gain.L, frozen_at=frozen_at,
                      nonfinite_at=r + 1 + int(bad[0]) if bad.size else None)
+
+
+def _scan(W, Gx, z, b) -> None:
+    """Fill W[1:, ..., :n] from W[0] under a frozen gain, in about 2 sqrt(N) steps.
+
+    The N rows follow x[j+1] = x[j] F^T + c[j] with c = z L^T (+ b). The
+    N mod s rows that fill no block are stepped; the rest are cut into K
+    blocks of s = isqrt(N) rows. Inside every block at once the recursion
+    runs from zero (s steps), the powers of F^T riding along as n more rows;
+    the block starts x[ks] are carried by (F^T)^s (K steps); and row t of
+    block k adds x[ks] (F^T)^(t+1). Y holds the blocks by row in block, so
+    that each step is one product. Only Y and the lift are allocated at the
+    tail's size: on 20 trials at T = 200, one more such array cost about
+    what the scan saves.
+    """
+    n, N = Gx.shape[1], len(z)
+    s = math.isqrt(N)
+    for j in range(N % s):
+        W[j + 1, ..., :n] = W[j] @ Gx if b is None else W[j] @ Gx + b[j]
+    W, z, K = W[N % s:], z[N % s:], N // s
+
+    def by_row_in_block(a):                             # (K s, ...) in record order -> (s, K, ...)
+        return a.reshape((K, s) + a.shape[1:]).swapaxes(0, 1)
+
+    rows = K * math.prod(z.shape[1:-1])                 # one per block and trial
+    Y = np.empty((s, rows + n, n))                      # Y[t] = [row t of each block | (F^T)^(t+1)]
+    x, P = Y[:, :rows].reshape((s, K) + z.shape[1:-1] + (n,)), Y[:, rows:]
+    np.matmul(by_row_in_block(z), Gx[n:], out=x)
+    if b is not None:
+        x += by_row_in_block(b[N % s:])
+    P[0], P[1:] = Gx[:n], 0.0
+    for t in range(1, s):
+        Y[t] += Y[t - 1] @ Gx[:n]
+    starts = np.empty(x.shape[1:])                      # x[ks]
+    starts[0], starts[1:] = W[0, ..., :n], x[s - 1, :-1]
+    for k in range(1, K):
+        starts[k] += starts[k - 1] @ P[s - 1]
+    lift = (starts.reshape(rows, n) @ P).reshape(x.shape)
+    np.add(x, lift, out=by_row_in_block(W[1:, ..., :n]))
 
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:

@@ -466,6 +466,173 @@ def test_run_filter_reports_where_estimates_overflow():
     assert lo <= N <= hi
 
 
+# -- the block scan of a frozen, stable tail ----------------------------------
+
+# tail lengths: none, the shortest ones, and a perfect square with one below and one above
+_TAILS = [0, 1, 2, 3, 99, 100, 101]
+
+
+def _stepped(model, noise, config, y, u):
+    """[xhat | ehat | innovation] per k of a step loop over one trajectory; warm-up rows NaN."""
+    state = df.init_filter(model, noise, config)
+    rows = np.full((len(y), model.n + model.p + model.l), np.nan)
+    for k in range(len(y)):
+        state, out = df.step(state, model, noise, y[k], None if u is None else u[k])
+        if out is not None:
+            rows[k] = np.concatenate([out.state_estimate, out.input_estimate, out.innovation])
+    return rows
+
+
+def _spy_on_scan(monkeypatch):
+    """The tail lengths run_filter hands to its block scan, one per call."""
+    tails, scan = [], filtering._scan
+
+    def spy(W, Gx, z, b):
+        tails.append(len(z))
+        scan(W, Gx, z, b)
+
+    monkeypatch.setattr(filtering, "_scan", spy)
+    return tails
+
+
+def _assert_run_matches_steps(model, noise, config, y, u=None):
+    """run_filter over y, one trajectory or a batch, against a step loop per trial:
+    state estimates, input estimates and innovations each within 1e-12 of their largest value."""
+    run = df.run_filter(model, noise, config, y, u)
+    got = np.concatenate([run.state_estimates, run.input_estimates, run.innovations], axis=-1)
+    trials = y if y.ndim == 3 else y[None]
+    inputs = [None] * len(trials) if u is None else (u if u.ndim == 3 else u[None])
+    want = np.stack([_stepped(model, noise, config, yt, ut) for yt, ut in zip(trials, inputs)])
+    got = got.reshape(want.shape)
+    n, p = model.n, model.p
+    for cols in (slice(0, n), slice(n, n + p), slice(n + p, None)):
+        scale = np.max(np.abs(want[..., cols]), initial=0.0, where=~np.isnan(want[..., cols]))
+        np.testing.assert_allclose(got[..., cols], want[..., cols], rtol=0, atol=1e-12 * scale)
+    return run
+
+
+def _with_known_inputs(rng, model):
+    return df.validate_model(model.A, model.H, model.C, B=rng.standard_normal((model.n, 2)),
+                             D=rng.standard_normal((model.l, 2)))
+
+
+def _fixed_stable_cases(rng):
+    """Three square models under FixedSquare and three non-square ones under their
+    minimum-variance gain, each drawn until the gain's error map is stable."""
+    cases = []
+    while len(cases) < 6:
+        square = len(cases) < 3
+        drawn = make_square_system(rng) if square else make_feasible_system(rng)
+        if drawn is None or (not square and drawn[0].l == drawn[0].p):
+            continue
+        model, r = drawn
+        if square:
+            config = _config(r=r, n=model.n)
+            L = df.square_gain(model, r).L
+        else:
+            L = df.minvar_gain(model, random_noise(rng, model), r).L
+            config = _config(r=r, mode=df.FIXED_USER_SUPPLIED, n=model.n, gain=L)
+        if df.gain_spectral_radius(model, r, L) < 1.0:
+            cases.append((model, config))
+    return cases
+
+
+@pytest.mark.parametrize("known_inputs", [False, True])
+@pytest.mark.parametrize("tail", _TAILS)
+def test_the_scanned_tail_of_a_fixed_gain_matches_stepping(tail, known_inputs, monkeypatch):
+    rng = np.random.default_rng(41)
+    tails = _spy_on_scan(monkeypatch)
+    for model, config in _fixed_stable_cases(rng):
+        if known_inputs:
+            model = _with_known_inputs(rng, model)
+        for shape in ((), (3,)):
+            y = rng.standard_normal(shape + (tail + config.r + 1, model.l))
+            u = rng.standard_normal(y.shape[:-1] + (model.m,)) if known_inputs else None
+            _assert_run_matches_steps(model, None, config, y, u)
+    assert tails == ([tail] * 12 if tail else [])
+
+
+@pytest.mark.parametrize("known_inputs", [False, True])
+def test_the_scanned_tail_of_a_time_varying_gain_matches_stepping(known_inputs, monkeypatch):
+    # the gain is refreshed row by row until it freezes mid-record; the rest is scanned
+    rng = np.random.default_rng(43)
+    tails = _spy_on_scan(monkeypatch)
+    cases = 0
+    while cases < 3:
+        drawn = make_feasible_system(rng)
+        if drawn is None or drawn[0].l == drawn[0].p:
+            continue
+        model, r = drawn
+        if known_inputs:
+            model = _with_known_inputs(rng, model)
+        noise = random_noise(rng, model)
+        config = _tv_config(model, r)
+        probe = df.run_filter(model, noise, config, rng.standard_normal((400, model.l)),
+                              np.zeros((400, model.m)))
+        if probe.frozen_at is None or df.gain_spectral_radius(model, r, probe.L) >= 1.0:
+            continue
+        cases += 1
+        del tails[:]
+        for tail in _TAILS:
+            for shape in ((), (3,)):
+                y = rng.standard_normal(shape + (probe.frozen_at + tail, model.l))
+                u = rng.standard_normal(y.shape[:-1] + (model.m,)) if known_inputs else None
+                run = _assert_run_matches_steps(model, noise, config, y, u)
+                assert run.frozen_at == (probe.frozen_at if tail else None)
+        assert tails == [tail for tail in _TAILS if tail for _ in range(2)]
+
+
+def test_a_wide_batch_is_stepped(monkeypatch):
+    # past SCAN_WIDTH values a row, one product per row is cheaper than the scan
+    model, _, _ = df.reference_example("compartmental-34")
+    config = _config(r=2, n=model.n)
+    trials = filtering.SCAN_WIDTH // model.n + 1
+    y = np.random.default_rng(45).standard_normal((trials, 40, model.l))
+    tails = _spy_on_scan(monkeypatch)
+    wide = df.run_filter(model, None, config, y)
+    assert tails == []
+    narrow = df.run_filter(model, None, config, y[:2])
+    assert tails == [37]
+    for got, want in ((wide.state_estimates, narrow.state_estimates),
+                      (wide.input_estimates, narrow.input_estimates)):
+        np.testing.assert_allclose(got[:2], want, rtol=0,
+                                   atol=1e-12 * np.nanmax(np.abs(want)))
+
+
+def _stepwise_nonfinite_at(model, noise, config, y):
+    """nonfinite_at of run_filter's recursion one product per row, for one trajectory
+    with no known inputs: the k of the first row whose estimates are not finite."""
+    state = df.init_filter(model, noise, config)
+    ops, r, n = state.ops, config.r, model.n
+    W = np.zeros((len(y) - r, n + model.l))
+    W[0, :n], W[:-1, n:] = state.xhat_delayed, y[r + 1:]
+    gain = state.gain
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(W) - 1):
+            if not gain.frozen:
+                gain = filtering._gain_at(ops, i, gain)
+            W[i + 1, :n] = W[i] @ np.ascontiguousarray(gain.G[:, :n])
+        decoded = W[:-1] @ ops.Gd
+    finite = np.isfinite(W[1:, :n]).all(axis=1) & np.isfinite(decoded).all(axis=1)
+    return None if finite.all() else r + 1 + int(np.argmin(finite))
+
+
+def test_an_unstable_frozen_map_is_stepped(monkeypatch):
+    # a block of powers of nonsquare12's divergent map overflows before the
+    # estimates do, so a scan would report the overflow rows early
+    model, noise, _ = df.reference_example("nonsquare12")
+    config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
+    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7, noise_on=False)
+    tails = _spy_on_scan(monkeypatch)
+    N = df.run_filter(model, noise, config, traj.y).nonfinite_at
+    assert N is not None
+    # scanned, the record cut at N or N + 1 rows would report k = 362
+    for rows in (len(traj.y), N + 1, N, 300):
+        got = df.run_filter(model, noise, config, traj.y[:rows]).nonfinite_at
+        assert got == _stepwise_nonfinite_at(model, noise, config, traj.y[:rows])
+    assert tails == []
+
+
 # -- filter plans: one gain schedule per (model, noise, r, P0) ---------------
 
 def _tv_config(model, r=1, P0=None):
@@ -520,6 +687,22 @@ def _cold_run(model, noise, config, y):
     """run_filter with no plan in the memo."""
     filtering._plan.cache_clear()
     return df.run_filter(model, noise, config, y)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_the_schedule_steps_the_covariance_as_covariance_update_does(r):
+    # a refresh steps the covariance exactly as covariance_update does for
+    # the gain it built; a refresh that gates its gain once must keep this
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = _tv_config(model, r)
+    y = df.simulate(model, noise, df.example_signals(model), 200, seed=3).y
+    assert _cold_run(model, noise, config, y).frozen_at is not None
+    state = df.init_filter(model, noise, config)
+    P = state.P
+    for entry in state.ops.schedule:
+        want = df.covariance_update(model, noise, r, entry.L, P)
+        assert np.array_equal(entry.P.P, want.P) and entry.P.trace == want.trace
+        P = entry.P
 
 
 def test_a_second_session_reads_the_first_sessions_schedule():
