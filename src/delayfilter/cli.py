@@ -14,6 +14,7 @@ infeasibility (no unbiased gain at the requested delay), 3 a failed fact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,7 +82,13 @@ def _signal_arg(value):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The top-level parser, built on the first call and shared by every later one.
+
+    Parsing leaves no state on the parser, so repeated `main` calls in one
+    process reuse it instead of paying argparse's set-up again on each call.
+    """
     parser = _Parser(prog="delayfilter",
                      description="Delayed state and unknown-input reconstruction filters.")
     sub = parser.add_subparsers(dest="command", required=True)

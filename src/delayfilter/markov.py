@@ -75,9 +75,12 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
     Block (i, j) is CA^(i-j)H for i >= j and zero above the diagonal,
     so row block i collects the output contribution of inputs 0..i.
     """
-    blocks, zero = _delay(model, r).blocks, np.zeros((model.l, model.p))
-    return np.block([[blocks[i - j] if i >= j else zero for j in range(r + 1)]
-                     for i in range(r + 1)])
+    _check_delay(model, r)
+    delays, l, p = _profile(model).delays, model.l, model.p
+    T = np.zeros(((r + 1) * l, (r + 1) * p))
+    for i in range(r + 1):          # row block i is [S_i 0]
+        T[i * l:(i + 1) * l, :(i + 1) * p] = delays[i].S
+    return T
 
 
 @dataclass(frozen=True, eq=False)

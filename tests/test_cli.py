@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter import cli
 from delayfilter.cli import main
 from conftest import ill_conditioned_square_model
 
@@ -287,6 +288,43 @@ def test_simulate_known_input_then_filter(tmp_path, capsys):
     rc = main(["filter", str(mf), traj_csv, "--out", str(tmp_path / "e.csv")])
     assert rc == 0
     assert _report(capsys)["emitted"] == 199
+
+
+def test_main_shares_one_parser_that_keeps_no_state(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    model, _, _ = df.reference_example("nonsquare3")
+    doc = {"A": model.A.tolist(), "H": model.H.tolist(), "C": model.C.tolist(),
+           "B": [[0.3], [0.1], [0.2]], "D": [[0.5], [0.0]]}
+    mf, traj_csv = tmp_path / "model.json", str(tmp_path / "t.csv")
+    mf.write_text(json.dumps(doc))
+    mf = str(mf)
+
+    assert main(["analyze", mf]) == 0
+    first = capsys.readouterr().out
+    built.clear()           # whether that call built the shared parser depends on test order
+
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", mf, "--bogus"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--help"])
+    assert exc.value.code == 0
+    assert "usage: delayfilter filter" in capsys.readouterr().out
+    assert main(["simulate", mf, "--e1", "sine:1:40", "--u1", "step:2:10",
+                 "--out", traj_csv]) == 0
+    assert built == ["delayfilter simulate"]        # the per-model channel parser only
+    assert main(["filter", mf, traj_csv, "--out", str(tmp_path / "e.csv")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", mf]) == 0
+    assert capsys.readouterr().out == first
+    assert built == ["delayfilter simulate"]
 
 
 def test_analyze_degenerate_pencil_exits_2(tmp_path, capsys):

@@ -58,6 +58,24 @@ def test_row_stack_orders_highest_power_first():
     assert np.allclose(S, [[1.0, 0.0]])  # [CAH, CH]
 
 
+def test_toeplitz_is_the_block_matrix_of_the_markov_blocks_bit_for_bit():
+    rng = np.random.default_rng(19)
+    drawn = [make_feasible_system(rng, n=6, p=2, l=2), make_feasible_system(rng, n=6, p=1, l=3),
+             make_feasible_system(rng, n=7, p=2, l=4)]
+    models = [d[0] for d in drawn] + [df.reference_example("nonsquare12")[0]]
+    assert {m.l == m.p for m in models} == {True, False}
+    for model in models:
+        blocks, zero = df.markov_blocks(model, model.n), np.zeros((model.l, model.p))
+        for r in range(model.n):
+            want = np.block([[blocks[i - j] if i >= j else zero for j in range(r + 1)]
+                             for i in range(r + 1)])
+            T = df.markov_toeplitz(model, r)
+            assert np.array_equal(T, want)
+            assert T.flags.writeable
+            T[...] = np.nan
+            assert np.array_equal(df.markov_toeplitz(model, r), want)
+
+
 def test_toeplitz_structure():
     model, r = make_feasible_system(np.random.default_rng(3), n=5, p=1, l=2, delay=1)
     M = df.markov_toeplitz(model, 2)
