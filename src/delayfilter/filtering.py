@@ -15,16 +15,16 @@ Once the gain is frozen and its error map stable, the rest of the record
 advances by a two-level block scan in about 2 sqrt(N) array steps instead
 of N; run_filter() says how its rounding differs from step()'s.
 
-What no measurement changes is one filter plan (_FilterOps): the
-transposed model constants, the input decoder, the initial gain and, in
-TimeVaryingMinVar mode, the schedule of refreshed gains. Plans are
-memoised, the 16 most recent, keyed on the model object, r, the gain
-mode and, for the time-varying gain, the values of Q, R and P0; a
-user-supplied gain is never memoised. A schedule grows as sessions reach
-steps no session reached before and keeps at most SCHEDULE_CAP entries
-of n^2 + nl + (n+l)(n+l+p) floats each (the covariance, the gain and its
-update map); past the cap a session refreshes its own gain. So a later
-session reads the gains the first one computed, bit for bit.
+What no measurement changes is one filter plan (_FilterOps): the initial
+gain, its update map and, in TimeVaryingMinVar mode, the schedule of
+refreshed gains; the gain-free constants stay in the model's profile
+(markov's _Delay). Only time-varying plans are memoised, the 16 most
+recent, keyed on the model object, r and the values of Q, R and P0; a
+fixed gain's plan is built per session. A schedule grows as sessions
+reach steps no session reached before and keeps at most SCHEDULE_CAP
+entries of n^2 + nl + (n+l)(n+l+p) floats each (the covariance, the gain
+and its update map); past the cap a session refreshes its own gain. So a
+later session reads the gains the first one computed, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ from .gain import (
     _checked_residual,
     _overflowed,
 )
-from .linalg import frob, is_symmetric, pinv_cut, readonly, spectral_radius
-from .markov import _delay
+from .linalg import frob, is_symmetric, readonly, spectral_radius
+from .markov import _Delay, _delay
 from .model import NoiseSpec, SystemModel
+from .zeros import UNIT_CIRCLE_TOL
 
 FIXED_SQUARE = "FixedSquare"
 TIME_VARYING_MINVAR = "TimeVaryingMinVar"
@@ -68,7 +69,6 @@ DIVERGENT = "Divergent"
 
 # Eigenvalues this small are treated as exact zeros of the error dynamics.
 DEADBEAT_TOL = 1e-8
-SPECTRAL_TOL = 1e-9
 # Gain refresh stops once the covariance fixed point is this tight.
 FREEZE_RTOL = 1e-12
 # Time-varying gain steps a plan keeps; a gain that never freezes would
@@ -88,9 +88,9 @@ class FilterConfig:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _FilterOps:
-    """The filter plan: the constants every update reuses.
+    """The filter plan: the gains every update uses, beside the constants in d.
 
-    Matrices are stored transposed: the update right-multiplies, so one
+    Update maps are stored transposed: the update right-multiplies, so one
     code path serves (n,), a batch (trials, n) and a leading time axis.
     schedule[i] is the _Gain after the refresh of the i-th emitted step,
     filled by _gain_at; it stays empty in the fixed modes.
@@ -99,12 +99,7 @@ class _FilterOps:
     model: SystemModel
     noise: NoiseSpec | None             # the plan's own copy; None in the fixed modes
     r: int
-    At: np.ndarray                      # A^T
-    CA_rp1t: np.ndarray                 # (C A^(r+1))^T
-    Bt: np.ndarray                      # B^T
-    Dt: np.ndarray                      # D^T
-    CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () if m=0
-    Gd: np.ndarray                      # the columns every update map shares
+    d: _Delay                           # the model's constants at r
     L0: np.ndarray                      # the initial gain
     G0: np.ndarray                      # its update map
     schedule: list = field(default_factory=list, repr=False)
@@ -180,11 +175,11 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
         raise PreconditionViolated(f"{mode} builds its own gain; config.gain must be None")
     if mode == FIXED_SQUARE:
-        ops = _plan(model, r, mode, None)
+        ops = _new_plan(model, r, square_gain(model, r).L)
     elif mode == TIME_VARYING_MINVAR:
         if noise is None:
             raise PreconditionViolated("TimeVaryingMinVar needs a noise specification")
-        ops = _plan(model, r, mode, tuple(map(_frozen, (noise.Q, noise.R, P0))))
+        ops = _plan(model, r, tuple(map(_frozen, (noise.Q, noise.R, P0))))
     elif mode == FIXED_USER_SUPPLIED:
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
@@ -205,14 +200,12 @@ def _frozen(a) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _plan(model: SystemModel, r: int, gain_mode: str, noise_key) -> _FilterOps:
-    """The plan of a FixedSquare or TimeVaryingMinVar session, built once.
+def _plan(model: SystemModel, r: int, noise_key) -> _FilterOps:
+    """The plan of a TimeVaryingMinVar session, built once, schedule and all.
 
-    noise_key is None, or _frozen (Q, R, P0) for the time-varying gain:
-    keyed on values, a plan never outlives a change to a NoiseSpec's arrays.
+    noise_key is _frozen (Q, R, P0): keyed on values, a plan never
+    outlives a change to a NoiseSpec's arrays.
     """
-    if gain_mode == FIXED_SQUARE:
-        return _new_plan(model, r, square_gain(model, r).L)
     Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
     noise = NoiseSpec(Q=Q, R=R)
     return _new_plan(model, r, minvar_gain(model, noise, r, P0).L, noise)
@@ -221,24 +214,16 @@ def _plan(model: SystemModel, r: int, gain_mode: str, noise_key) -> _FilterOps:
 def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> _FilterOps:
     """The plan of a session whose initial gain is L."""
     d = _delay(model, r)
-    M_pinv = pinv_cut(d.blocks[r])      # left inverse; full column rank p at a feasible r
-    At, CA_rp1t = readonly(model.A.T), readonly(d.CA[r + 1].T)
-    # [innovation | ehat] = innovation [I | M^T] with innovation = z - xhat C A^(r+1)^T
-    Gd = readonly(np.vstack([-CA_rp1t, np.eye(model.l)]) @ np.hstack([np.eye(model.l),
-                                                                      M_pinv.T]))
-    return _FilterOps(model=model, noise=noise, r=r, At=At, CA_rp1t=CA_rp1t,
-                      Bt=readonly(model.B.T), Dt=readonly(model.D.T),
-                      CAjBt=tuple(readonly((CA @ model.B).T) for CA in d.CA[:r + 1])
-                      if model.m > 0 else (),
-                      Gd=Gd, L0=readonly(L), G0=_update_map(At, CA_rp1t, Gd, L))
+    return _FilterOps(model=model, noise=noise, r=r, d=d, L0=readonly(L),
+                      G0=_update_map(model, d, L))
 
 
-def _update_map(At, CA_rp1t, Gd, L) -> np.ndarray:
+def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
     """The read-only G with [xhat | z] G = [xhat' - B u[k-r-1] | innovation | ehat].
 
-    Its first n columns stack F^T = (A - L C A^(r+1))^T on L^T; the rest are Gd.
+    Its first n columns stack F^T (error_dynamics_matrix) on L^T; the rest are d.Gd.
     """
-    G = np.hstack([np.vstack([At - CA_rp1t @ L.T, L.T]), Gd])
+    G = np.hstack([np.vstack([error_dynamics_matrix(model, d.r, L).T, L.T]), d.Gd])
     G.setflags(write=False)
     return G
 
@@ -277,7 +262,7 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     P_next.P.setflags(write=False)      # shared by every session of the plan
     frozen = (_overflowed(P_next)
               or frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P)))
-    return _Gain(readonly(L), _update_map(ops.At, ops.CA_rp1t, ops.Gd, L), P_next, frozen)
+    return _Gain(readonly(L), _update_map(model, ops.d, L), P_next, frozen)
 
 
 # The update, shared by step() and run_filter(), is one product [xhat | z] G
@@ -289,12 +274,12 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
 
 def _input_terms(ops: _FilterOps, y, u, u_lags):
     """(z[k], B u[k-r-1]) with u_lags[j] = u[k-1-j]; (y, None) without known inputs."""
-    if not ops.CAjBt:
+    if not ops.d.CAjBt:
         return y, None
-    z = y - u @ ops.Dt
-    for CAjBt, u_j in zip(ops.CAjBt, u_lags):
+    z = y - u @ ops.model.D.T
+    for CAjBt, u_j in zip(ops.d.CAjBt, u_lags):
         z = z - u_j @ CAjBt
-    return z, u_lags[ops.r] @ ops.Bt
+    return z, u_lags[ops.r] @ ops.model.B.T
 
 
 def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
@@ -415,7 +400,7 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
             stop = emitted if gain.frozen else i + 1
             _step(W, Gx, b, range(i, stop))
             i = stop
-        decoded = W[:-1] @ ops.Gd                           # [innovation | ehat]
+        decoded = W[:-1] @ ops.d.Gd                         # [innovation | ehat]
     xs = W[1:, ..., :n]
     axes = tuple(range(1, xs.ndim))
     bad = np.flatnonzero(~(np.isfinite(xs).all(axis=axes) & np.isfinite(decoded).all(axis=axes)))
@@ -501,9 +486,9 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     if np.all(moduli <= DEADBEAT_TOL):
         return DEADBEAT
     rho = float(np.max(moduli))
-    if rho < 1.0 - SPECTRAL_TOL:
+    if rho < 1.0 - UNIT_CIRCLE_TOL:
         return ASYMPTOTIC
-    if rho <= 1.0 + SPECTRAL_TOL:
+    if rho <= 1.0 + UNIT_CIRCLE_TOL:
         return PERSISTENT
     return DIVERGENT
 

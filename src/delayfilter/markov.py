@@ -4,20 +4,21 @@ Decides which reconstruction delays r admit an unbiased gain, reports
 the smallest one, and separately reports the delays from which the
 input sequence is recoverable at all (a strictly weaker property; see
 the bundled 4-state counterexample in the registry). Every verdict on a
-delay and every constant the constraint L S_r = [H 0 ... 0] fixes at it,
-here and in the gain functions, is read from one profile per model.
+delay, every constant the constraint L S_r = [H 0 ... 0] fixes at it and
+every gain-free constant of the filter's update is read from one profile
+per model, here, in the gain functions and in the filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DelayOutOfRange
-from .linalg import RANK_RCOND, frob, numerical_rank, pinv_cut
+from .linalg import RANK_RCOND, frob, numerical_rank, pinv_cut, readonly
 from .model import SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
@@ -85,11 +86,15 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Delay:
-    """Everything the constraint L S_r = [H 0 ... 0] fixes at one (model, r), read-only."""
+    """What the constraint L S_r = [H 0 ... 0] and the update fix at one (model, r), read-only.
+
+    The update's gain-free constants are C A^(r+1) (in CA), CAjBt and Gd, built on first use.
+    """
 
     r: int
     feasible: bool                      # an unbiased gain exists at r
     CA: tuple                           # C A^j for j = 0..r+1
+    CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () without known inputs
     blocks: tuple                       # C A^j H for j = 0..r
     lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
     S: np.ndarray                       # [CA^rH ... CH], contiguous
@@ -97,6 +102,13 @@ class _Delay:
     S_pinv: np.ndarray | None           # S^+ where r is feasible, else None
     H0: np.ndarray                      # [H 0 ... 0]
     tol: float                          # residual tolerance of the constraint
+
+    @cached_property
+    def Gd(self) -> np.ndarray:
+        """[xhat | z] Gd = [innovation | ehat], ehat = innovation ((CA^rH)^+)^T."""
+        I = np.eye(self.S.shape[0])         # innovation = z - xhat (C A^(r+1))^T
+        return readonly(np.vstack([-self.CA[self.r + 1].T, I])
+                        @ np.hstack([I, pinv_cut(self.blocks[self.r]).T]))
 
 
 class _Profile(NamedTuple):
@@ -129,6 +141,7 @@ def _profile(model: SystemModel) -> _Profile:
     c_norm = float(np.linalg.norm(model.C))
     scales = tuple(c_norm * float(np.linalg.norm(X)) for X in powers)
     blocks = tuple(_sealed(model.C @ X) for X in powers)
+    CAjBt = tuple(readonly((X @ model.B).T) for X in CA[:n]) if model.m > 0 else ()
     markov_ranks = tuple(map(_anchored_rank, blocks, scales))
     S = [_sealed(np.hstack(blocks[r::-1])) for r in range(n)]
     s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
@@ -136,9 +149,9 @@ def _profile(model: SystemModel) -> _Profile:
     H0 = _sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))]))
     Eb = _sealed(np.hstack(CA[n - 1::-1] + [np.eye(model.l)]))     # [CA^(n-1) ... C | I]
     delays = tuple(
-        _Delay(r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), blocks=blocks[:r + 1],
+        _Delay(r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
+               blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
                lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
-               S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
                S_pinv=_sealed(pinv_cut(S[r])) if r in feasible else None,
                H0=H0[:, :(r + 1) * p], tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
         for r in range(n))

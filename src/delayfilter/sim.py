@@ -76,9 +76,9 @@ def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
 
 
 def _integer(name: str, value) -> int:
-    """value as an int if it is an integral number (20, 20.0, np.int64(20))."""
-    if isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer()):
+    """value as an int if it is an integral number (20, 20.0, np.int64(20)) and no bool."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
         return int(value)
     raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
 

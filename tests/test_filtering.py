@@ -461,7 +461,7 @@ def test_run_filter_reports_where_estimates_overflow():
     tol = 1e-9 * (1.0 + np.linalg.norm(model.H))
     assert eps <= np.exp(log_seed) <= tol
     ops = df.init_filter(model, noise, config).ops
-    g = np.abs(filtering._update_map(ops.At, ops.CA_rp1t, ops.Gd, run.L)).sum(axis=0).max()
+    g = np.abs(filtering._update_map(model, ops.d, run.L)).sum(axis=0).max()
     lo, hi = (1.0 + (np.log(f) - np.log(seed)) / log_rho for seed in (g * tol, eps))
     assert lo <= N <= hi
 
@@ -614,7 +614,7 @@ def _stepwise_nonfinite_at(model, noise, config, y):
             if not gain.frozen:
                 gain = filtering._gain_at(ops, i, gain)
             W[i + 1, :n] = W[i] @ np.ascontiguousarray(gain.G[:, :n])
-        decoded = W[:-1] @ ops.Gd
+        decoded = W[:-1] @ ops.d.Gd
     finite = np.isfinite(W[1:, :n]).all(axis=1) & np.isfinite(decoded).all(axis=1)
     return None if finite.all() else r + 1 + int(np.argmin(finite))
 
@@ -780,6 +780,33 @@ def test_plans_belong_to_their_model():
             assert loop[2] == cold_loop[2]
             assert all(np.array_equal(a, b) for a, b in zip(loop[:2], cold_loop[:2]))
     assert filtering._plan.cache_info().currsize == filtering._plan.cache_info().maxsize == 16
+
+
+def test_fixed_gains_build_their_plans_outside_the_memo():
+    # only the time-varying schedule is shared between sessions
+    model = df.reference_example("compartmental-34")[0]
+    L = df.square_gain(model, 2).L
+    for cfg in (_config(r=2, n=model.n),
+                _config(r=2, mode=df.FIXED_USER_SUPPLIED, n=model.n, gain=L)):
+        before = filtering._plan.cache_info()
+        first = df.init_filter(model, None, cfg).ops
+        assert filtering._plan.cache_info() == before
+        assert df.init_filter(model, None, cfg).ops is not first
+        assert np.array_equal(first.L0, L)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_every_update_map_is_the_error_map_over_the_gain(r):
+    model, noise, _ = df.reference_example("nonsquare3")
+    config, n = _tv_config(model, r), model.n
+    y = df.simulate(model, noise, df.example_signals(model), 200, seed=3).y
+    assert _cold_run(model, noise, config, y).frozen_at is not None
+    ops = df.init_filter(model, noise, config).ops
+    maps = [(ops.L0, ops.G0)] + [(entry.L, entry.G) for entry in ops.schedule]
+    assert len(maps) > 2
+    for L, G in maps:
+        assert np.array_equal(G[:, :n], np.vstack([df.error_dynamics_matrix(model, r, L).T, L.T]))
+        assert np.array_equal(G[:, n:], ops.d.Gd)
 
 
 def test_schedule_stops_at_the_cap():

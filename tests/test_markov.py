@@ -6,6 +6,8 @@ import pytest
 import delayfilter as df
 from conftest import make_feasible_system
 from delayfilter.gain import constraint_target
+from delayfilter.linalg import pinv_cut
+from delayfilter.markov import _delay
 
 # 2-state system with CH = 0 and CAH = 1: feasible exactly at delay 1
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -74,6 +76,41 @@ def test_toeplitz_is_the_block_matrix_of_the_markov_blocks_bit_for_bit():
             assert T.flags.writeable
             T[...] = np.nan
             assert np.array_equal(df.markov_toeplitz(model, r), want)
+
+
+def test_the_profile_holds_the_updates_gain_free_constants_bit_for_bit():
+    # at every feasible r, the known-input terms (C A^j B)^T and the decoder
+    # columns Gd = [-(C A^(r+1))^T; I] [I, ((CA^rH)^+)^T], with the powers
+    # taken by repeated multiplication as the profile takes them
+    rng = np.random.default_rng(20)
+    models = []
+    while len(models) < 9:
+        drawn = make_feasible_system(rng)
+        if drawn is None:
+            continue
+        base, m = drawn[0], len(models) % 3             # 0, 1 or 2 known inputs
+        models.append(df.validate_model(base.A, base.H, base.C,
+                                        rng.standard_normal((base.n, m)),
+                                        rng.standard_normal((base.l, m))) if m else base)
+    models += [df.reference_example(name)[0] for name in df.EXAMPLE_IDS]
+    checked = set()
+    for model in models:
+        CA, AH = [model.C], [model.H]
+        for _ in range(model.n):
+            CA.append(CA[-1] @ model.A)
+            AH.append(model.A @ AH[-1])
+        for r in df.analyze_delays(model).feasible_delays:
+            d, I = _delay(model, r), np.eye(model.l)
+            M = model.C @ AH[r]
+            want = np.vstack([-CA[r + 1].T, I]) @ np.hstack([I, pinv_cut(M).T])
+            assert np.array_equal(d.Gd, want) and not d.Gd.flags.writeable
+            assert d.Gd is d.Gd and d.Gd is _delay(model, r).Gd
+            assert np.allclose(d.Gd[model.n:, model.l:].T @ M, np.eye(model.p))
+            assert len(d.CAjBt) == (r + 1 if model.m else 0)
+            for X, CAjBt in zip(CA, d.CAjBt):
+                assert np.array_equal(CAjBt, (X @ model.B).T) and not CAjBt.flags.writeable
+            checked.add(model.m)
+    assert checked == {0, 1, 2}
 
 
 def test_toeplitz_structure():

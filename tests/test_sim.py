@@ -169,7 +169,7 @@ def test_simulate_channel_count_checked():
             df.simulate(E1, None, sigs[:1], 10, x0=x0, noise_on=False)
     traj = df.simulate(E1, None, sigs[:1], 10, x0=[[1.0], [2.0]], noise_on=False)
     assert np.array_equal(traj.x[0], [1.0, 2.0])
-    for T in (10.5, "10", None):
+    for T in (10.5, "10", None, True):
         with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
             df.simulate(E1, None, sigs[:1], T, noise_on=False)
     for T in (10.0, np.int64(10)):
@@ -328,10 +328,10 @@ def test_monte_carlo_bias_sample_times_checked():
     for trials in (0, 1):     # a standard error needs two trials
         with pytest.raises(df.DimensionMismatch, match="trials"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
-    for trials in (2.5, "3"):
+    for trials in (2.5, "3", True):
         with pytest.raises(df.DimensionMismatch, match="trials must be an integer"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=trials, T=60)
-    for T in (60.5, "60"):
+    for T in (60.5, "60", True):
         with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=T)
     for T in (0, -3):         # the default sample times are built from T
