@@ -31,6 +31,7 @@ from .filtering import (
     run_filter,
 )
 from .gain import square_gain, steady_state_gain, unbiasedness_residual
+from .linalg import rms
 from .markov import analyze_delays, minimal_delay
 from .model import load_model_file
 from .registry import (
@@ -263,9 +264,6 @@ def cmd_filter(args) -> int:
     write_estimates(args.out, rows, model.n, model.p, model.l)
 
     innovations = run.innovations[r + 1:]
-    # hypot of the scaled terms cannot overflow on a divergent gain's innovations
-    innov_rms = (float(np.hypot.reduce(innovations / np.sqrt(innovations.size), axis=None))
-                 if innovations.size else 0.0)
     L = run.L
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -281,7 +279,7 @@ def cmd_filter(args) -> int:
         },
         "verdict": classify_convergence(model, r, L),
         "noise_defaulted": defaulted,
-        "innovation_rms": innov_rms,
+        "innovation_rms": rms(innovations),
         "emitted": len(innovations),
         "out": args.out,
     }

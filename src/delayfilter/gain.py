@@ -35,6 +35,7 @@ from .model import NoiseSpec, SystemModel
 
 COND_LIMIT = 1e12             # of the innovation covariance V
 COVARIANCE_CAP = 1e30         # of a covariance's trace: past it the recursion has overflowed
+DOUBLING_ROUNDS = 64          # _lyapunov settles rho(F) = 1 - 2^-53, the largest double below 1, in 59
 
 SQUARE_INVERSE = "SquareInverse"
 MINVAR_LAGRANGIAN = "MinVarLagrangian"
@@ -220,6 +221,20 @@ def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -
     return covariance_state(F @ _p_matrix(P_prev, model.n) @ F.T + W)
 
 
+def _lyapunov(F: np.ndarray, W: np.ndarray) -> CovarianceState | None:
+    """P = F P F^T + W for a stable F by Smith's doubling: k rounds of P += F P F^T, F = F^2
+    from P = W sum F^t W (F^t)^T over t < 2^k. None if the increment is still above
+    1e-17 ||P|| after DOUBLING_ROUNDS."""
+    P = W
+    for _ in range(DOUBLING_ROUNDS):
+        increment = F @ P @ F.T
+        P = P + increment
+        if frob(increment) <= 1e-17 * frob(P):
+            return covariance_state(P)
+        F = F @ F
+    return None
+
+
 def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
                       P0=None, max_iter: int = 10000):
     """Gain and covariance at their fixed point, by policy iteration.
@@ -228,13 +243,14 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     information, not an error. A round returns (minvar_gain(P), P), converged,
     once one covariance step under that gain moves P by at most 1e-10 ||P||.
     Otherwise a gain whose error map F is stable jumps to its exact
-    covariance, one Lyapunov solve P = F P F^T + W, and any other takes the
-    step. An unstable unique gain (rank S_r = l) returns at once with P0; an
+    covariance, the solution of P = F P F^T + W by Smith's doubling
+    (_lyapunov), and any other takes the step. The doubling needs about
+    log2(log eps / log rho(F)) rounds, fewer than DOUBLING_ROUNDS for every
+    double rho(F) < 1; a solve that has not settled by then takes the step
+    too. An unstable unique gain (rank S_r = l) returns at once with P0; an
     overflow or a singular innovation covariance ends the run with the last
     gain. max_iter caps the rounds.
     """
-    from scipy.linalg import solve_discrete_lyapunov   # slow to import; filter never gets here
-
     P = covariance_state(_p_matrix(P0, model.n))
     gain, d = minvar_gain(model, noise, r, P), _delay(model, r)
     for _ in range(max_iter):
@@ -247,7 +263,7 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
             return gain, P_next, False
         if frob(P_next.P - P.P) <= 1e-10 * frob(P.P):
             return gain, P, True
-        P = covariance_state(solve_discrete_lyapunov(F, W)) if stable else P_next
+        P = (_lyapunov(F, W) if stable else None) or P_next
         try:
             gain = minvar_gain(model, noise, r, P)
         except InnovationCovarianceSingular:

@@ -94,6 +94,12 @@ def frob(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float), "fro"))
 
 
+def rms(a: np.ndarray) -> float:
+    """Root mean square of a's entries, 0 if a is empty. The hypot of the scaled
+    entries does not overflow where their squares would, so it warns on no run."""
+    return float(np.hypot.reduce(a / np.sqrt(a.size), axis=None)) if a.size else 0.0
+
+
 def readonly(a: np.ndarray) -> np.ndarray:
     """Return a C-contiguous copy with the write flag cleared."""
     out = np.array(a, dtype=float, copy=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
 from .filtering import FilterConfig, run_filter
-from .linalg import psd_factor, readonly
+from .linalg import psd_factor, readonly, rms
 from .model import NoiseSpec, SystemModel, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
 
@@ -62,10 +62,6 @@ class ErrorStats:
     state_max_abs: float
     input_max_abs: float
     state_bias: np.ndarray
-
-
-def _rms(a: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(a)))) if a.size else 0.0
 
 
 def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
@@ -224,8 +220,8 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
         ks=ks,
         state_errors=serr,
         input_errors=ierr,
-        state_rms=_rms(serr),
-        input_rms=_rms(ierr),
+        state_rms=rms(serr),
+        input_rms=rms(ierr),
         state_max_abs=float(np.max(np.abs(serr))) if serr.size else 0.0,
         input_max_abs=float(np.max(np.abs(ierr))) if ierr.size else 0.0,
         state_bias=serr.mean(axis=0) if serr.size else np.zeros(model.n),

@@ -512,8 +512,8 @@ def test_unknown_flag_exits_1(model_file):
 
 
 def test_import_skips_scipy_linalg():
-    # scipy.linalg only serves the Lyapunov solve of steady_state_gain;
-    # importing it costs more than the rest of the package
+    # numpy is the package's only runtime dependency, and importing
+    # scipy.linalg costs more than the rest of the package
     src = os.path.dirname(os.path.dirname(df.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -523,6 +523,25 @@ def test_import_skips_scipy_linalg():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_analyze_and_reproduce_run_with_scipy_blocked(model_file, tmp_path):
+    # nonsquare3's analyze and minphase3's steady-state fact both solve for a
+    # steady-state covariance; with scipy unimportable they must still exit 0
+    runs = [["analyze", model_file("nonsquare3", name="nonsquare3.json")],
+            ["analyze", model_file("minphase3", name="minphase3.json")],
+            ["reproduce", "minphase3", "--outdir", str(tmp_path / "out")]]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from delayfilter.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    src = os.path.dirname(os.path.dirname(df.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
 
 
 def _read_estimates(path):

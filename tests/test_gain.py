@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter.gain import _innovation_terms, constraint_target
+from delayfilter.gain import DOUBLING_ROUNDS, _innovation_terms, _lyapunov, constraint_target
 from delayfilter.markov import _delay
 from conftest import ill_conditioned_square_model, make_feasible_system, random_noise
 
@@ -297,6 +297,62 @@ def test_steady_state_stops_when_the_covariance_overflows():
     res, cov, converged = df.steady_state_gain(model, noise, 0)
     assert converged is False and cov.trace > 1e30
     assert df.gain_spectral_radius(model, 0, res.L) == pytest.approx(2.0)
+
+
+def _stable_maps():
+    """(name, F): stable maps from n = 1 to 12 for the Lyapunov solve."""
+    rng = np.random.default_rng(21)
+    for n in range(1, 13):
+        M = rng.standard_normal((n, n))
+        radius = np.max(np.abs(np.linalg.eigvals(M)))
+        for rho in (rng.uniform(0.05, 0.99), 0.999, 1.0 - 1e-12):
+            yield f"random n={n} rho={rho}", M * (rho / radius)
+    yield "zero", np.zeros((3, 3))
+    yield "largest double below 1", np.array([[1.0 - 2.0 ** -53]])
+    # a large transient: max_t ||F^t|| is 2.4e5 for spectral radius 0.9
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    yield "rotated Jordan block", Q @ (0.9 * np.eye(4) + 10.0 * np.eye(4, k=1)) @ Q.T
+
+
+def test_lyapunov_solves_the_covariance_equation():
+    # Residual bound, a first-order estimate. Round j of the doubling forms
+    # F_j P F_j^T and F_j F_j, where F_j is the computed F^(2^j), of 2-norm at
+    # most M = max(1, max_t ||F^t||_2). An n x n product is off by at most
+    # n eps times the product of its factors' norms (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., section 3.5), so each round
+    # adds at most about 2 n eps M^2 ||P|| of error, as a share of a partial sum
+    # that the later rounds carry forward like the sum itself. Over k <=
+    # DOUBLING_ROUNDS rounds, and with the evaluation of the residual itself
+    # (n eps (1 + M^2) ||P||), ||P - F P F^T - W||_F <= 4 n k eps M^2 ||P||_F.
+    # The same bound limits how far rounding can take P below 0, and
+    # covariance_state makes P exactly symmetric. M is taken over t <= 200; a
+    # lower M only tightens the check.
+    rng = np.random.default_rng(22)
+    eps = np.finfo(float).eps
+    for name, F in _stable_maps():
+        n = F.shape[0]
+        G = rng.standard_normal((n, n))
+        W = G @ G.T
+        P = _lyapunov(F, W).P
+        power, M = np.eye(n), 1.0
+        for _ in range(200):
+            power = power @ F
+            M = max(M, np.linalg.norm(power, 2))
+        bound = 4 * n * DOUBLING_ROUNDS * eps * M ** 2 * np.linalg.norm(P)
+        assert np.linalg.norm(P - F @ P @ F.T - W) <= bound, name
+        assert np.array_equal(P, P.T), name
+        assert np.linalg.eigvalsh(P)[0] >= -bound, name
+
+
+def test_steady_state_steps_when_the_doubling_does_not_settle(monkeypatch):
+    # with no doubling rounds every solve gives up, so each round takes the
+    # covariance step, and the fixed point is the stepped recursion's
+    model, noise, _ = df.reference_example("nonsquare3")
+    monkeypatch.setattr(df.gain, "DOUBLING_ROUNDS", 0)
+    res, _, converged = df.steady_state_gain(model, noise, 1)
+    L_ref, converged_ref = _stepped_fixed_point(model, noise, 1)
+    assert converged is converged_ref is True
+    np.testing.assert_allclose(res.L, L_ref, rtol=0, atol=1e-6)
 
 
 def test_minvar_singular_innovation_covariance_raises():

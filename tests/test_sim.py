@@ -1,5 +1,7 @@
 """Signal generation, simulation, and experiment scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ def test_run_experiment_alignment():
     assert np.isnan(run.state_estimates[:2]).all()
     assert np.isfinite(run.state_estimates[2:]).all()
     assert np.max(np.abs(stats.state_bias)) <= 1e-10
+
+
+def test_run_experiment_scores_a_divergent_run_without_a_warning():
+    # nonsquare12's unique gain at r = 1 is unstable: its estimation errors
+    # reach about 1e163, whose squares overflow
+    model, noise, _ = df.reference_example("nonsquare12")
+    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7, noise_on=False)
+    config = df.FilterConfig(r=1, gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=traj.x[0], initial_covariance=np.eye(model.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats, _ = df.run_experiment(model, noise, config, traj)
+    for score in (stats.state_rms, stats.input_rms):
+        assert not np.isfinite(score) or score > 1e100
 
 
 def test_monte_carlo_bias_shapes():
