@@ -2,14 +2,15 @@
 
 Square systems (l = p) have exactly one gain satisfying the
 unbiasedness constraint, the block inverse H (CA^rH)^-1. Non-square
-systems have infinitely many; minvar_gain picks the one minimizing the
-trace of the delayed error covariance via a Lagrangian with a
-pseudoinverse multiplier. covariance_update propagates the covariance
-for any constrained gain, and steady_state_gain finds the pair's fixed
-point by policy iteration (Hewer, IEEE TAC 16(4), 1971) when one exists.
-Every constant the constraint fixes at a delay, its verdict included, is
-read from the model's profile in markov (_delay). The noise structure is
-one map per delay, Eb = [CA^r ... CA C | I]: the innovation covariance,
+systems have infinitely many, L_min + Y N^T with N the constraint's left
+null space; minvar_gain picks the one minimizing the trace of the delayed
+error covariance, a least-squares problem in Y. covariance_update
+propagates the covariance for any constrained gain, and
+steady_state_gain finds the pair's fixed point by policy iteration
+(Hewer, IEEE TAC 16(4), 1971) when one exists. Every constant the
+constraint fixes at a delay, its verdict included, is read from the
+model's profile in markov (_delay). The noise structure is one map per
+delay, Eb = [CA^r ... CA C | I]: the innovation covariance,
 its cross term and the covariance step all read it (_noise_covariance).
 """
 
@@ -29,8 +30,8 @@ from .errors import (
     PreconditionViolated,
     SingularMarkovParameter,
 )
-from .linalg import frob, pinv_cut, spectral_radius
-from .markov import _Delay, _delay, _profile
+from .linalg import frob, spectral_radius
+from .markov import _Delay, _delay
 from .model import NoiseSpec, SystemModel
 
 COND_LIMIT = 1e12             # of the innovation covariance V
@@ -143,41 +144,24 @@ def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
     return V, Caa @ d.CA[d.r].T
 
 
-def _polished(model: SystemModel, d: _Delay, L, method: str) -> GainResult:
-    """L after one or two projection steps L <- L - (L S_r - [H 0..0]) S_r^+.
-
-    They remove the rounding error the multiplier solve leaves in the
-    constraint row space (this changes the cost only at second order);
-    the residual that remains must be within tolerance.
-    """
-    for _ in range(2):
-        gap = L @ d.S - d.H0
-        if frob(gap) <= 1e-3 * d.tol:
-            break
-        L = L - gap @ d.S_pinv
-    residual = _checked_residual(model, d.r, L, "gain")
-    return GainResult(L=L, residual=residual, method=method)
-
-
 def minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> GainResult:
     """Trace-optimal gain among all gains satisfying the constraint.
 
     P_prev is the delayed error covariance from the previous step
-    (CovarianceState or plain matrix; identity when omitted). The
-    Lagrange multiplier block is non-unique; the minimum-norm choice
-    via pseudoinverse is taken, which does not affect L. The closed
-    form is evaluated and then polished onto the constraint.
+    (CovarianceState or plain matrix; identity when omitted). Every
+    unbiased gain is L_min + Y N^T (see markov._Delay), and the trace is
+    least at Y = (G - L_min V) N (N^T V N)^-1. Without a null space N
+    the gain is L_min whatever P_prev is.
     """
     d = _delay(model, r)
     if not d.feasible:
         raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
     V, G = _innovation_terms(model, noise, d, P_prev)
-    Vinv_S = np.linalg.solve(V, d.S)
-    Z = d.S.T @ Vinv_S
-    Z = 0.5 * (Z + Z.T)
-    N = d.H0 - G @ Vinv_S
-    L = np.linalg.solve(V, (G + N @ pinv_cut(Z) @ d.S.T).T).T
-    return _polished(model, d, L, MINVAR_LAGRANGIAN)
+    VN = V @ d.N
+    Y = np.linalg.solve(d.N.T @ VN, (G @ d.N - d.L_min @ VN).T).T
+    L = d.L_min + Y @ d.N.T
+    return GainResult(L=L, residual=_checked_residual(model, r, L, "gain"),
+                      method=MINVAR_LAGRANGIAN)
 
 
 def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> GainResult:
@@ -201,7 +185,8 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
     Vinv_M = np.linalg.solve(V, M)
     Phi = np.linalg.solve((M.T @ Vinv_M).T, (model.H - G @ Vinv_M).T).T
     L = np.linalg.solve(V, (G + Phi @ M.T).T).T
-    return _polished(model, d, L, SIMPLIFIED_MINVAR)
+    return GainResult(L=L, residual=_checked_residual(model, r, L, "gain"),
+                      method=SIMPLIFIED_MINVAR)
 
 
 def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray):
@@ -224,14 +209,18 @@ def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -
 def _lyapunov(F: np.ndarray, W: np.ndarray) -> CovarianceState | None:
     """P = F P F^T + W for a stable F by Smith's doubling: k rounds of P += F P F^T, F = F^2
     from P = W sum F^t W (F^t)^T over t < 2^k. None if the increment is still above
-    1e-17 ||P|| after DOUBLING_ROUNDS."""
+    1e-17 ||P|| after DOUBLING_ROUNDS, or once rounding has taken the powers F^(2^k) outside
+    the unit circle, so that P stops being finite or its trace leaves [0, COVARIANCE_CAP]."""
     P = W
-    for _ in range(DOUBLING_ROUNDS):
-        increment = F @ P @ F.T
-        P = P + increment
-        if frob(increment) <= 1e-17 * frob(P):
-            return covariance_state(P)
-        F = F @ F
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DOUBLING_ROUNDS):
+            increment = F @ P @ F.T
+            P = P + increment
+            if not (np.isfinite(P).all() and 0.0 <= np.trace(P) <= COVARIANCE_CAP):
+                return None             # a finite P has had finite increments
+            if frob(increment) <= 1e-17 * frob(P):
+                return covariance_state(P)
+            F = F @ F
     return None
 
 
@@ -247,16 +236,16 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     (_lyapunov), and any other takes the step. The doubling needs about
     log2(log eps / log rho(F)) rounds, fewer than DOUBLING_ROUNDS for every
     double rho(F) < 1; a solve that has not settled by then takes the step
-    too. An unstable unique gain (rank S_r = l) returns at once with P0; an
-    overflow or a singular innovation covariance ends the run with the last
-    gain. max_iter caps the rounds.
+    too. An unstable unique gain (N empty: rank S_r = l) returns at once
+    with P0; an overflow or a singular innovation covariance ends the run
+    with the last gain. max_iter caps the rounds.
     """
     P = covariance_state(_p_matrix(P0, model.n))
     gain, d = minvar_gain(model, noise, r, P), _delay(model, r)
     for _ in range(max_iter):
         F, W = _error_terms(model, noise, d, gain.L)     # minvar_gain gated every gain
         stable = spectral_radius(F) < 1.0
-        if not stable and _profile(model).s_ranks[r] == model.l:
+        if not stable and not d.N.size:
             return gain, P, False
         P_next = covariance_state(F @ P.P @ F.T + W)
         if _overflowed(P_next):

@@ -99,7 +99,8 @@ class _Delay:
     lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
     S: np.ndarray                       # [CA^rH ... CH], contiguous
     Eb: np.ndarray                      # [CA^r ... CA C | I]: the innovation's noise map
-    S_pinv: np.ndarray | None           # S^+ where r is feasible, else None
+    L_min: np.ndarray | None            # [H 0 ... 0] S^+ where r is feasible, else None
+    N: np.ndarray | None                # orthonormal left null space of S: gains are L_min + Y N^T
     H0: np.ndarray                      # [H 0 ... 0]
     tol: float                          # residual tolerance of the constraint
 
@@ -148,15 +149,20 @@ def _profile(model: SystemModel) -> _Profile:
     feasible = _rank_steps(s_ranks, p)
     H0 = _sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))]))
     Eb = _sealed(np.hstack(CA[n - 1::-1] + [np.eye(model.l)]))     # [CA^(n-1) ... C | I]
-    delays = tuple(
-        _Delay(r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
-               blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
-               lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
-               S_pinv=_sealed(pinv_cut(S[r])) if r in feasible else None,
-               H0=H0[:, :(r + 1) * p], tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
-        for r in range(n))
+    delays = []
+    for r in range(n):
+        H0_r, L_min, N = H0[:, :(r + 1) * p], None, None
+        if r in feasible:               # one SVD of S_r, cut at the rank the profile gave it
+            U, s, Vt = np.linalg.svd(S[r])
+            k = s_ranks[r]
+            L_min, N = _sealed((H0_r @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
+        delays.append(_Delay(
+            r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
+            blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
+            lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
+            L_min=L_min, N=N, H0=H0_r, tol=RESIDUAL_RTOL * (1.0 + frob(model.H))))
     return _Profile(blocks=blocks, scales=scales, markov_ranks=markov_ranks,
-                    s_ranks=s_ranks, feasible=feasible, delays=delays)
+                    s_ranks=s_ranks, feasible=feasible, delays=tuple(delays))
 
 
 def _delay(model: SystemModel, r: int) -> _Delay:

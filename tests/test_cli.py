@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,12 +99,12 @@ def test_simulate_then_filter_roundtrip(model_file, tmp_path, capsys):
     # from it. What must vanish is the estimation error.
     assert report["innovation_rms"] > 1e-3
 
-    lines = open(est_csv).read().splitlines()
+    lines = Path(est_csv).read_text().splitlines()
     assert lines[0] == "k,xhat1,xhat2,xhat3,ehat1,innov1"
     assert len(lines) == 82
 
     truth = {}
-    for row in open(traj_csv).read().splitlines()[1:]:
+    for row in Path(traj_csv).read_text().splitlines()[1:]:
         cells = row.split(",")
         truth[int(cells[0])] = [float(c) for c in cells[2:]]  # x1,x2,x3,e1
     worst = 0.0
@@ -128,7 +129,7 @@ def test_simulate_deterministic(model_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", mf, "--e1", "prbs:1:9", "--seed", "7", "--out", b]) == 0
     capsys.readouterr()
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_simulate_missing_channel_exits_1(model_file, capsys):
@@ -179,7 +180,7 @@ def test_simulate_flag_value_after_equals_sign(model_file, tmp_path, capsys):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["simulate", mf, "--e1=sine:1:40", "--out", a]) == 0
     assert main(["simulate", mf, "--e1", "sine:1:40", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_simulate_noise_needs_q_r_or_defaults(model_file, tmp_path, capsys):
@@ -284,7 +285,8 @@ def test_simulate_known_input_then_filter(tmp_path, capsys):
     assert main(["simulate", str(mf), "--e1", "sine:1:40", "--u1", "step:2:10",
                  "--out", traj_csv]) == 0
     capsys.readouterr()
-    assert open(traj_csv).readline().rstrip("\r\n") == "k,y1,y2,u1,x1,x2,x3,e1"
+    with open(traj_csv) as fh:
+        assert fh.readline().rstrip("\r\n") == "k,y1,y2,u1,x1,x2,x3,e1"
     rc = main(["filter", str(mf), traj_csv, "--out", str(tmp_path / "e.csv")])
     assert rc == 0
     assert _report(capsys)["emitted"] == 199
@@ -442,7 +444,7 @@ def test_filter_divergent_gain_is_reported(model_file, tmp_path, capsys):
     assert report["gain"]["frozen_at"] == 4
     assert report["gain"]["spectral_radius"] == pytest.approx(7.46, abs=0.01)
     assert np.isfinite(report["innovation_rms"])
-    assert len(open(est_csv).read().splitlines()) == 202
+    assert len(Path(est_csv).read_text().splitlines()) == 202
 
 
 def test_filter_overflowing_estimates_exit_1(model_file, tmp_path, capsys):
@@ -546,7 +548,8 @@ def test_analyze_and_reproduce_run_with_scipy_blocked(model_file, tmp_path):
 
 def _read_estimates(path):
     """(header, (T+1, n+p+l) array) with NaN for the empty warm-up fields."""
-    lines = open(path, newline="").read().split("\r\n")
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\r\n")
     assert lines[-1] == ""
     rows = [line.split(",") for line in lines[1:-1]]
     assert [int(cells[0]) for cells in rows] == list(range(len(rows)))

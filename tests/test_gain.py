@@ -106,6 +106,55 @@ def test_minvar_residual_bound_random():
         assert res.residual <= 1e-9 * (1.0 + np.linalg.norm(model.H))
 
 
+def _lagrangian_gain(V, G, S, H0):
+    """(L, x, kappa): the trace-optimal gain from the Lagrangian's KKT system
+    K x = [G^T; H0^T], K = [[V, S], [S^T, 0]], x = [L^T; M^T], solved by least
+    squares because the multiplier block M is not unique when S lacks full
+    column rank; x is the least-norm solution, kappa = sigma_1 / sigma_rank of K."""
+    l, q = S.shape
+    K = np.block([[V, S], [S.T, np.zeros((q, q))]])
+    x, _, rank, sv = np.linalg.lstsq(K, np.vstack([G.T, H0.T]), rcond=None)
+    return x[:l].T, x, sv[0] / sv[rank - 1]
+
+
+def test_minvar_gain_matches_the_lagrangian_oracle():
+    # Tolerance: lstsq returns the least-norm solution x of a KKT matrix
+    # perturbed by about m eps ||K||, m = l + (r+1)p its order, and for a
+    # consistent system that moves x by at most about 2 kappa m eps ||x||
+    # (Wedin's bound), kappa = sigma_1 / sigma_rank of K. minvar_gain solves
+    # the same system, in the coordinates L_min + Y N^T, with a backward error
+    # of the same order; so the two gains differ by at most 4 kappa m eps ||x||.
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    cases = 0
+    while cases < 60:
+        drawn = make_feasible_system(rng)
+        if drawn is None or drawn[0].l == drawn[0].p:
+            continue
+        model, noise = drawn[0], random_noise(rng, drawn[0])
+        X = rng.standard_normal((model.n, model.n))
+        for r in df.analyze_delays(model).feasible_delays:
+            d = _delay(model, r)
+            for P in (np.eye(model.n), X @ X.T + 1e-3 * np.eye(model.n)):
+                V, G = _innovation_terms(model, noise, d, P)
+                L_ref, x, kappa = _lagrangian_gain(V, G, d.S, d.H0)
+                L = df.minvar_gain(model, noise, r, P).L
+                bound = 4 * kappa * sum(d.S.shape) * eps * np.linalg.norm(x)
+                assert np.linalg.norm(L - L_ref) <= bound
+                cases += 1
+
+
+@pytest.mark.parametrize("example, r", [("nonsquare3", 2), ("nonsquare12", 1)])
+def test_a_unique_minvar_gain_does_not_depend_on_the_covariance(example, r):
+    # rank S_r = l: the constraint leaves no null space, so the gain is L_min
+    model, noise, _ = df.reference_example(example)
+    d, rng = _delay(model, r), np.random.default_rng(25)
+    assert d.N.shape == (model.l, 0)
+    X = rng.standard_normal((model.n, model.n))
+    for P in (None, 1e-3 * np.eye(model.n), X @ X.T):
+        assert np.array_equal(df.minvar_gain(model, noise, r, P).L, d.L_min)
+
+
 def test_simplified_minvar_agrees_on_its_domain():
     model, noise, _ = df.reference_example("nonsquare3")
     full = df.minvar_gain(model, noise, 1, np.eye(model.n))
@@ -353,6 +402,22 @@ def test_steady_state_steps_when_the_doubling_does_not_settle(monkeypatch):
     L_ref, converged_ref = _stepped_fixed_point(model, noise, 1)
     assert converged is converged_ref is True
     np.testing.assert_allclose(res.L, L_ref, rtol=0, atol=1e-6)
+
+
+def test_lyapunov_gives_up_on_an_overflowing_doubling():
+    # A rotated Jordan block with eigenvalue 0.99 and off-diagonal 3 is stable,
+    # spectral radius 0.990, but rounding takes its powers F^(2^k) outside the
+    # unit circle, and the doubled sum overflows: None, and no numpy warning,
+    # so that steady_state_gain takes the covariance step instead
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    F = Q @ (0.99 * np.eye(4) + 3.0 * np.eye(4, k=1)) @ Q.T
+    assert np.max(np.abs(np.linalg.eigvals(F))) < 1.0
+    G = rng.standard_normal((4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for W in (np.eye(4), G @ G.T):
+            assert _lyapunov(F, W) is None
 
 
 def test_minvar_singular_innovation_covariance_raises():

@@ -6,8 +6,8 @@ import pytest
 import delayfilter as df
 from conftest import make_feasible_system
 from delayfilter.gain import constraint_target
-from delayfilter.linalg import pinv_cut
-from delayfilter.markov import _delay
+from delayfilter.linalg import RANK_RCOND, pinv_cut
+from delayfilter.markov import _delay, _profile
 
 # 2-state system with CH = 0 and CAH = 1: feasible exactly at delay 1
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -76,6 +76,36 @@ def test_toeplitz_is_the_block_matrix_of_the_markov_blocks_bit_for_bit():
             assert T.flags.writeable
             T[...] = np.nan
             assert np.array_equal(df.markov_toeplitz(model, r), want)
+
+
+def test_the_profile_holds_the_constraints_null_space():
+    # at every feasible r: N is an orthonormal basis of S_r's left null space
+    # at the profile's rank, empty exactly when rank S_r = l, and L_min solves
+    # the constraint. An SVD's U is orthonormal to a small multiple of l eps
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 19.3),
+    # and N^T S_r holds the l - rank singular values the rank cut off
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    models = [df.reference_example(name)[0] for name in df.EXAMPLE_IDS]
+    while len(models) < 60:
+        drawn = make_feasible_system(rng)
+        if drawn is not None:
+            models.append(drawn[0])
+    unique = 0
+    for model in models:
+        profile, l = _profile(model), model.l
+        for r in profile.feasible:
+            d = _delay(model, r)
+            assert d.N.shape == (l, l - profile.s_ranks[r]) and d.L_min.shape == (model.n, l)
+            assert not d.N.flags.writeable and not d.L_min.flags.writeable
+            assert np.linalg.norm(d.N.T @ d.N - np.eye(d.N.shape[1])) <= 10 * l * eps
+            cutoff = max(profile.scales[:r + 1]) * max(d.S.shape) * RANK_RCOND
+            assert np.linalg.norm(d.N.T @ d.S) <= np.sqrt(d.N.shape[1]) * cutoff
+            assert df.unbiasedness_residual(model, r, d.L_min) <= d.tol
+            unique += profile.s_ranks[r] == l
+        for r in set(range(model.n)) - set(profile.feasible):
+            assert _delay(model, r).N is None and _delay(model, r).L_min is None
+    assert unique >= 5
 
 
 def test_the_profile_holds_the_updates_gain_free_constants_bit_for_bit():
