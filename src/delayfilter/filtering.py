@@ -11,6 +11,8 @@ run_filter() drives the same update over a whole record at once, for
 one trajectory or a batch of trials. The gain schedule depends only on
 (model, noise, r, P0), never on the measurements, so every trial of a
 batch shares it and the estimates advance together as (trials, n) arrays.
+The schedule freezes by steady_state_gain's rules, and the update, the
+scan gate and the verdict read gain's one error map F = A - L C A^(r+1).
 Once the gain is frozen and its error map stable, the rest of the record
 advances by a two-level block scan in about 2 sqrt(N) array steps instead
 of N; run_filter() says how its rounding differs from step()'s.
@@ -51,9 +53,11 @@ from .gain import (
     minvar_gain,
     square_gain,
     _checked_residual,
+    _error_map,
     _overflowed,
+    _settled,
 )
-from .linalg import frob, is_symmetric, readonly, spectral_radius
+from .linalg import is_symmetric, readonly, spectral_radius
 from .markov import _Delay, _delay
 from .model import NoiseSpec, SystemModel
 from .zeros import UNIT_CIRCLE_TOL
@@ -69,8 +73,6 @@ DIVERGENT = "Divergent"
 
 # Eigenvalues this small are treated as exact zeros of the error dynamics.
 DEADBEAT_TOL = 1e-8
-# Gain refresh stops once the covariance fixed point is this tight.
-FREEZE_RTOL = 1e-12
 # Time-varying gain steps a plan keeps; a gain that never freezes would
 # otherwise grow its schedule with every step of the longest record.
 SCHEDULE_CAP = 500
@@ -221,9 +223,9 @@ def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> 
 def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
     """The read-only G with [xhat | z] G = [xhat' - B u[k-r-1] | innovation | ehat].
 
-    Its first n columns stack F^T (error_dynamics_matrix) on L^T; the rest are d.Gd.
+    Its first n columns stack F^T (gain._error_map) on L^T; the rest are d.Gd.
     """
-    G = np.hstack([np.vstack([error_dynamics_matrix(model, d.r, L).T, L.T]), d.Gd])
+    G = np.hstack([np.vstack([_error_map(model, d, L).T, L.T]), d.Gd])
     G.setflags(write=False)
     return G
 
@@ -248,10 +250,10 @@ def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
 def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     """One time-varying gain step: the next gain, its update map and covariance.
 
-    The gain freezes once the covariance recursion reaches its fixed point
-    to FREEZE_RTOL or overflows (gain.COVARIANCE_CAP), and keeps the last
-    gain once the innovation covariance turns singular, as under a divergent
-    gain: divergence is information.
+    The gain freezes by the rules that stop steady_state_gain: once the
+    covariance step settles (gain._settled) or overflows (gain.COVARIANCE_CAP),
+    and, keeping the last gain, once the innovation covariance turns singular,
+    as under a divergent gain: divergence is information.
     """
     model, noise, P = ops.model, ops.noise, gain.P
     try:
@@ -260,8 +262,7 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
         return gain._replace(frozen=True)
     P_next = covariance_update(model, noise, ops.r, L, P)
     P_next.P.setflags(write=False)      # shared by every session of the plan
-    frozen = (_overflowed(P_next)
-              or frob(P_next.P - P.P) <= FREEZE_RTOL * (1.0 + frob(P_next.P)))
+    frozen = _overflowed(P_next) or _settled(P, P_next)
     return _Gain(readonly(L), _update_map(model, ops.d, L), P_next, frozen)
 
 
@@ -462,7 +463,7 @@ def _scan(W, Gx, z, b) -> None:
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:
     """A - L C A^(r+1), the autonomous map of the delayed estimation error."""
-    return model.A - np.asarray(L, dtype=float) @ _delay(model, r).CA[r + 1]
+    return _error_map(model, _delay(model, r), np.asarray(L, dtype=float))
 
 
 def classify_convergence(model: SystemModel, r: int, L) -> str:

@@ -189,13 +189,23 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
                       method=SIMPLIFIED_MINVAR)
 
 
+def _error_map(model: SystemModel, d: _Delay, L: np.ndarray) -> np.ndarray:
+    """F = A - L C A^(r+1), the autonomous map of the delayed estimation error."""
+    return model.A - L @ d.CA[d.r + 1]
+
+
+def _settled(P: CovarianceState, P_next: CovarianceState) -> bool:
+    """True once one covariance step moved P by at most 1e-10 ||P||: its fixed point."""
+    return frob(P_next.P - P.P) <= 1e-10 * frob(P.P)
+
+
 def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray):
     """(F, W) of a gain L that passed the residual gate, whose covariance step is
     P+ = F P F^T + W: the next error is K [a, w_(k-r), ..., w_(k-1), v_k] with
-    K = [I 0 ... 0] - L Eb, so F = K_a A and W = K blkdiag(Q, ..., Q, R) K^T."""
+    K = [I 0 ... 0] - L Eb, so F = K_a A (_error_map) and W = K blkdiag(Q, ..., Q, R) K^T."""
     K = -L @ d.Eb
     K[:, :model.n] += np.eye(model.n)
-    return K[:, :model.n] @ model.A, _noise_covariance(K, noise.Q, noise)
+    return _error_map(model, d, L), _noise_covariance(K, noise.Q, noise)
 
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
@@ -250,7 +260,7 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
         P_next = covariance_state(F @ P.P @ F.T + W)
         if _overflowed(P_next):
             return gain, P_next, False
-        if frob(P_next.P - P.P) <= 1e-10 * frob(P.P):
+        if _settled(P, P_next):
             return gain, P, True
         P = (_lyapunov(F, W) if stable else None) or P_next
         try:

@@ -32,16 +32,12 @@ def as_float_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def numerical_rank(matrix, tol: float | None = None) -> int:
-    """Number of singular values above tol.
+    """Number of singular values above tol of a nonempty 2-d matrix.
 
     Default tol is sigma_max * max(rows, cols) * 1e-12, matching the
     pseudoinverse cutoff used everywhere else in the package.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
         tol = float(s[0]) * max(a.shape) * RANK_RCOND
@@ -55,12 +51,8 @@ def pinv_cut(matrix) -> np.ndarray:
 
 
 def is_symmetric(m, rel: float = 1e-10) -> bool:
-    """Symmetry test with tolerance rel * (1 + max |entry|)."""
+    """Symmetry test of a nonempty square matrix, to rel * (1 + max |entry|)."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    if a.size == 0:
-        return True
     scale = 1.0 + float(np.max(np.abs(a)))
     return float(np.max(np.abs(a - a.T))) <= rel * scale
 
@@ -84,10 +76,7 @@ def psd_factor(m) -> np.ndarray:
 
 
 def spectral_radius(m) -> float:
-    a = np.asarray(m, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
 def frob(m) -> float:

@@ -175,6 +175,16 @@ def test_simulate_rejects_bad_seed(model_file, tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_simulate_rejects_an_empty_horizon(model_file, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", model_file("minphase3"), "--e1", "sine:1:40", "--T", "0",
+              "--out", str(out)])
+    assert exc.value.code == 1
+    assert "--T must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flag_value_after_equals_sign(model_file, tmp_path, capsys):
     mf = model_file("minphase3")
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -399,6 +409,29 @@ def test_analyze_model_file_not_utf8_exits_1(tmp_path, capsys):
     rc = main(["analyze", str(path)])
     assert rc == 1
     _one_line_error(capsys, "ModelFileError")
+
+
+_DOC3 = {"A": [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], "H": [[1.0], [0.0], [0.0]],
+        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("doc, error", [
+    ([_DOC3["A"]], "ModelFileError"),                                # not a JSON object
+    ({**_DOC3, "A": [[0.5, "x", 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]}, "DimensionMismatch"),
+    ({**_DOC3, "A": [0.5, 0.4, 0.3]}, "DimensionMismatch"),         # a 1-d matrix
+    ({**_DOC3, "H": [[1.0], [0.0]]}, "DimensionMismatch"),          # H with n - 1 rows
+    ({**_DOC3, "H": [[], [], []]}, "DimensionMismatch"),            # H with no columns
+    ({**_DOC3, "B": [[1.0], [0.0]]}, "DimensionMismatch"),          # B with n - 1 rows
+    ({**_DOC3, "B": [[1.0], [0.0], [0.0]], "D": [[0.0, 0.0], [0.0, 0.0]]}, "DimensionMismatch"),
+    ({**_DOC3, "Q": np.eye(3).tolist(), "R": [[1.0]]}, "DimensionMismatch"),
+    ({**_DOC3, "Q": np.eye(3).tolist(), "R": [[1.0, 0.5], [0.0, 1.0]]}, "NotSymmetric"),
+], ids=["not-an-object", "non-numeric", "one-d", "h-rows", "h-no-columns", "b-rows",
+        "d-shape", "r-shape", "r-asymmetric"])
+def test_analyze_rejects_a_malformed_model_document(tmp_path, capsys, doc, error):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    _one_line_error(capsys, error)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

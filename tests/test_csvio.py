@@ -99,6 +99,13 @@ def test_estimates_warmup_rows_empty(tmp_path):
     assert len(lines) == traj.T + 2
 
 
+def test_estimates_reject_a_wrong_column_count(tmp_path):
+    path = tmp_path / "e.csv"
+    with pytest.raises(df.DimensionMismatch, match=r"estimates must be \(T\+1, 4\)"):
+        df.write_estimates(str(path), np.zeros((3, 5)), E1.n, E1.p, E1.l)
+    assert not path.exists()
+
+
 def _long_file(path, bad_line, bad_row):
     """k,y1,u1 file with blank and ,,, rows; physical line bad_line holds bad_row."""
     lines, k = ["k,y1,u1"], 0

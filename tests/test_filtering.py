@@ -8,6 +8,7 @@ import pytest
 
 import delayfilter as df
 from delayfilter import filtering
+from delayfilter.gain import _innovation_terms
 from conftest import make_feasible_system, make_square_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -310,6 +311,25 @@ def test_classify_convergence_persistent():
     assert report.zeros[0] == pytest.approx(1.0, abs=1e-9)
     L = df.square_gain(model, 0).L
     assert df.classify_convergence(model, 0, L) == df.PERSISTENT
+
+
+def test_a_nilpotent_map_of_a_non_square_model_is_deadbeat_by_its_eigenvalues():
+    # C = I at r = 0: the gain L = I meets L CH = H and makes F = A - A
+    # exactly 0; l = n > p, so the verdict comes from the eigenvalues
+    A = [[0.5, 0.1, 0.0], [0.2, 0.3, 0.1], [0.0, 0.4, 0.6]]
+    model = df.validate_model(A, [[1.0], [0.0], [0.0]], np.eye(3))
+    L = np.eye(3)
+    assert not df.error_dynamics_matrix(model, 0, L).any()
+    assert df.classify_convergence(model, 0, L) == df.DEADBEAT
+    assert df.gain_spectral_radius(model, 0, L) == 0.0
+    traj = df.simulate(model, None, df.example_signals(model), 60, noise_on=False)
+    run = df.run_filter(model, None, _config(r=0, mode=df.FIXED_USER_SUPPLIED, n=3, gain=L),
+                        traj.y)
+    # xhat[k] = y[k] = x[k] exactly; ehat[k] = H^+ (x[k] - A x[k-1]) rounds once
+    # per term, and ||H^+|| = 1
+    assert np.array_equal(run.state_estimates[1:], traj.x[1:])
+    tol = 4 * np.finfo(float).eps * (1.0 + np.linalg.norm(A, 2)) * np.max(np.abs(traj.x))
+    np.testing.assert_allclose(run.input_estimates[1:], traj.e[:-1], rtol=0, atol=tol)
 
 
 def test_classify_convergence_rejects_biased_gain():
@@ -807,6 +827,50 @@ def test_every_update_map_is_the_error_map_over_the_gain(r):
     for L, G in maps:
         assert np.array_equal(G[:, :n], np.vstack([df.error_dynamics_matrix(model, r, L).T, L.T]))
         assert np.array_equal(G[:, n:], ops.d.Gd)
+
+
+def _scaled_schedule(model, noise, r, c):
+    """(frozen_at, frozen gain, largest cond V over the refreshes) of a time-varying
+    run with Q, R and P0 scaled by c."""
+    noise = df.NoiseSpec(Q=c * noise.Q, R=c * noise.R)
+    config = _tv_config(model, r, P0=c * np.eye(model.n))
+    run = df.run_filter(model, noise, config, np.zeros((200, model.l)))
+    ops = df.init_filter(model, noise, config).ops
+    Ps = [config.initial_covariance] + [entry.P for entry in ops.schedule[:-1]]
+    kappa = max(np.linalg.cond(_innovation_terms(model, noise, ops.d, P)[0]) for P in Ps)
+    return run.frozen_at, run.L, kappa
+
+
+def _scale_cases():
+    model, noise, _ = df.reference_example("nonsquare3")
+    yield from ((model, noise, r) for r in (1, 2))
+    rng, drawn_models = np.random.default_rng(23), 0
+    while drawn_models < 12:
+        drawn = make_feasible_system(rng)
+        if drawn is None or drawn[0].l == drawn[0].p:
+            continue
+        model, noise, drawn_models = drawn[0], random_noise(rng, drawn[0]), drawn_models + 1
+        yield from ((model, noise, r) for r in df.analyze_delays(model).feasible_delays)
+
+
+def test_the_freeze_step_does_not_depend_on_the_noise_scale():
+    # Scaling Q, R and P0 by c scales every covariance by c and leaves every
+    # gain as it is, so the relative settling rule freezes at the same step.
+    # Tolerance on the gains: each refresh solves with the innovation
+    # covariance V, which moves the gain by at most about l kappa(V) eps ||L||
+    # (l the order of V); near its fixed point the recursion contracts, so k
+    # refreshes add at most k times that, and two runs differ by twice the sum.
+    eps, cases = np.finfo(float).eps, 0
+    for model, noise, r in _scale_cases():
+        k, L, kappa = _scaled_schedule(model, noise, r, 1.0)
+        assert k is not None
+        for c in (1e-4, 1e4):
+            k_c, L_c, kappa_c = _scaled_schedule(model, noise, r, c)
+            assert k_c == k
+            tol = 2 * (k - r) * model.l * max(kappa, kappa_c) * eps * np.linalg.norm(L)
+            assert np.linalg.norm(L_c - L) <= tol
+        cases += 1
+    assert cases >= 20
 
 
 def test_schedule_stops_at_the_cap():

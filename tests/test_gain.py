@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter.gain import DOUBLING_ROUNDS, _innovation_terms, _lyapunov, constraint_target
+from delayfilter.gain import (DOUBLING_ROUNDS, _error_terms, _innovation_terms, _lyapunov,
+                             constraint_target)
 from delayfilter.markov import _delay
-from conftest import ill_conditioned_square_model, make_feasible_system, random_noise
+from conftest import (ill_conditioned_square_model, make_feasible_system, make_square_system,
+                      random_noise)
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -496,6 +498,23 @@ def test_gain_constants_belong_to_their_model():
                                        atol=1e-9 * (1.0 + np.max(np.abs(want))))
     again = df.minvar_gain(cases[0][0], cases[0][2], cases[0][1])
     assert np.array_equal(again.L, first.L) and again.residual == first.residual
+
+
+def test_the_covariance_step_reads_the_verdicts_error_map():
+    # F = A - L C A^(r+1) has one formula: the covariance step's F is the
+    # array error_dynamics_matrix returns, bit for bit, at every feasible r
+    rng = np.random.default_rng(31)
+    cases = {True: 0, False: 0}                     # keyed on l == p
+    while min(cases.values()) < 15:
+        drawn = make_square_system(rng) if cases[True] < 15 else make_feasible_system(rng)
+        if drawn is None:
+            continue
+        model, noise = drawn[0], random_noise(rng, drawn[0])
+        for r in df.analyze_delays(model).feasible_delays:
+            L = df.minvar_gain(model, noise, r).L
+            F, _ = _error_terms(model, noise, _delay(model, r), L)
+            assert np.array_equal(F, df.error_dynamics_matrix(model, r, L))
+            cases[model.l == model.p] += 1
 
 
 def test_minvar_and_steady_state_error_contract():

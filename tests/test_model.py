@@ -37,6 +37,11 @@ def test_mismatched_c_rejected():
         df.validate_model(A2, H2, [[1.0, 0.0, 0.0]])
 
 
+def test_a_model_without_outputs_rejected():
+    with pytest.raises(df.DimensionMismatch, match="C must have at least one row"):
+        df.validate_model(A2, H2, np.zeros((0, 2)))
+
+
 def test_more_outputs_than_states_rejected():
     with pytest.raises(df.TooManyOutputs):
         df.validate_model(A2, H2, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
