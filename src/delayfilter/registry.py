@@ -35,16 +35,6 @@ from .sim import compartmental_model, run_experiment, simulate
 from .signals import SignalSpec
 from .zeros import NO_ZEROS, invariant_zeros
 
-EXAMPLE_IDS = (
-    "compartmental-25",
-    "compartmental-34",
-    "minphase3",
-    "nonminphase3",
-    "nonsquare3",
-    "nonsquare12",
-    "invertibility4",
-)
-
 _MINPHASE3_A = [[1.1, -0.6, 1.0], [0.5, 0.0, 1.0], [0.0, 0.2, 0.3]]
 _MINPHASE3_H = [[2.0], [0.0], [0.0]]
 _MINPHASE3_C = [[0.0, 0.4, 1.0]]
@@ -86,25 +76,6 @@ def _nonsquare12_model() -> SystemModel:
     H = np.zeros((12, 2))
     H[[0, 2, 4, 6, 8, 10], [0, 0, 0, 1, 1, 1]] = [0.4, 0.2, 0.2, 0.2, 0.2, 0.2]
     return validate_model(A, H, _NS12_C)
-
-
-def _build_model(example_id: str) -> SystemModel:
-    if example_id == "compartmental-25":
-        return compartmental_model(6, 0.1, 0.1, (1, 6), (2, 5))
-    if example_id == "compartmental-34":
-        return compartmental_model(6, 0.1, 0.1, (1, 6), (3, 4))
-    if example_id == "minphase3":
-        return validate_model(_MINPHASE3_A, _MINPHASE3_H, _MINPHASE3_C)
-    if example_id == "nonminphase3":
-        return validate_model(_NONMIN3_A, _NONMIN3_H, _NONMIN3_C)
-    if example_id == "nonsquare3":
-        return validate_model(_NONMIN3_A, _NONMIN3_H, _NONSQ3_C)
-    if example_id == "nonsquare12":
-        return _nonsquare12_model()
-    if example_id == "invertibility4":
-        return validate_model(_INV4_A, _INV4_H, _INV4_C)
-    raise UnknownExample(
-        f"unknown example {example_id!r}; known ids: {', '.join(EXAMPLE_IDS)}")
 
 
 def default_noise(model: SystemModel) -> NoiseSpec:
@@ -261,19 +232,17 @@ def _verdict_fact(r, expected):
     return check
 
 
-def _nonsquare12_gain_fact():
-    def check(model, noise):
-        res = minvar_gain(model, noise, 1, np.eye(model.n))   # raises above the tolerance
-        eigs = np.linalg.eigvals(error_dynamics_matrix(model, 1, res.L))
-        closest = sorted(eigs, key=lambda z: abs(z - 0.8))[:2]
-        ok, detail = _match_multiset(closest, [0.8, 0.8], 1e-6)
-        if not ok:
-            return False, detail
-        extra = any(abs(z - 0.8) > 1e-3 for z in eigs)
-        if not extra:
-            return False, "every eigenvalue sits at the zero, expected extras"
-        return True, f"residual {res.residual:.2e}; zeros inside spectrum plus extras"
-    return check
+def _nonsquare12_gain_spectrum(model, noise):
+    res = minvar_gain(model, noise, 1, np.eye(model.n))   # raises above the tolerance
+    eigs = np.linalg.eigvals(error_dynamics_matrix(model, 1, res.L))
+    closest = sorted(eigs, key=lambda z: abs(z - 0.8))[:2]
+    ok, detail = _match_multiset(closest, [0.8, 0.8], 1e-6)
+    if not ok:
+        return False, detail
+    extra = any(abs(z - 0.8) > 1e-3 for z in eigs)
+    if not extra:
+        return False, "every eigenvalue sits at the zero, expected extras"
+    return True, f"residual {res.residual:.2e}; zeros inside spectrum plus extras"
 
 
 def _gain_equivalence_fact(r):
@@ -285,31 +254,33 @@ def _gain_equivalence_fact(r):
     return check
 
 
-def _invertibility_gap_fact():
-    def check(model, noise):
-        analysis = analyze_delays(model)
-        if analysis.feasible_delays != () or analysis.minimal_delay is not None:
-            return False, f"feasible delays {analysis.feasible_delays}, expected none"
-        if analysis.invertible_delays != (1, 2, 3):
-            return False, f"invertible delays {analysis.invertible_delays}, expected (1, 2, 3)"
-        ranks = [rank for _, rank in analysis.s_ranks]
-        gaps = [rank - prev for prev, rank in zip([0] + ranks, ranks)]
-        if any(g >= model.p for g in gaps):
-            return False, f"stack rank gaps {gaps} reach p={model.p}"
-        return True, f"invertible at (1, 2, 3) while stack gaps are {gaps}"
-    return check
+def _invertibility_gap(model, noise):
+    analysis = analyze_delays(model)
+    if analysis.feasible_delays != () or analysis.minimal_delay is not None:
+        return False, f"feasible delays {analysis.feasible_delays}, expected none"
+    if analysis.invertible_delays != (1, 2, 3):
+        return False, f"invertible delays {analysis.invertible_delays}, expected (1, 2, 3)"
+    ranks = [rank for _, rank in analysis.s_ranks]
+    gaps = [rank - prev for prev, rank in zip([0] + ranks, ranks)]
+    if any(g >= model.p for g in gaps):
+        return False, f"stack rank gaps {gaps} reach p={model.p}"
+    return True, f"invertible at (1, 2, 3) while stack gaps are {gaps}"
 
 
-_FACTS = {
-    "compartmental-25": (
+# One entry per bundled example, in EXAMPLE_IDS order: the builder of its model
+# and the facts checked on that model. Every lookup builds a new model; the plan
+# and profile caches key on the model's identity, so a caller never finds a gain
+# schedule that another caller computed.
+_EXAMPLES = {
+    "compartmental-25": (lambda: compartmental_model(6, 0.1, 0.1, (1, 6), (2, 5)), (
         Fact("delay-profile", _delay_profile_fact(1, (1,))),
         Fact("markov-ranks", _markov_rank_fact(0, 1, 2)),
         Fact("invariant-zeros", _zeros_fact((0.7, 0.9), 1e-6)),
         Fact("error-spectrum", _square_spectrum_fact(
             1, (0.0, 0.0, 0.0, 0.0, 0.7, 0.9), ASYMPTOTIC)),
         Fact("noiseless-input-rms", _noiseless_rms_fact(1)),
-    ),
-    "compartmental-34": (
+    )),
+    "compartmental-34": (lambda: compartmental_model(6, 0.1, 0.1, (1, 6), (3, 4)), (
         Fact("delay-profile", _delay_profile_fact(2, (2,))),
         Fact("markov-ranks", _markov_rank_fact(1, 2, 2)),
         Fact("invariant-zeros", _zeros_fact((), 0.0)),
@@ -317,42 +288,48 @@ _FACTS = {
         # invertible and F = A - L CA^3 is nilpotent
         Fact("verdict", _verdict_fact(2, DEADBEAT)),
         Fact("noiseless-input-rms", _noiseless_rms_fact(2)),
-    ),
-    "minphase3": (
+    )),
+    "minphase3": (lambda: validate_model(_MINPHASE3_A, _MINPHASE3_H, _MINPHASE3_C), (
         Fact("delay-profile", _delay_profile_fact(1, (1,))),
         Fact("invariant-zeros", _zeros_fact((-0.2,), 1e-6)),
         Fact("error-spectrum", _square_spectrum_fact(1, (0.0, 0.0, -0.2), ASYMPTOTIC)),
         Fact("steady-state", _steady_state_fact(1, True)),
         Fact("error-overlay", _overlay_fact(1)),
-    ),
-    "nonminphase3": (
+    )),
+    "nonminphase3": (lambda: validate_model(_NONMIN3_A, _NONMIN3_H, _NONMIN3_C), (
         Fact("invariant-zeros", _zeros_fact((-1.0564,), 1e-3)),
         Fact("verdict", _verdict_fact(1, DIVERGENT)),
         Fact("steady-state", _steady_state_fact(1, False)),
         Fact("growth-rate", _growth_rate_fact(1, 1.0564)),
-    ),
-    "nonsquare3": (
+    )),
+    "nonsquare3": (lambda: validate_model(_NONMIN3_A, _NONMIN3_H, _NONSQ3_C), (
         Fact("delay-profile", _delay_profile_fact(1, (1, 2))),
         Fact("invariant-zeros", _zeros_fact((), 0.0)),
         Fact("steady-state", _steady_state_fact(1, True, rho=0.798346228)),
         Fact("gain-equivalence", _gain_equivalence_fact(1)),
-    ),
-    "nonsquare12": (
+    )),
+    "nonsquare12": (_nonsquare12_model, (
         Fact("delay-profile", _delay_profile_fact(1, (1,))),
         Fact("invariant-zeros", _zeros_fact((0.8, 0.8), 1e-6)),
-        Fact("minvar-gain-spectrum", _nonsquare12_gain_fact()),
-    ),
-    "invertibility4": (
-        Fact("invertible-but-infeasible", _invertibility_gap_fact()),
+        Fact("minvar-gain-spectrum", _nonsquare12_gain_spectrum),
+    )),
+    "invertibility4": (lambda: validate_model(_INV4_A, _INV4_H, _INV4_C), (
+        Fact("invertible-but-infeasible", _invertibility_gap),
         Fact("invariant-zeros", _zeros_fact((-2.15,), 1e-6)),
-    ),
+    )),
 }
+
+EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
 def reference_example(example_id: str):
-    """(SystemModel, NoiseSpec, facts) for a bundled example id."""
-    model = _build_model(example_id)
-    return model, default_noise(model), _FACTS[example_id]
+    """(SystemModel, NoiseSpec, facts) for a bundled example id, with a new model per call."""
+    if not isinstance(example_id, str) or example_id not in _EXAMPLES:
+        raise UnknownExample(
+            f"unknown example {example_id!r}; known ids: {', '.join(EXAMPLE_IDS)}")
+    build, facts = _EXAMPLES[example_id]
+    model = build()
+    return model, default_noise(model), facts
 
 
 def check_example_facts(example_id: str) -> list[FactResult]:

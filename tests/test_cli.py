@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter import cli
+from delayfilter import cli, registry
 from delayfilter.cli import main
 from conftest import ill_conditioned_square_model
 
@@ -538,6 +538,78 @@ def test_reproduce_infeasible_example_skips_estimates(tmp_path, capsys):
     assert report["estimates_skipped"] == "no feasible delay"
     assert (tmp_path / "invertibility4-trajectory.csv").exists()
     assert not (tmp_path / "invertibility4-estimates.csv").exists()
+
+
+def test_reproduce_without_finite_estimates_still_reports_the_facts(tmp_path, capsys,
+                                                                    monkeypatch):
+    def overflowing(*args):
+        raise df.EstimatesNotFinite("estimates overflowed at row 17")
+
+    monkeypatch.setattr(cli, "_filter_rows", overflowing)
+    rc = main(["reproduce", "compartmental-25", "--outdir", str(tmp_path)])
+    report = _report(capsys)
+    assert rc == 0 and report["all_passed"] is True
+    assert report["estimates_skipped"] == "EstimatesNotFinite: estimates overflowed at row 17"
+    assert report["files"] == [str(tmp_path / "compartmental-25-trajectory.csv")]
+    assert sorted(os.listdir(tmp_path)) == ["compartmental-25-trajectory.csv"]
+
+
+def test_example_ids_come_from_the_registry_table():
+    assert df.EXAMPLE_IDS == ("compartmental-25", "compartmental-34", "minphase3",
+                              "nonminphase3", "nonsquare3", "nonsquare12", "invertibility4")
+    assert df.EXAMPLE_IDS == tuple(registry._EXAMPLES)
+    for example in df.EXAMPLE_IDS:
+        first, second = df.reference_example(example), df.reference_example(example)
+        assert first[0] is not second[0]
+        assert np.array_equal(first[0].A, second[0].A) and first[2] == second[2]
+    known = ", ".join(df.EXAMPLE_IDS)
+    for bad in ("nope", 3, None, ["minphase3"]):
+        with pytest.raises(df.UnknownExample) as exc:
+            df.reference_example(bad)
+        assert str(exc.value) == f"unknown example {bad!r}; known ids: {known}"
+
+
+def test_reproduce_exits_3_when_a_fact_fails(tmp_path, capsys, monkeypatch):
+    build, facts = registry._EXAMPLES["compartmental-25"]
+    forced = (registry.Fact("forced", lambda model, noise: (False, "forced failure")),
+              registry.Fact("crashing", lambda model, noise: (1 / 0, "")))
+    monkeypatch.setitem(registry._EXAMPLES, "compartmental-25", (build, facts + forced))
+    rc = main(["reproduce", "compartmental-25", "--outdir", str(tmp_path)])
+    report = _report(capsys)
+    assert rc == cli.EXIT_FACT_FAILED == 3
+    assert report["all_passed"] is False
+    assert [f["name"] for f in report["facts"]] == [f.name for f in facts + forced]
+    assert all(f["passed"] for f in report["facts"][:5])
+    assert [(f["passed"], f["detail"]) for f in report["facts"][5:]] == [
+        (False, "forced failure"), (False, "raised ZeroDivisionError: division by zero")]
+    assert report["files"] == [str(tmp_path / f"compartmental-25-{kind}.csv")
+                               for kind in ("trajectory", "estimates")]
+    assert all(os.path.exists(path) for path in report["files"])
+
+
+def test_each_fact_fails_with_its_own_detail_on_another_model(monkeypatch):
+    # two failure returns that no neighbouring model reaches, on nonsquare3
+    model, noise, _ = df.reference_example("nonsquare3")
+    assert registry._steady_state_fact(1, True, rho=0.5)(model, noise) == (
+        False, "steady spectral radius 0.798346, expected 0.500000")
+    passed, detail = registry._nonsquare12_gain_spectrum(model, noise)
+    assert passed is False and detail.startswith("no value within 1.0e-06 of 0.8")
+    # every example's facts checked on the next example's model, round the list:
+    # a fact that does not hold says why, and one that crashes names the error
+    ids = df.EXAMPLE_IDS
+    builders = [registry._EXAMPLES[example][0] for example in ids]
+    for i, example in enumerate(ids):
+        facts = registry._EXAMPLES[example][1]
+        monkeypatch.setitem(registry._EXAMPLES, example,
+                            (builders[(i + 1) % len(ids)], facts))
+    results = {(example, f.name): f for example in ids
+               for f in df.check_example_facts(example)}
+    held = sorted(key for key, f in results.items() if f.passed)
+    raised = [f for f in results.values() if f.detail.startswith("raised ")]
+    assert len(results) == 28
+    assert held == [("minphase3", "delay-profile"), ("minphase3", "error-overlay")]
+    assert len(raised) == 8
+    assert all(re.fullmatch(r"raised [A-Z]\w+: .+", f.detail) for f in raised)
 
 
 def test_unknown_flag_exits_1(model_file):

@@ -259,25 +259,28 @@ def test_steady_state_singular_innovation_is_not_converged():
     assert np.all(np.isfinite(cov.P))
 
 
-def _stepped_fixed_point(model, noise, r, max_iter=10000):
-    """(L, converged) of the plain gain/covariance recursion from P = I, one step a round."""
-    P = np.eye(model.n)
+def _stepped_fixed_point(model, noise, r, P0=None, max_iter=10000):
+    """(L, converged) of the plain gain/covariance recursion from P0 (default I), one
+    step a round, settled once a step moves P by at most 1e-10 of the P it started from."""
+    P = np.eye(model.n) if P0 is None else P0
     L = df.minvar_gain(model, noise, r, P).L
     for _ in range(max_iter):
         P_next = df.covariance_update(model, noise, r, L, P).P
         if not np.isfinite(P_next).all() or np.trace(P_next) > 1e30:
             return L, False
-        gap, P = np.linalg.norm(P_next - P), P_next
+        gap, size, P = np.linalg.norm(P_next - P), np.linalg.norm(P), P_next
         try:
             L = df.minvar_gain(model, noise, r, P).L
         except df.InnovationCovarianceSingular:
             return L, False
-        if gap <= 1e-10 * (1.0 + np.linalg.norm(P)):
+        if gap <= 1e-10 * size:
             return L, True
     return L, False
 
 
-def test_steady_state_matches_the_stepped_recursion():
+def _check_steady_state_against_the_stepped_recursion(scale):
+    # Q, R and P0 scaled together leave every gain unchanged, and so must the
+    # verdict: the recursion settles by a rule relative to P
     rng = np.random.default_rng(13)
     cases = converged_cases = 0
     while cases < 40:
@@ -285,10 +288,12 @@ def test_steady_state_matches_the_stepped_recursion():
         if drawn is None or drawn[0].l == drawn[0].p:
             continue
         model, noise = drawn[0], random_noise(rng, drawn[0])
+        noise = df.NoiseSpec(Q=scale * noise.Q, R=scale * noise.R)
+        P0 = scale * np.eye(model.n)
         for r in df.analyze_delays(model).feasible_delays:
             cases += 1
-            L_ref, converged_ref = _stepped_fixed_point(model, noise, r)
-            res, cov, converged = df.steady_state_gain(model, noise, r)
+            L_ref, converged_ref = _stepped_fixed_point(model, noise, r, P0)
+            res, cov, converged = df.steady_state_gain(model, noise, r, P0=P0)
             assert converged is converged_ref
             if converged:
                 converged_cases += 1
@@ -296,6 +301,14 @@ def test_steady_state_matches_the_stepped_recursion():
                 again = df.covariance_update(model, noise, r, res.L, cov.P).P
                 assert np.linalg.norm(again - cov.P) <= 1e-10 * np.linalg.norm(cov.P)
     assert converged_cases >= 30
+
+
+def test_steady_state_matches_the_stepped_recursion():
+    _check_steady_state_against_the_stepped_recursion(1.0)
+
+
+def test_steady_state_matches_the_stepped_recursion_at_a_small_noise_scale():
+    _check_steady_state_against_the_stepped_recursion(1e-6)
 
 
 def _count_minvar_calls(monkeypatch):
