@@ -354,6 +354,11 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     freezes, and needs O(trials (T+1) (n+l+p+m)) floats of memory. Estimates
     that overflow raise no numpy warning; nonfinite_at reports them.
 
+    It is the recursion (_recurse), which validates the record and fills
+    the state estimates, plus the outputs: the decode of every row into its
+    innovation and input reconstruction, the nonfinite_at sweep and the
+    NaN-padded records. monte_carlo_bias runs the recursion alone.
+
     Rows are stepped one product each while the gain is refreshed. The
     frozen tail is scanned (_scan) when its error map F has spectral radius
     below 1; otherwise it is stepped too, so a divergent map overflows where
@@ -362,6 +367,31 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     the bundled examples and the drawn test models the two agree within
     1e-12 of the largest value, but a stable map with a large transient can
     lose more accuracy scanned than stepped.
+    """
+    ops, W, gain, frozen_at, rows = _recurse(model, noise, config, y, u)
+    emitted, n = len(W) - 1, model.n
+    with np.errstate(over="ignore", invalid="ignore"):      # reported as nonfinite_at
+        decoded = W[:-1] @ ops.d.Gd                         # [innovation | ehat]
+    xs = W[1:, ..., :n]
+    axes = tuple(range(1, xs.ndim))
+    bad = np.flatnonzero(~(np.isfinite(xs).all(axis=axes) & np.isfinite(decoded).all(axis=axes)))
+
+    def record(a):
+        out = np.empty((rows,) + a.shape[1:])
+        out[:rows - emitted] = np.nan                       # the warm-up rows
+        out[rows - emitted:] = a
+        return np.moveaxis(out, 0, -2)
+
+    return FilterRun(state_estimates=record(xs), input_estimates=record(decoded[..., model.l:]),
+                     innovations=record(decoded[..., :model.l]), L=gain.L, frozen_at=frozen_at,
+                     nonfinite_at=ops.r + 1 + int(bad[0]) if bad.size else None)
+
+
+def _recurse(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, y, u):
+    """run_filter's recursion: (ops, W, last gain, frozen_at, T+1).
+
+    W is time-major: W[i, ..., :n] is the state estimate made at k = r+i
+    (i = 0: the initial one), the estimate of x[k-r].
     """
     state = init_filter(model, noise, config)
     y = np.asarray(y, dtype=float)
@@ -401,19 +431,7 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
             stop = emitted if gain.frozen else i + 1
             _step(W, Gx, b, range(i, stop))
             i = stop
-        decoded = W[:-1] @ ops.d.Gd                         # [innovation | ehat]
-    xs = W[1:, ..., :n]
-    axes = tuple(range(1, xs.ndim))
-    bad = np.flatnonzero(~(np.isfinite(xs).all(axis=axes) & np.isfinite(decoded).all(axis=axes)))
-
-    def record(rows):
-        out = np.full((len(yt),) + rows.shape[1:], np.nan)
-        out[len(yt) - emitted:] = rows
-        return np.moveaxis(out, 0, -2)
-
-    return FilterRun(state_estimates=record(xs), input_estimates=record(decoded[..., model.l:]),
-                     innovations=record(decoded[..., :model.l]), L=gain.L, frozen_at=frozen_at,
-                     nonfinite_at=r + 1 + int(bad[0]) if bad.size else None)
+    return ops, W, gain, frozen_at, len(yt)
 
 
 def _step(W, Gx, b, rows) -> None:

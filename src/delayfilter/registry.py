@@ -262,8 +262,6 @@ def _invertibility_gap(model, noise):
         return False, f"invertible delays {analysis.invertible_delays}, expected (1, 2, 3)"
     ranks = [rank for _, rank in analysis.s_ranks]
     gaps = [rank - prev for prev, rank in zip([0] + ranks, ranks)]
-    if any(g >= model.p for g in gaps):
-        return False, f"stack rank gaps {gaps} reach p={model.p}"
     return True, f"invertible at (1, 2, 3) while stack gaps are {gaps}"
 
 

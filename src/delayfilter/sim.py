@@ -2,8 +2,8 @@
 
 simulate() realizes the system recursion exactly, so trajectory
 residuals are zero by construction and every run is reproducible from
-its seed. It is two stages: _draw() takes a batch of seeds and returns
-each one's noise and signal samples on a leading trial axis, and
+its seed. It is two stages: _draw() takes a batch of trial seeds and
+returns each one's noise and signal samples on a leading trial axis, and
 _propagate() runs the state recursion over the batch, time-major. A seed
 is an int, a list of ints or a SeedSequence; substream i of a seed is the
 child seed.spawn would hand out i-th, built without advancing the seed,
@@ -14,7 +14,11 @@ and scores it against the truth. monte_carlo_bias() repeats that over
 many seeded noise realizations to estimate the error bias: trial t
 draws from child t of the seed, and all trials are drawn, propagated
 and filtered together in one pass. A trial drawn by monte_carlo_bias is
-the trajectory simulate() returns for the same child.
+the trajectory simulate() returns for the same child, whose substreams
+come from the seed's spawn key without building the child. The filter
+pass is run_filter()'s recursion alone (filtering._recurse): the state
+estimates at the sample times are read from it, bitwise run_filter()'s,
+and no input is decoded and no record padded.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
-from .filtering import FilterConfig, run_filter
+from .filtering import FilterConfig, _recurse, run_filter
 from .linalg import psd_factor, readonly, rms
 from .model import NoiseSpec, SystemModel, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
@@ -101,32 +105,37 @@ def _sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _child(seed, i: int) -> np.random.SeedSequence:
-    """Child i of the seed: what seed.spawn would hand out i-th, built without advancing it."""
+def _child(seed, i: int, *path: int) -> np.random.SeedSequence:
+    """Child i of the seed: what seed.spawn would hand out i-th, built without advancing it.
+
+    A path walks on to child path[0] of that child and so on, building no seed between.
+    """
     ss = _sequence(seed)
     return np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
-                                  spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
+                                  spawn_key=ss.spawn_key + (ss.n_children_spawned + i,) + path)
 
 
 def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seeds):
-    """Each seed's inputs (w, v, e, u), stacked on a leading trial axis.
+    """Each trial's inputs (w, v, e, u), stacked on a leading trial axis.
 
-    A seed's children feed w, v, the e channels, then the u channels, in
-    that order, and only the ones a trial reads are built: w and v with
-    noise on, and the prbs and gaussian channels. Any other channel is
-    evaluated once for all trials. The order keeps every seed's trajectory.
+    A trial is a tuple (seed, *path): its seed is the seed itself when path
+    is empty, else _child(seed, *path), which is never built. The trial
+    seed's children feed w, v, the e channels, then the u channels, in that
+    order, and only the ones a trial reads are built: w and v with noise
+    on, and the prbs and gaussian channels. Any other channel is evaluated
+    once for all trials. The order keeps every seed's trajectory.
     """
     w, v = np.zeros((len(seeds), T + 1, model.n)), np.zeros((len(seeds), T + 1, model.l))
     if factors is not None:
-        for t, seed in enumerate(seeds):
-            np.random.default_rng(_child(seed, 0)).standard_normal(out=w[t])
-            np.random.default_rng(_child(seed, 1)).standard_normal(out=v[t])
+        for t, trial in enumerate(seeds):
+            np.random.default_rng(_child(*trial, 0)).standard_normal(out=w[t])
+            np.random.default_rng(_child(*trial, 1)).standard_normal(out=v[t])
         w, v = w @ factors[0].T, v @ factors[1].T
     ch = np.empty((len(seeds), T + 1, model.p + model.m))
     for c, spec in enumerate(e_signals + u_signals):
         if spec.kind in RANDOM_KINDS:
-            for t, seed in enumerate(seeds):
-                ch[t, :, c] = signal_values(spec, T, np.random.default_rng(_child(seed, 2 + c)))
+            for t, trial in enumerate(seeds):
+                ch[t, :, c] = signal_values(spec, T, np.random.default_rng(_child(*trial, 2 + c)))
         else:
             ch[:, :, c] = signal_values(spec, T)
     return w, v, ch[..., :model.p], ch[..., model.p:]
@@ -137,14 +146,16 @@ def _propagate(model: SystemModel, x0, w, v, e, u):
 
     The inputs have T+1 rows, optionally behind a leading trial axis;
     x0 is (n,) or one row per trial. Row T of w is unused. The recursion
-    runs time-major, over one contiguous (trials, n) slice per step.
+    runs time-major and in place, over one contiguous (trials, n) slice
+    per step.
     """
     drive = np.ascontiguousarray(np.moveaxis(u @ model.B.T + e @ model.H.T + w, -2, 0))
     xt = np.empty_like(drive)
     xt[0] = x0
     At = model.A.T
-    for k in range(len(xt) - 1):
-        xt[k + 1] = xt[k] @ At + drive[k]
+    for prev, nxt, d in zip(xt[:-1], xt[1:], drive):
+        np.dot(prev, At, out=nxt)       # cheaper per step than np.matmul with out=
+        nxt += d
     x = np.moveaxis(xt, 0, -2)
     return x, x @ model.C.T + u @ model.D.T + v
 
@@ -161,7 +172,7 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     factors = _noise_factors(noise, noise_on)
-    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, [seed]))
+    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, [(seed,)]))
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
         raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
@@ -269,11 +280,12 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     factors = _noise_factors(noise, True)
     root = _sequence(seed)
     w, v, e, u = _draw(model, factors, signals, u_signals, T,
-                       [_child(root, t) for t in range(trials)])
+                       [(root, t) for t in range(trials)])
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
-    run = run_filter(model, noise, config, y, u)
-    idx = np.asarray(ks)
-    errs = x[:, idx - r] - run.state_estimates[:, idx]
+    # the recursion alone: the state estimates, with no input decoded
+    _, W, _, _, _ = _recurse(model, noise, config, y, u)
+    idx = np.asarray(ks) - r
+    errs = x[:, idx] - np.moveaxis(W[idx, ..., :model.n], 0, 1)
 
     mean = errs.mean(axis=0)
     stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)

@@ -126,7 +126,7 @@ def test_simulate_draw_order():
     sine = df.parse_signal_spec("sine:1:7")
     seeds = [5, [3, 4], np.random.SeedSequence(9)]
     for factors in (sim._noise_factors(noise, True), None):
-        w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, seeds)
+        w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, [(s,) for s in seeds])
         assert w.shape == (3, 31, 2) and v.shape == (3, 31, 1)
         assert e.shape == u.shape == (3, 31, 1)
         for t, root in enumerate([5, [3, 4], 9]):
@@ -293,6 +293,9 @@ def _bias_case(name):
     if name == "known-input":
         noise = df.NoiseSpec(Q=1e-2 * np.eye(2), R=1e-2 * np.eye(1))
         return E1U, noise, df.FIXED_SQUARE, 1, None, [df.parse_signal_spec("gaussian:0.5")]
+    if name == "divergent-square":
+        model, noise, _ = df.reference_example("nonminphase3")
+        return model, noise, df.FIXED_SQUARE, 1, None, df.example_signals(model)
     model, noise, _ = df.reference_example("nonsquare3")
     signals = [df.parse_signal_spec("prbs:1:5")]
     if name == "minvar":
@@ -314,6 +317,38 @@ def test_monte_carlo_bias_matches_per_trial_loop(case):
     assert np.max(np.abs(report.mean - mean)) <= 1e-12
     assert np.max(np.abs(report.stderr - stderr) / stderr) <= 1e-9
     assert np.array_equal(report.flagged, flagged)
+
+
+@pytest.mark.parametrize("case", ["square", "known-input", "minvar", "user-gain",
+                                  "divergent-square"])
+def test_monte_carlo_bias_reads_run_filters_state_estimates_exactly(case):
+    # monte_carlo_bias runs the filter's recursion without its outputs; its
+    # statistics are bitwise those of run_filter's state estimates on one batch
+    model, noise, mode, r, gain, signals = _bias_case(case)
+    config = df.FilterConfig(r=r, gain_mode=mode, initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n), gain=gain)
+    if case == "divergent-square":      # an unstable error map: the tail is stepped, not scanned
+        assert df.gain_spectral_radius(model, r, df.square_gain(model, r).L) > 1.0
+    trials, T, ks = 12, 40, (10, 25, 40)
+    T, signals, u_signals = sim._check_signals(model, signals, None, T)
+    root = np.random.SeedSequence([7, 1])
+    w, v, e, u = sim._draw(model, sim._noise_factors(noise, True), signals, u_signals, T,
+                           [(root, t) for t in range(trials)])
+    x, y = sim._propagate(model, np.zeros(model.n), w, v, e, u)
+    idx = np.asarray(ks)
+    errs = x[:, idx - r] - df.run_filter(model, noise, config, y, u).state_estimates[:, idx]
+    mean = errs.mean(axis=0)
+    stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)
+    report = df.monte_carlo_bias(model, noise, config, signals, trials=trials, T=T,
+                                 seed=[7, 1], ks=ks)
+    assert np.array_equal(report.mean, mean)
+    assert np.array_equal(report.stderr, stderr)
+    assert np.array_equal(report.flagged, np.abs(mean) > 4.0 * stderr)
+    # trial t is the trajectory simulate draws from child t of the seed
+    for t in range(trials):
+        traj = df.simulate(model, noise, signals, T, seed=sim._child(root, t))
+        assert np.array_equal(traj.w, w[t]) and np.array_equal(traj.v, v[t])
+        assert np.array_equal(traj.e, e[t])
 
 
 def test_monte_carlo_bias_takes_a_seed_sequence():
