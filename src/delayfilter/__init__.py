@@ -29,6 +29,7 @@ from .errors import (
     LowerMarkovNonzero,
     MeasurementFileError,
     ModelFileError,
+    NonFiniteSample,
     NotSquare,
     NotSymmetric,
     NoUnbiasedGainExists,

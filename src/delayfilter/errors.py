@@ -93,8 +93,15 @@ class InfeasibleDelay(DelayFilterError):
     """No unbiased gain exists at the requested delay."""
 
 
+class NonFiniteSample(DelayFilterError):
+    """A measurement or known input that the filter reads is NaN or infinite."""
+
+
 class EstimatesNotFinite(DelayFilterError):
-    """A divergent filter's estimates overflowed before the record ended."""
+    """A divergent filter's estimates overflowed before the record ended.
+
+    Non-finite samples are rejected before the filter runs.
+    """
 
 
 # --- simulation / registry ---

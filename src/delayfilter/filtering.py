@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleDelay,
     InnovationCovarianceSingular,
+    NonFiniteSample,
     NotSymmetric,
     PreconditionViolated,
 )
@@ -332,8 +333,9 @@ class FilterRun:
     keeps the leading trial axis: (trials, T+1, n) and so on. L is the
     gain of the last step, and frozen_at the k at which a time-varying
     gain froze (None in the fixed modes or if it never froze).
-    nonfinite_at is the first k whose row, in any trial, is not finite, as
-    once a divergent gain's estimates overflow; None if there is none.
+    nonfinite_at is the first k whose row, in any trial, is not finite; None
+    if there is none. run_filter rejects non-finite samples first, so a row
+    is not finite only once a divergent gain's estimates overflow.
     """
 
     state_estimates: np.ndarray
@@ -351,13 +353,18 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     Runs the update of step(). u has y's leading shape with m columns; it
     is required when the model has known inputs and ignored otherwise. A
     batch shares one gain schedule, refreshed once per time step until it
-    freezes, and needs O(trials (T+1) (n+l+p+m)) floats of memory. Estimates
-    that overflow raise no numpy warning; nonfinite_at reports them.
+    freezes, and needs O(trials (T+1) (n+l+p+m)) floats of memory.
 
-    It is the recursion (_recurse), which validates the record and fills
-    the state estimates, plus the outputs: the decode of every row into its
-    innovation and input reconstruction, the nonfinite_at sweep and the
-    NaN-padded records. monte_carlo_bias runs the recursion alone.
+    Every sample the filter reads must be finite, y from k = r+1 on and u
+    from k = 0 on, or NonFiniteSample names the first bad (trial, k,
+    column); y's unread warm-up rows may hold anything. So a non-finite
+    estimate is an overflow: it raises no numpy warning, and nonfinite_at
+    reports it.
+
+    It is the recursion (_recurse), which fills the state estimates, plus
+    the outputs: the decode of every row into its innovation and input
+    reconstruction, the nonfinite_at sweep and the NaN-padded records.
+    monte_carlo_bias runs the recursion alone, on samples it drew itself.
 
     Rows are stepped one product each while the gain is refreshed. The
     frozen tail is scanned (_scan) when its error map F has spectral radius
@@ -368,10 +375,12 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     1e-12 of the largest value, but a stable map with a large transient can
     lose more accuracy scanned than stepped.
     """
-    ops, W, gain, frozen_at, rows = _recurse(model, noise, config, y, u)
-    emitted, n = len(W) - 1, model.n
+    state, y, u = _validated(model, noise, config, y, u)
+    _reject_nonfinite(y, u, state.ops.r)
+    W, gain, frozen_at = _recurse(state, y, u)
+    rows, emitted, n = y.shape[-2], len(W) - 1, model.n
     with np.errstate(over="ignore", invalid="ignore"):      # reported as nonfinite_at
-        decoded = W[:-1] @ ops.d.Gd                         # [innovation | ehat]
+        decoded = W[:-1] @ state.ops.d.Gd                   # [innovation | ehat]
     xs = W[1:, ..., :n]
     axes = tuple(range(1, xs.ndim))
     bad = np.flatnonzero(~(np.isfinite(xs).all(axis=axes) & np.isfinite(decoded).all(axis=axes)))
@@ -384,15 +393,11 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
 
     return FilterRun(state_estimates=record(xs), input_estimates=record(decoded[..., model.l:]),
                      innovations=record(decoded[..., :model.l]), L=gain.L, frozen_at=frozen_at,
-                     nonfinite_at=ops.r + 1 + int(bad[0]) if bad.size else None)
+                     nonfinite_at=state.ops.r + 1 + int(bad[0]) if bad.size else None)
 
 
-def _recurse(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, y, u):
-    """run_filter's recursion: (ops, W, last gain, frozen_at, T+1).
-
-    W is time-major: W[i, ..., :n] is the state estimate made at k = r+i
-    (i = 0: the initial one), the estimate of x[k-r].
-    """
+def _validated(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, y, u):
+    """(initial state, y, u) of a record, validated; u is zero-width without known inputs."""
     state = init_filter(model, noise, config)
     y = np.asarray(y, dtype=float)
     if y.ndim not in (2, 3) or y.shape[-1] != model.l:
@@ -407,15 +412,39 @@ def _recurse(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, 
                 f"u must be {y.shape[:-1] + (model.m,)}, got {u.shape}")
     else:
         u = np.zeros(y.shape[:-1] + (0,))
+    return state, y, u
+
+
+def _reject_nonfinite(y, u, r: int) -> None:
+    """Raise NonFiniteSample at the first non-finite sample the recursion reads.
+
+    It reads y from row r+1 on and u from row 0 on. Checked in run_filter,
+    not in _recurse, so that monte_carlo_bias does not pay for it.
+    """
+    for name, a, first in (("y", y, r + 1), ("u", u, 0)):
+        bad = ~np.isfinite(a[..., first:, :])
+        if bad.any():
+            *trial, k, column = np.argwhere(bad)[0]
+            at = f"trial {trial[0]}, " if trial else ""
+            raise NonFiniteSample(f"{name} is not finite at {at}k={first + k}, column {column}; "
+                                  f"the filter reads y from k={r + 1} on and u from k=0 on")
+
+
+def _recurse(state: FilterState, y, u):
+    """run_filter's recursion from _validated's (state, y, u): (W, last gain, frozen_at).
+
+    W is time-major: W[i, ..., :n] is the state estimate made at k = r+i
+    (i = 0: the initial one), the estimate of x[k-r].
+    """
     # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
     yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
-
-    ops, r, n = state.ops, state.ops.r, model.n
+    ops, r = state.ops, state.ops.r
+    n, l = ops.model.n, ops.model.l
     emitted = max(len(yt) - r - 1, 0)           # rows k = r+1 .. T
     z, b = _input_terms(ops, yt[r + 1:], ut[r + 1:],
                         [ut[r - j:r - j + emitted] for j in range(r + 1)])
     # W[i] = [xhat | z]: the estimate made at k = r+i (i = 0: the initial one) and z[k+1]
-    W = np.zeros((emitted + 1,) + yt.shape[1:-1] + (n + model.l,))
+    W = np.zeros((emitted + 1,) + yt.shape[1:-1] + (n + l,))
     W[0, ..., :n] = state.xhat_delayed
     W[:-1, ..., n:] = z
     gain, frozen_at, i = state.gain, None, 0
@@ -431,7 +460,7 @@ def _recurse(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, 
             stop = emitted if gain.frozen else i + 1
             _step(W, Gx, b, range(i, stop))
             i = stop
-    return ops, W, gain, frozen_at, len(yt)
+    return W, gain, frozen_at
 
 
 def _step(W, Gx, b, rows) -> None:

@@ -2,23 +2,24 @@
 
 simulate() realizes the system recursion exactly, so trajectory
 residuals are zero by construction and every run is reproducible from
-its seed. It is two stages: _draw() takes a batch of trial seeds and
-returns each one's noise and signal samples on a leading trial axis, and
+its seed. It is two stages: _draw() takes a seed and a trial count and
+returns the trials' noise and signal samples on a leading trial axis, and
 _propagate() runs the state recursion over the batch, time-major. A seed
-is an int, a list of ints or a SeedSequence; substream i of a seed is the
+is an int, a list of ints or a SeedSequence; child i of a seed is the
 child seed.spawn would hand out i-th, built without advancing the seed,
 so one seed always gives one trajectory.
 
 run_experiment() drives the filter over a trajectory with run_filter()
 and scores it against the truth. monte_carlo_bias() repeats that over
-many seeded noise realizations to estimate the error bias: trial t
-draws from child t of the seed, and all trials are drawn, propagated
-and filtered together in one pass. A trial drawn by monte_carlo_bias is
-the trajectory simulate() returns for the same child, whose substreams
-come from the seed's spawn key without building the child. The filter
-pass is run_filter()'s recursion alone (filtering._recurse): the state
-estimates at the sample times are read from it, bitwise run_filter()'s,
-and no input is decoded and no record padded.
+many seeded noise realizations to estimate the error bias, drawn,
+propagated and filtered together in one pass. Its seed's children are
+one stream each for the whole batch (w, v, then each random signal
+channel), cut into trials in order: trial 0 draws what simulate() draws
+from the same seed, and trial t is the same in a batch of any size
+above t. The draws are dropped once the states are propagated. The
+filter pass is run_filter()'s recursion alone (filtering._recurse): the
+state estimates at the sample times are read from it, bitwise
+run_filter()'s, and no input is decoded and no record padded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
-from .filtering import FilterConfig, _recurse, run_filter
+from .filtering import FilterConfig, _recurse, _validated, run_filter
 from .linalg import psd_factor, readonly, rms
 from .model import NoiseSpec, SystemModel, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
@@ -105,40 +106,45 @@ def _sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _child(seed, i: int, *path: int) -> np.random.SeedSequence:
-    """Child i of the seed: what seed.spawn would hand out i-th, built without advancing it.
-
-    A path walks on to child path[0] of that child and so on, building no seed between.
-    """
+def _child(seed, i: int) -> np.random.SeedSequence:
+    """Child i of the seed: what seed.spawn would hand out i-th, built without advancing it."""
     ss = _sequence(seed)
     return np.random.SeedSequence(ss.entropy, pool_size=ss.pool_size,
-                                  spawn_key=ss.spawn_key + (ss.n_children_spawned + i,) + path)
+                                  spawn_key=ss.spawn_key + (ss.n_children_spawned + i,))
 
 
-def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seeds):
-    """Each trial's inputs (w, v, e, u), stacked on a leading trial axis.
+def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seed, trials: int):
+    """The inputs (w, v, e, u) of trials 0..trials-1, stacked on a leading trial axis.
 
-    A trial is a tuple (seed, *path): its seed is the seed itself when path
-    is empty, else _child(seed, *path), which is never built. The trial
-    seed's children feed w, v, the e channels, then the u channels, in that
-    order, and only the ones a trial reads are built: w and v with noise
-    on, and the prbs and gaussian channels. Any other channel is evaluated
-    once for all trials. The order keeps every seed's trajectory.
+    Child 0 of the seed feeds w, child 1 v, and child 2+c signal channel c
+    (the e channels, then the u channels). Each child is one generator for
+    the whole batch, cut into trials in order: the noise is one
+    (trials, T+1, .) draw, and a prbs or gaussian channel draws trial after
+    trial. So trial 0 is what one trial draws, and trial t does not depend
+    on the batch size. Only the children a batch reads are built: w and v
+    with noise on, and the prbs and gaussian channels. Any other channel is
+    evaluated once for all trials.
     """
-    w, v = np.zeros((len(seeds), T + 1, model.n)), np.zeros((len(seeds), T + 1, model.l))
-    if factors is not None:
-        for t, trial in enumerate(seeds):
-            np.random.default_rng(_child(*trial, 0)).standard_normal(out=w[t])
-            np.random.default_rng(_child(*trial, 1)).standard_normal(out=v[t])
+    shape = (trials, T + 1)
+    if factors is None:
+        w, v = np.zeros(shape + (model.n,)), np.zeros(shape + (model.l,))
+    else:
+        w = np.random.default_rng(_child(seed, 0)).standard_normal(shape + (model.n,))
+        v = np.random.default_rng(_child(seed, 1)).standard_normal(shape + (model.l,))
         w, v = w @ factors[0].T, v @ factors[1].T
-    ch = np.empty((len(seeds), T + 1, model.p + model.m))
-    for c, spec in enumerate(e_signals + u_signals):
-        if spec.kind in RANDOM_KINDS:
-            for t, trial in enumerate(seeds):
-                ch[t, :, c] = signal_values(spec, T, np.random.default_rng(_child(*trial, 2 + c)))
-        else:
-            ch[:, :, c] = signal_values(spec, T)
-    return w, v, ch[..., :model.p], ch[..., model.p:]
+
+    def channels(specs, first: int):          # channel c of specs draws from child first + c
+        out = np.empty(shape + (len(specs),))
+        for c, spec in enumerate(specs):
+            if spec.kind in RANDOM_KINDS:
+                rng = np.random.default_rng(_child(seed, first + c))
+                for t in range(trials):
+                    out[t, :, c] = signal_values(spec, T, rng)
+            else:
+                out[..., c] = signal_values(spec, T)
+        return out
+
+    return w, v, channels(e_signals, 2), channels(u_signals, 2 + model.p)
 
 
 def _propagate(model: SystemModel, x0, w, v, e, u):
@@ -172,7 +178,7 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     factors = _noise_factors(noise, noise_on)
-    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, [(seed,)]))
+    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
         raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
@@ -259,10 +265,12 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
                      signals, trials: int, T: int, seed=0, ks=None) -> BiasReport:
     """Estimate the state-error bias over independent noise realizations.
 
-    Trial t draws from child t of the seed (see simulate); the truth starts
-    at zero and the filter is seeded exactly, so any systematic offset
-    in the mean error indicts the gain, not the setup. Use at least a
-    few hundred trials for the 4-sigma flag to mean anything.
+    The trials are slices of one stream per child of the seed (see _draw):
+    trial 0 draws simulate(seed)'s noise and signals, and trial t does not
+    depend on the trial count. The truth starts at zero and the filter is
+    seeded exactly, so any systematic offset in the mean error indicts the
+    gain, not the setup. Use at least a few hundred trials for the 4-sigma
+    flag to mean anything.
     """
     T, signals, u_signals = _check_signals(model, signals, None, T)
     trials = _integer("trials", trials)
@@ -277,15 +285,14 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    factors = _noise_factors(noise, True)
-    root = _sequence(seed)
-    w, v, e, u = _draw(model, factors, signals, u_signals, T,
-                       [(root, t) for t in range(trials)])
+    w, v, e, u = _draw(model, _noise_factors(noise, True), signals, u_signals, T, seed, trials)
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
-    # the recursion alone: the state estimates, with no input decoded
-    _, W, _, _, _ = _recurse(model, noise, config, y, u)
     idx = np.asarray(ks) - r
-    errs = x[:, idx] - np.moveaxis(W[idx, ..., :model.n], 0, 1)
+    truth = x[:, idx]
+    del w, v, e, x          # never read again: the recursion's arrays may take their memory
+    # the recursion alone: the state estimates, with no input decoded
+    W, _, _ = _recurse(*_validated(model, noise, config, y, u))
+    errs = truth - np.moveaxis(W[idx, ..., :model.n], 0, 1)
 
     mean = errs.mean(axis=0)
     stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)

@@ -486,6 +486,44 @@ def test_run_filter_reports_where_estimates_overflow():
     assert lo <= N <= hi
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_filter_rejects_a_nonfinite_sample_it_reads(bad):
+    # run_filter reads y from k = r+1 on and u from k = 0 on; a non-finite sample
+    # there is named by (trial, k, column), so nonfinite_at means overflow only
+    base, noise, _ = df.reference_example("nonsquare3")
+    model = df.validate_model(base.A, base.H, base.C, B=[[0.3], [-0.2], [0.1]],
+                              D=[[0.2], [0.0]])
+    config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
+    traj = df.simulate(model, noise, df.example_signals(model), 30, seed=3,
+                       u_signals=[df.parse_signal_spec("sine:1:9")])
+    ys, us = np.stack([traj.y] * 3), np.stack([traj.u] * 3)
+
+    for name, where, message in [
+            # a single record
+            ("y", [(12, 1)], "^y is not finite at k=12, column 1;"),
+            ("y", [(2, 0)], "^y is not finite at k=2, column 0;"),         # k = r+1
+            ("u", [(0, 0)], "^u is not finite at k=0, column 0;"),
+            ("u", [(30, 0)], "^u is not finite at k=30, column 0;"),
+            # a batch names the first by (trial, k, column)
+            ("y", [(2, 7, 0), (1, 20, 1), (1, 20, 0)], "^y is not finite at trial 1, k=20, column 0;"),
+            ("u", [(1, 5, 0)], "^u is not finite at trial 1, k=5, column 0;")]:
+        y, u = (ys.copy(), us.copy()) if len(where[0]) == 3 else (ys[0].copy(), us[0].copy())
+        for at in where:
+            (y if name == "y" else u)[at] = bad
+        with pytest.raises(df.NonFiniteSample, match=message):
+            df.run_filter(model, noise, config, y, u)
+
+    # the warm-up rows of y, k <= r, are never read: they may hold anything, and the
+    # estimates are those of the record with finite warm-up rows
+    for y, u in ((ys, us), (ys[1], us[1])):
+        poisoned = y.copy()
+        poisoned[..., :config.r + 1, :] = bad
+        want, got = (df.run_filter(model, noise, config, a, u) for a in (y, poisoned))
+        assert got.nonfinite_at is None
+        for field in ("state_estimates", "input_estimates", "innovations"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
 # -- the block scan of a frozen, stable tail ----------------------------------
 
 # tail lengths: none, the shortest ones, and a perfect square with one below and one above

@@ -1,5 +1,6 @@
 """Signal generation, simulation, and experiment scoring."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from delayfilter import sim
 from delayfilter.linalg import psd_factor
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
+E1U = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
 
 
 # -- signal grammar ----------------------------------------------------------
@@ -103,7 +105,7 @@ def test_simulate_deterministic_per_seed():
 def test_simulate_draw_order():
     # the seed spawns one substream each for w, v, the e channels and the
     # u channels, in that order; every recorded seed depends on it
-    model = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
+    model = E1U
     noise = df.NoiseSpec(Q=np.array([[2e-2, 5e-3], [5e-3, 1e-2]]), R=1e-2 * np.eye(1))
     e_spec, u_spec = df.parse_signal_spec("gaussian:0.5"), df.parse_signal_spec("prbs:2:3")
     traj = df.simulate(model, noise, [e_spec], 30, seed=5, u_signals=[u_spec])
@@ -121,24 +123,52 @@ def test_simulate_draw_order():
                            rtol=0, atol=1e-12)
         x = model.A @ x + model.B @ traj.u[k] + model.H @ traj.e[k] + w[k]
 
-    # _draw follows the same recipe for each seed of a batch, row by row; a
-    # deterministic channel takes no substream, and no seed is advanced
+    # a batch cuts one stream per child of the seed into trials in order: the
+    # noise is one (trials, T+1, .) draw and a random channel draws trial after
+    # trial; a deterministic channel takes no child, and no seed is advanced
     sine = df.parse_signal_spec("sine:1:7")
-    seeds = [5, [3, 4], np.random.SeedSequence(9)]
-    for factors in (sim._noise_factors(noise, True), None):
-        w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, [(s,) for s in seeds])
-        assert w.shape == (3, 31, 2) and v.shape == (3, 31, 1)
-        assert e.shape == u.shape == (3, 31, 1)
-        for t, root in enumerate([5, [3, 4], 9]):
-            w_ss, v_ss, _, u_ss = np.random.SeedSequence(root).spawn(4)
+    ss = np.random.SeedSequence(9)
+    for root, entropy in ((5, 5), ([3, 4], [3, 4]), (ss, 9)):
+        w_ss, v_ss, _, u_ss = np.random.SeedSequence(entropy).spawn(4)
+        for factors in (sim._noise_factors(noise, True), None):
+            w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, root, 3)
+            assert w.shape == (3, 31, 2) and v.shape == (3, 31, 1)
+            assert e.shape == u.shape == (3, 31, 1)
             if factors is None:
-                assert not w[t].any() and not v[t].any()
+                assert not w.any() and not v.any()
             else:
-                assert np.array_equal(w[t], rng(w_ss).standard_normal((31, 2)) @ factors[0].T)
-                assert np.array_equal(v[t], rng(v_ss).standard_normal((31, 1)) @ factors[1].T)
-            assert np.array_equal(e[t, :, 0], df.signal_values(sine, 30))
-            assert np.array_equal(u[t, :, 0], df.signal_values(u_spec, 30, rng=rng(u_ss)))
-    assert seeds[2].n_children_spawned == 0
+                assert np.array_equal(w, rng(w_ss).standard_normal((3, 31, 2)) @ factors[0].T)
+                assert np.array_equal(v, rng(v_ss).standard_normal((3, 31, 1)) @ factors[1].T)
+            u_rng = rng(u_ss)
+            for t in range(3):
+                assert np.array_equal(e[t, :, 0], df.signal_values(sine, 30))
+                assert np.array_equal(u[t, :, 0], df.signal_values(u_spec, 30, rng=u_rng))
+    assert ss.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("noise_on", [True, False], ids=["noise", "noiseless"])
+@pytest.mark.parametrize("text", ["prbs:1:5", "prbs:1:4", "prbs:2:3", "gaussian:0.5", "sine:1:7"])
+def test_a_batch_begins_with_simulate_and_grows_by_appending_trials(text, noise_on):
+    # at T = 30 the three prbs specs draw 8, 9 and 12 signs a trial: odd and even counts
+    noise = df.NoiseSpec(Q=np.array([[2e-2, 5e-3], [5e-3, 1e-2]]), R=1e-2 * np.eye(1))
+    spec = df.parse_signal_spec(text)
+    factors = sim._noise_factors(noise, noise_on)
+    ss = np.random.SeedSequence(11)
+    ss.spawn(2)
+    for seed in (5, [3, 4], ss):
+        traj = df.simulate(E1U, noise, [spec], 30, seed=seed, u_signals=[spec], noise_on=noise_on)
+        batches = {N: sim._draw(E1U, factors, (spec,), (spec,), 30, seed, N) for N in (1, 4, 9)}
+        for N, draws in batches.items():
+            for name, a, b in zip("wveu", draws, batches[9]):
+                assert np.array_equal(a[0], getattr(traj, name))    # trial 0 is simulate's
+                assert np.array_equal(a, b[:N])                     # a larger batch appends
+        # a batch steps its states by one matrix product over all trials, simulate
+        # by a vector product; BLAS may round the two differently in the last bits
+        x, y = sim._propagate(E1U, np.zeros(2), *batches[9])
+        for name, a in (("x", x), ("y", y)):
+            want = getattr(traj, name)
+            assert np.max(np.abs(a[0] - want)) <= 1e-13 * np.max(np.abs(want))
+    assert ss.n_children_spawned == 2
 
 
 def test_simulate_leaves_a_seed_sequence_as_it_was():
@@ -265,21 +295,37 @@ def test_monte_carlo_bias_shapes():
 
 # -- batched Monte Carlo against the per-trial loop --------------------------
 
-E1U = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
+
+def _streams(model, noise, signals, trials, T, seed):
+    """The seed rule by hand: (w, v, e, u) of trials 0..trials-1, with zero known input.
+
+    Children 0 and 1 of the seed are one noise stream each, cut into trials in
+    order; child 2+c draws random signal channel c for one trial after another.
+    """
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(2 + model.p)]
+    w = rngs[0].standard_normal((trials, T + 1, model.n)) @ psd_factor(noise.Q).T
+    v = rngs[1].standard_normal((trials, T + 1, model.l)) @ psd_factor(noise.R).T
+    e = np.empty((trials, T + 1, model.p))
+    for t in range(trials):
+        for c, spec in enumerate(signals):
+            e[t, :, c] = df.signal_values(spec, T, rng=rngs[2 + c])
+    return w, v, e, np.zeros((trials, T + 1, model.m))
 
 
 def _per_trial_bias(model, noise, config, signals, trials, T, seed, ks):
-    """Reference: one simulate() and one step() loop per trial."""
+    """Reference: trial t is slice t of the seed's streams, propagated and then filtered by step()."""
     r = config.r
     errs = np.zeros((trials, len(ks), model.n))
-    for t, trial_seed in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        traj = df.simulate(model, noise, signals, T, seed=trial_seed)
+    for t, (w, v, e, u) in enumerate(zip(*_streams(model, noise, signals, trials, T, seed))):
+        x = np.zeros((T + 1, model.n))
+        for k in range(T):
+            x[k + 1] = model.A @ x[k] + model.B @ u[k] + model.H @ e[k] + w[k]
+        y = x @ model.C.T + u @ model.D.T + v
         state = df.init_filter(model, noise, config)
         for k in range(T + 1):
-            u_k = traj.u[k] if model.m > 0 else None
-            state, out = df.step(state, model, noise, traj.y[k], u_k)
+            state, out = df.step(state, model, noise, y[k], u[k] if model.m > 0 else None)
             if k in ks:
-                errs[t, ks.index(k)] = traj.x[k - r] - out.state_estimate
+                errs[t, ks.index(k)] = x[k - r] - out.state_estimate
     mean = errs.mean(axis=0)
     stderr = errs.std(axis=0, ddof=1) / np.sqrt(trials)
     return mean, stderr, np.abs(mean) > 4.0 * stderr
@@ -333,7 +379,7 @@ def test_monte_carlo_bias_reads_run_filters_state_estimates_exactly(case):
     T, signals, u_signals = sim._check_signals(model, signals, None, T)
     root = np.random.SeedSequence([7, 1])
     w, v, e, u = sim._draw(model, sim._noise_factors(noise, True), signals, u_signals, T,
-                           [(root, t) for t in range(trials)])
+                           root, trials)
     x, y = sim._propagate(model, np.zeros(model.n), w, v, e, u)
     idx = np.asarray(ks)
     errs = x[:, idx - r] - df.run_filter(model, noise, config, y, u).state_estimates[:, idx]
@@ -344,15 +390,45 @@ def test_monte_carlo_bias_reads_run_filters_state_estimates_exactly(case):
     assert np.array_equal(report.mean, mean)
     assert np.array_equal(report.stderr, stderr)
     assert np.array_equal(report.flagged, np.abs(mean) > 4.0 * stderr)
-    # trial t is the trajectory simulate draws from child t of the seed
-    for t in range(trials):
-        traj = df.simulate(model, noise, signals, T, seed=sim._child(root, t))
-        assert np.array_equal(traj.w, w[t]) and np.array_equal(traj.v, v[t])
-        assert np.array_equal(traj.e, e[t])
+    # the draws are the seed's streams cut into trials, and trial 0 is simulate's
+    traj = df.simulate(model, noise, signals, T, seed=root)
+    for name, a, b in zip("wveu", (w, v, e, u), _streams(model, noise, signals, trials, T, [7, 1])):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], getattr(traj, name))
+
+
+def test_monte_carlo_bias_frees_its_draws_before_it_filters(monkeypatch):
+    # w, v, e and the true states are read once, by _propagate; while the filter's
+    # recursion runs, the batch holds only y, u and the true states at ks
+    model, _, _ = df.reference_example("compartmental-25")
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(model.n), R=1e-4 * np.eye(model.l))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+    signals, trials, T, ks = df.example_signals(model), 300, 200, (50, 100, 200)
+    df.monte_carlo_bias(model, noise, config, signals, trials=2, T=T, ks=ks)    # fills the caches
+    held, recurse = [], sim._recurse
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return recurse(*args)
+
+    monkeypatch.setattr(sim, "_recurse", traced)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        df.monte_carlo_bias(model, noise, config, signals, trials=trials, T=T, ks=ks)
+    finally:
+        tracemalloc.stop()
+    rows = trials * (T + 1)
+    kept = 8 * (rows * (model.l + model.m) + trials * len(ks) * model.n)    # y, u, truth at ks
+    slack = 64 * 1024           # the filter's state and Python objects
+    # holding any one of w (n columns), v (l), e (p) or x (n) would break the bound
+    assert 8 * rows * min(model.n, model.l, model.p) > 10 * slack
+    assert held[0] - before <= kept + slack, (held[0] - before, kept)
 
 
 def test_monte_carlo_bias_takes_a_seed_sequence():
-    # trial t draws from child t of the SeedSequence, which is left as it was
+    # the batch draws from the children of the SeedSequence, which is left as it was
     noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(2),
