@@ -26,19 +26,16 @@ from .errors import (
     EstimatesNotFinite,
     InfeasibleDelay,
     InnovationCovarianceSingular,
-    LowerMarkovNonzero,
     MeasurementFileError,
     ModelFileError,
     NonFiniteSample,
     NotSquare,
     NotSymmetric,
-    NoUnbiasedGainExists,
     PencilDegenerate,
     PreconditionViolated,
     QIndefinite,
     RankDeficientH,
     RNotPositiveDefinite,
-    SingularMarkovParameter,
     TooManyInputs,
     TooManyOutputs,
     UnknownExample,

@@ -46,7 +46,12 @@ class MeasurementFileError(DelayFilterError):
 # --- delay / rank analysis ---
 
 class DelayOutOfRange(DelayFilterError):
-    """Requested delay r outside 0 <= r <= n-1."""
+    """A delay that is not an integer >= 0, or one past an accessor's blocks (n-1; n for
+    markov_blocks). A gain at a well-formed r >= n is InfeasibleDelay."""
+
+
+class InfeasibleDelay(DelayFilterError):
+    """No unbiased gain exists at the delay: rank S_r - rank S_(r-1) != p, as at any r >= n."""
 
 
 # --- invariant zeros ---
@@ -62,19 +67,6 @@ class NotSquare(DelayFilterError):
     """Operation requires equally many outputs and unknown inputs."""
 
 
-class SingularMarkovParameter(DelayFilterError):
-    """The rank profile puts rank CA^rH below p where an inverse is required."""
-
-
-class LowerMarkovNonzero(DelayFilterError):
-    """A square system with CA^dH != 0 for some d < r admits no unbiased
-    gain at delay r, so the square-inverse formula must not be used."""
-
-
-class NoUnbiasedGainExists(DelayFilterError):
-    pass
-
-
 class InnovationCovarianceSingular(DelayFilterError):
     pass
 
@@ -88,10 +80,6 @@ class ConstraintViolated(DelayFilterError):
 
 
 # --- filtering ---
-
-class InfeasibleDelay(DelayFilterError):
-    """No unbiased gain exists at the requested delay."""
-
 
 class NonFiniteSample(DelayFilterError):
     """A measurement or known input that the filter reads is NaN or infinite."""

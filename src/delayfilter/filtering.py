@@ -39,9 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DelayOutOfRange,
     DimensionMismatch,
-    InfeasibleDelay,
     InnovationCovarianceSingular,
     NonFiniteSample,
     NotSymmetric,
@@ -59,7 +57,7 @@ from .gain import (
     _settled,
 )
 from .linalg import is_symmetric, readonly, spectral_radius
-from .markov import _Delay, _delay
+from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel
 from .zeros import UNIT_CIRCLE_TOL
 
@@ -156,13 +154,8 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     correct against them), so a wrong seed decays per the error
     dynamics instead of being fixed during warm-up.
     """
-    r = config.r
-    try:
-        if not _delay(model, r).feasible:
-            raise InfeasibleDelay(f"no unbiased gain exists at delay {r}")
-    except DelayOutOfRange as exc:
-        raise InfeasibleDelay(str(exc)) from None
-    r = int(r)
+    d = _feasible(model, config.r)
+    r = d.r
 
     x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
     P0 = np.asarray(config.initial_covariance, dtype=float)
@@ -178,7 +171,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
         raise PreconditionViolated(f"{mode} builds its own gain; config.gain must be None")
     if mode == FIXED_SQUARE:
-        ops = _new_plan(model, r, square_gain(model, r).L)
+        ops = _new_plan(model, d, square_gain(model, r).L)
     elif mode == TIME_VARYING_MINVAR:
         if noise is None:
             raise PreconditionViolated("TimeVaryingMinVar needs a noise specification")
@@ -188,8 +181,8 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
         L = np.asarray(config.gain, dtype=float)
         # a biased gain would silently invalidate every emitted estimate
-        _checked_residual(model, r, L, "supplied gain violates the unbiasedness constraint")
-        ops = _new_plan(model, r, L)
+        _checked_residual(model, d, L, "supplied gain violates the unbiasedness constraint")
+        ops = _new_plan(model, d, L)
     else:
         raise PreconditionViolated(f"unknown gain mode {mode!r}")
     gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
@@ -211,13 +204,12 @@ def _plan(model: SystemModel, r: int, noise_key) -> _FilterOps:
     """
     Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
     noise = NoiseSpec(Q=Q, R=R)
-    return _new_plan(model, r, minvar_gain(model, noise, r, P0).L, noise)
+    return _new_plan(model, _feasible(model, r), minvar_gain(model, noise, r, P0).L, noise)
 
 
-def _new_plan(model: SystemModel, r: int, L, noise: NoiseSpec | None = None) -> _FilterOps:
-    """The plan of a session whose initial gain is L."""
-    d = _delay(model, r)
-    return _FilterOps(model=model, noise=noise, r=r, d=d, L0=readonly(L),
+def _new_plan(model: SystemModel, d: _Delay, L, noise: NoiseSpec | None = None) -> _FilterOps:
+    """The plan at d of a session whose initial gain is L."""
+    return _FilterOps(model=model, noise=noise, r=d.r, d=d, L0=readonly(L),
                       G0=_update_map(model, d, L))
 
 
@@ -526,10 +518,11 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     nilpotent on the quotient by their kernel, and that kernel is {0}.
     Its computed eigenvalues would scatter like eps^(1/n) ||F||.
     """
-    _checked_residual(model, r, L, "verdict is only defined for unbiased gains")
-    if model.l == model.p and model.n == (r + 1) * model.p and _delay(model, r).feasible:
+    d = _feasible(model, r)
+    _checked_residual(model, d, L, "verdict is only defined for unbiased gains")
+    if model.l == model.p and model.n == (r + 1) * model.p:
         return DEADBEAT
-    eigs = np.linalg.eigvals(error_dynamics_matrix(model, r, L))
+    eigs = np.linalg.eigvals(_error_map(model, d, np.asarray(L, dtype=float)))
     moduli = np.abs(eigs)
     if np.all(moduli <= DEADBEAT_TOL):
         return DEADBEAT

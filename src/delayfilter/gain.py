@@ -7,9 +7,9 @@ null space; minvar_gain picks the one minimizing the trace of the delayed
 error covariance, a least-squares problem in Y. covariance_update
 propagates the covariance for any constrained gain, and
 steady_state_gain finds the pair's fixed point by policy iteration
-(Hewer, IEEE TAC 16(4), 1971) when one exists. Every constant the
-constraint fixes at a delay, its verdict included, is read from the
-model's profile in markov (_delay). The noise structure is one map per
+(Hewer, IEEE TAC 16(4), 1971) when one exists. Each reads the constants
+of a delay from markov._feasible, which raises InfeasibleDelay where no
+unbiased gain exists. The noise structure is one map per
 delay, Eb = [CA^r ... CA C | I]: the innovation covariance,
 its cross term and the covariance step all read it (_noise_covariance).
 """
@@ -24,14 +24,11 @@ from .errors import (
     ConstraintViolated,
     DimensionMismatch,
     InnovationCovarianceSingular,
-    LowerMarkovNonzero,
     NotSquare,
-    NoUnbiasedGainExists,
     PreconditionViolated,
-    SingularMarkovParameter,
 )
 from .linalg import frob, spectral_radius
-from .markov import _Delay, _delay
+from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel
 
 COND_LIMIT = 1e12             # of the innovation covariance V
@@ -85,39 +82,33 @@ def constraint_target(model: SystemModel, r: int) -> np.ndarray:
 
 def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
     """Frobenius norm of L S_r - [H 0 ... 0]."""
-    d = _delay(model, r)
-    return frob(np.asarray(L, dtype=float) @ d.S - d.H0)
+    return _delay(model, r).residual(L)
 
 
-def _checked_residual(model: SystemModel, r: int, L, what: str) -> float:
-    """The residual of an n x l gain L; ConstraintViolated if L is not finite or biased."""
+def _checked_residual(model: SystemModel, d: _Delay, L, what: str) -> float:
+    """The residual of an n x l gain L at d; ConstraintViolated if L is not finite or biased."""
     if np.shape(L) != (model.n, model.l):
         raise DimensionMismatch(f"{what}: gain must be {(model.n, model.l)}, got {np.shape(L)}")
     if not np.isfinite(L).all():        # a NaN residual would pass the comparison below
         raise ConstraintViolated(f"{what}: gain is not finite")
-    residual, tol = unbiasedness_residual(model, r, L), _delay(model, r).tol
-    if residual > tol:
-        raise ConstraintViolated(f"{what}: residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    residual = d.residual(L)
+    if residual > d.tol:
+        raise ConstraintViolated(f"{what}: residual {residual:.3e} exceeds tolerance {d.tol:.3e}")
     return residual
 
 
 def square_gain(model: SystemModel, r: int) -> GainResult:
     """The unique unbiased gain H (CA^rH)^-1 for square systems.
 
-    It exists exactly when the rank profile calls r feasible: a square
-    system with CA^dH != 0 for some d < r has none at delay r. A solve
-    whose residual exceeds the tolerance raises ConstraintViolated.
+    It exists exactly where the rank profile calls r feasible, so not above
+    a nonzero CA^dH, d < r; elsewhere InfeasibleDelay. A solve whose
+    residual exceeds the tolerance raises ConstraintViolated.
     """
     if model.l != model.p:
         raise NotSquare(f"square gain needs l = p, got l={model.l}, p={model.p}")
-    d = _delay(model, r)
-    if not d.feasible:
-        if d.lower_nonzero is not None:
-            raise LowerMarkovNonzero(
-                f"CA^{d.lower_nonzero}H is nonzero; no unbiased gain exists at delay {r}")
-        raise SingularMarkovParameter(f"rank CA^{r}H < p; no unbiased gain exists at delay {r}")
+    d = _feasible(model, r)
     L = np.linalg.solve(d.blocks[r].T, model.H.T).T
-    residual = _checked_residual(model, r, L, "square gain")
+    residual = _checked_residual(model, d, L, "square gain")
     method = NO_DELAY_CLASSICAL if r == 0 else SQUARE_INVERSE
     return GainResult(L=L, residual=residual, method=method)
 
@@ -153,14 +144,12 @@ def minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=None) -> Ga
     least at Y = (G - L_min V) N (N^T V N)^-1. Without a null space N
     the gain is L_min whatever P_prev is.
     """
-    d = _delay(model, r)
-    if not d.feasible:
-        raise NoUnbiasedGainExists(f"no unbiased gain exists at delay {r}")
+    d = _feasible(model, r)
     V, G = _innovation_terms(model, noise, d, P_prev)
     VN = V @ d.N
     Y = np.linalg.solve(d.N.T @ VN, (G @ d.N - d.L_min @ VN).T).T
     L = d.L_min + Y @ d.N.T
-    return GainResult(L=L, residual=_checked_residual(model, r, L, "gain"),
+    return GainResult(L=L, residual=_checked_residual(model, d, L, "gain"),
                       method=MINVAR_LAGRANGIAN)
 
 
@@ -169,23 +158,21 @@ def simplified_minvar_gain(model: SystemModel, noise: NoiseSpec, r: int, P_prev=
 
     With the lower blocks zero the constraint couples L only to CA^rH,
     and the multiplier solve reduces to one p x p inverse. Must agree
-    with minvar_gain on this domain.
+    with minvar_gain on this domain; PreconditionViolated outside it.
     """
-    d = _delay(model, r)
+    d = _feasible(model, r)
     if d.lower_nonzero is not None:
         raise PreconditionViolated(
             f"CA^{d.lower_nonzero}H is nonzero; the simplified gain requires zero "
             f"Markov parameters below delay {r}"
         )
-    if not d.feasible:                  # with the lower blocks zero: rank(CA^rH) < p
-        raise PreconditionViolated(f"rank(CA^{r}H) < p, gain constraint unsolvable")
     M = d.blocks[r]
 
     V, G = _innovation_terms(model, noise, d, P_prev)
     Vinv_M = np.linalg.solve(V, M)
     Phi = np.linalg.solve((M.T @ Vinv_M).T, (model.H - G @ Vinv_M).T).T
     L = np.linalg.solve(V, (G + Phi @ M.T).T).T
-    return GainResult(L=L, residual=_checked_residual(model, r, L, "gain"),
+    return GainResult(L=L, residual=_checked_residual(model, d, L, "gain"),
                       method=SIMPLIFIED_MINVAR)
 
 
@@ -210,9 +197,9 @@ def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray)
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
     """One covariance step F P F^T + W for an unbiased gain (see _error_terms), symmetrized."""
-    L = np.asarray(L, dtype=float)
-    _checked_residual(model, r, L, "covariance update requires an unbiased gain")
-    F, W = _error_terms(model, noise, _delay(model, r), L)
+    d, L = _feasible(model, r), np.asarray(L, dtype=float)
+    _checked_residual(model, d, L, "covariance update requires an unbiased gain")
+    F, W = _error_terms(model, noise, d, L)
     return covariance_state(F @ _p_matrix(P_prev, model.n) @ F.T + W)
 
 
@@ -251,7 +238,7 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     with the last gain. max_iter caps the rounds.
     """
     P = covariance_state(_p_matrix(P0, model.n))
-    gain, d = minvar_gain(model, noise, r, P), _delay(model, r)
+    gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
     for _ in range(max_iter):
         F, W = _error_terms(model, noise, d, gain.L)     # minvar_gain gated every gain
         stable = spectral_radius(F) < 1.0

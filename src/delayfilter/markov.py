@@ -6,7 +6,9 @@ input sequence is recoverable at all (a strictly weaker property; see
 the bundled 4-state counterexample in the registry). Every verdict on a
 delay, every constant the constraint L S_r = [H 0 ... 0] fixes at it and
 every gain-free constant of the filter's update is read from one profile
-per model, here, in the gain functions and in the filter.
+per model, here, in the gain functions and in the filter. Whatever builds,
+checks or runs a gain asks _feasible, which raises InfeasibleDelay at any r
+without a gain, r >= n included; DelayOutOfRange means a malformed delay.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DelayOutOfRange
+from .errors import DelayOutOfRange, InfeasibleDelay
 from .linalg import RANK_RCOND, frob, numerical_rank, pinv_cut, readonly
 from .model import SystemModel
 
@@ -92,7 +94,6 @@ class _Delay:
     """
 
     r: int
-    feasible: bool                      # an unbiased gain exists at r
     CA: tuple                           # C A^j for j = 0..r+1
     CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () without known inputs
     blocks: tuple                       # C A^j H for j = 0..r
@@ -103,6 +104,9 @@ class _Delay:
     N: np.ndarray | None                # orthonormal left null space of S: gains are L_min + Y N^T
     H0: np.ndarray                      # [H 0 ... 0]
     tol: float                          # residual tolerance of the constraint
+
+    def residual(self, L) -> float:        # ||L S - [H 0 ... 0]||_F
+        return frob(np.asarray(L, dtype=float) @ self.S - self.H0)
 
     @cached_property
     def Gd(self) -> np.ndarray:
@@ -157,7 +161,7 @@ def _profile(model: SystemModel) -> _Profile:
             k = s_ranks[r]
             L_min, N = _sealed((H0_r @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
         delays.append(_Delay(
-            r=r, feasible=r in feasible, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
+            r=r, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
             blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
             lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
             L_min=L_min, N=N, H0=H0_r, tol=RESIDUAL_RTOL * (1.0 + frob(model.H))))
@@ -171,14 +175,25 @@ def _delay(model: SystemModel, r: int) -> _Delay:
     return _profile(model).delays[r]
 
 
-def exists_unbiased_gain(model: SystemModel, r: int, check_range: bool = True) -> bool:
+def _feasible(model: SystemModel, r: int) -> _Delay:
+    """The constants at r if an unbiased gain exists there, else InfeasibleDelay naming the gap."""
+    _check_delay(model, r, bounded=False)
+    profile = _profile(model)
+    if r in profile.feasible:
+        return profile.delays[r]
+    ranks = (0,) + profile.s_ranks
+    gap = ranks[r + 1] - ranks[r] if r < model.n else 0
+    raise InfeasibleDelay(f"no unbiased gain exists at delay {r}: the rank gap "
+                          f"rank S_r - rank S_(r-1) is {gap}, not p = {model.p}")
+
+
+def exists_unbiased_gain(model: SystemModel, r: int) -> bool:
     """True iff rank(S_r) - rank(S_(r-1)) = p, with rank(S_(-1)) = 0.
 
-    At r = 0 this collapses to the classical full-rank test on CH.
-    check_range=False answers False at r >= n instead of raising: by
-    Cayley-Hamilton CA^rH adds no columns to the span of S_(r-1) there.
+    At r = 0 this collapses to the classical full-rank test on CH. At r >= n
+    it is False: by Cayley-Hamilton CA^rH adds no columns to S_(r-1).
     """
-    _check_delay(model, r, bounded=check_range)
+    _check_delay(model, r, bounded=False)
     return r in _profile(model).feasible
 
 

@@ -325,8 +325,15 @@ def test_criterion_10_no_gain_at_or_beyond_system_order():
         except df.DelayFilterError:
             continue
         checked += 1
-        with pytest.raises(df.DelayOutOfRange):
-            df.exists_unbiased_gain(model, n)
-        assert df.exists_unbiased_gain(model, n, check_range=False) is False
-        assert df.exists_unbiased_gain(model, n + 1, check_range=False) is False
+        # by Cayley-Hamilton CA^nH adds no columns to S_(n-1): the rank gap is 0
+        assert df.exists_unbiased_gain(model, n) is False
+        assert df.exists_unbiased_gain(model, n + 1) is False
+        noise = df.NoiseSpec(Q=np.eye(n), R=np.eye(l))
+        config = df.FilterConfig(r=n, gain_mode=df.TIME_VARYING_MINVAR,
+                                 initial_estimate=np.zeros(n), initial_covariance=np.eye(n))
+        for call in (lambda: df.minvar_gain(model, noise, n),
+                     lambda: df.init_filter(model, noise, config)):
+            with pytest.raises(df.InfeasibleDelay, match=f"delay {n}: the rank gap .* is 0, "
+                                                         f"not p = {p}"):
+                call()
     assert time.perf_counter() - t0 < 10.0

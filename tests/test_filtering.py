@@ -106,7 +106,8 @@ def test_infeasible_delay_rejected_at_init():
 
 
 def test_non_integer_delay_rejected():
-    with pytest.raises(df.InfeasibleDelay):
+    # a malformed delay, not a verdict on a well-formed one
+    with pytest.raises(df.DelayOutOfRange, match="integer"):
         df.init_filter(E1, None, _config(r=1.5))
 
 

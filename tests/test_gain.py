@@ -36,14 +36,14 @@ def test_square_gain_rejects_nonsquare():
 
 
 def test_square_gain_singular_markov():
-    with pytest.raises(df.SingularMarkovParameter):
+    with pytest.raises(df.InfeasibleDelay, match="delay 0: the rank gap .* is 0, not p = 1"):
         df.square_gain(E1, 0)  # CH = 0
 
 
 def test_square_gain_lower_markov_gate():
     # CH invertible, so asking for r=1 hides a nonzero lower parameter
     model = df.validate_model([[0.9, 0.1], [0.0, 0.8]], [[1.0], [0.0]], [[1.0, 0.0]])
-    with pytest.raises(df.LowerMarkovNonzero):
+    with pytest.raises(df.InfeasibleDelay, match="delay 1: the rank gap .* is 0, not p = 1"):
         df.square_gain(model, 1)
 
 
@@ -53,13 +53,13 @@ def test_square_gain_reads_feasibility_from_the_rank_profile():
     model = df.validate_model(np.diag([0.5, 0.4, 0.3]), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
                               [[1.0, 0.0, 0.0], [0.0, 1.5e-12, 0.0]])
     assert df.analyze_delays(model).feasible_delays == ()
-    with pytest.raises(df.SingularMarkovParameter):
+    with pytest.raises(df.InfeasibleDelay, match="delay 0: the rank gap .* is 1, not p = 2"):
         df.square_gain(model, 0)
     for r in range(model.n):
         try:
             df.square_gain(model, r)
             built = True
-        except (df.SingularMarkovParameter, df.LowerMarkovNonzero):
+        except df.InfeasibleDelay:
             built = False
         assert built == df.exists_unbiased_gain(model, r)
 
@@ -84,7 +84,7 @@ def test_unbiasedness_residual_measures_violation():
 
 def test_minvar_requires_feasible_delay():
     noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
-    with pytest.raises(df.NoUnbiasedGainExists):
+    with pytest.raises(df.InfeasibleDelay, match="delay 0: the rank gap .* is 0, not p = 1"):
         df.minvar_gain(E1, noise, 0, np.eye(2))
 
 
@@ -170,11 +170,11 @@ def test_simplified_minvar_guards_rank():
     model, noise, _ = df.reference_example("nonsquare12")
     with pytest.raises(df.PreconditionViolated):
         df.simplified_minvar_gain(model, noise, 1, np.eye(model.n))
-    # rank(CA^rH) < p: the simplified normal equations are not solvable
+    # rank(CA^rH) < p: no unbiased gain exists, the verdict every gain path reads
     model = df.validate_model(0.5 * np.eye(3), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                               [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     noise = df.NoiseSpec(Q=np.eye(3), R=np.eye(2))
-    with pytest.raises(df.PreconditionViolated, match="rank"):
+    with pytest.raises(df.InfeasibleDelay, match="delay 0: the rank gap .* is 1, not p = 2"):
         df.simplified_minvar_gain(model, noise, 0, np.eye(3))
 
 
@@ -535,15 +535,63 @@ def test_minvar_and_steady_state_error_contract():
     infeasible = 0
     for model, _ in filter(None, (make_feasible_system(rng) for _ in range(6))):
         noise = random_noise(rng, model)
+        ranks = (0,) + tuple(rank for _, rank in df.analyze_delays(model).s_ranks)
         for fn in (df.minvar_gain, df.steady_state_gain):
-            with pytest.raises(df.DelayOutOfRange):
+            with pytest.raises(df.InfeasibleDelay, match=f"delay {model.n}: the rank gap .* is 0,"):
                 fn(model, noise, model.n)
             for r in range(model.n):
                 if not df.exists_unbiased_gain(model, r):
                     infeasible += 1
-                    with pytest.raises(df.NoUnbiasedGainExists):
+                    gap = f"delay {r}: the rank gap .* is {ranks[r + 1] - ranks[r]},"
+                    with pytest.raises(df.InfeasibleDelay, match=gap):
                         fn(model, noise, r)
     assert infeasible >= 5
+
+
+def test_every_gain_path_reads_one_verdict():
+    # at every r in 0..n+1 of drawn models, each function that builds, checks
+    # or runs a gain raises InfeasibleDelay, naming the delay and the rank gap,
+    # exactly where exists_unbiased_gain is False, and succeeds elsewhere;
+    # simplified_minvar_gain's closed form needs zero blocks below r
+    rng = np.random.default_rng(27)
+    drawn = [make_feasible_system(rng) for _ in range(12)]
+    drawn += [make_square_system(rng, cond_limit=1e6) for _ in range(12)]
+    cases = {"feasible": 0, "zero blocks below r": 0, "a nonzero block below r": 0, "r >= n": 0}
+    for model, _ in filter(None, drawn):
+        n, l, noise = model.n, model.l, random_noise(rng, model)
+        analysis = df.analyze_delays(model)
+        ranks = (0,) + tuple(rank for _, rank in analysis.s_ranks)
+        modes = [df.TIME_VARYING_MINVAR, df.FIXED_USER_SUPPLIED]
+        modes += [df.FIXED_SQUARE] if l == model.p else []
+        for r in range(n + 2):
+            feasible = df.exists_unbiased_gain(model, r)
+            lower_zero = all(rank == 0 for _, rank in analysis.markov_ranks[:r])
+            L = df.minvar_gain(model, noise, r).L if feasible else np.zeros((n, l))
+            calls = [lambda: df.steady_state_gain(model, noise, r, max_iter=20),
+                     lambda: df.covariance_update(model, noise, r, L, np.eye(n)),
+                     lambda: df.classify_convergence(model, r, L)]
+            calls += [lambda mode=mode: df.init_filter(model, noise, df.FilterConfig(
+                          r=r, gain_mode=mode, initial_estimate=np.zeros(n),
+                          initial_covariance=np.eye(n),
+                          gain=L if mode == df.FIXED_USER_SUPPLIED else None))
+                      for mode in modes]
+            if l == model.p:
+                calls.append(lambda: df.square_gain(model, r))
+            if lower_zero or not feasible:
+                calls.append(lambda: df.simplified_minvar_gain(model, noise, r))
+            if feasible:
+                for call in calls:
+                    call()
+                cases["feasible"] += 1
+                continue
+            gap = ranks[r + 1] - ranks[r] if r < n else 0
+            for call in calls:
+                with pytest.raises(df.InfeasibleDelay,
+                                   match=f"delay {r}: the rank gap .* is {gap}, not p"):
+                    call()
+            cases["r >= n" if r >= n else
+                  "zero blocks below r" if lower_zero else "a nonzero block below r"] += 1
+    assert min(cases.values()) >= 10, cases
 
 
 @pytest.mark.parametrize("call", [

@@ -163,12 +163,13 @@ def test_exists_unbiased_gain_profile():
 
 
 def test_delay_range_guard():
-    with pytest.raises(df.DelayOutOfRange):
-        df.exists_unbiased_gain(E1, 2)
+    # r = n is a well-formed delay: the rank condition answers it
+    assert df.exists_unbiased_gain(E1, 2) is False
     with pytest.raises(df.DelayOutOfRange):
         df.exists_unbiased_gain(E1, -1)
-    # diagnostic override evaluates the rank condition honestly
-    assert df.exists_unbiased_gain(E1, 2, check_range=False) is False
+    # the stack has no block past n-1
+    with pytest.raises(df.DelayOutOfRange):
+        df.markov_row_stack(E1, 2)
 
 
 @pytest.mark.parametrize("r", [1.0, 1.5, np.float64(1.0), True])
@@ -176,10 +177,12 @@ def test_a_non_integer_delay_is_out_of_range(r):
     model, noise, _ = df.reference_example("nonsquare3")
     square, _, _ = df.reference_example("minphase3")
     L = df.minvar_gain(model, noise, 1).L
+    config = df.FilterConfig(r=r, gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=np.zeros(model.n), initial_covariance=np.eye(model.n))
     calls = (lambda: df.minvar_gain(model, noise, r), lambda: df.markov_row_stack(model, r),
              lambda: df.square_gain(square, r), lambda: df.classify_convergence(model, r, L),
              lambda: df.exists_unbiased_gain(model, r),
-             lambda: df.exists_unbiased_gain(model, r, check_range=False))
+             lambda: df.init_filter(model, noise, config))
     for call in calls:
         with pytest.raises(df.DelayOutOfRange, match="integer"):
             call()
@@ -250,10 +253,9 @@ def test_one_rank_rule_on_widely_scaled_blocks():
     assert df.minimal_delay(model) == 0
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(3), initial_covariance=np.eye(3))
-    with pytest.raises(df.InfeasibleDelay):
-        df.init_filter(model, None, config)
-    with pytest.raises(df.LowerMarkovNonzero):
-        df.square_gain(model, 1)
+    for call in (lambda: df.init_filter(model, None, config), lambda: df.square_gain(model, 1)):
+        with pytest.raises(df.InfeasibleDelay, match="delay 1: the rank gap .* is 0, not p = 1"):
+            call()
 
 
 def test_invertible_delays_are_the_suffix_from_the_first_full_gap():

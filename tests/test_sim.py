@@ -208,6 +208,16 @@ def test_simulate_channel_count_checked():
         assert df.simulate(E1, None, sigs[:1], T, noise_on=False).y.shape == (11, 1)
 
 
+def test_simulate_known_input_channel_count_checked():
+    sine = df.parse_signal_spec("sine:1:40")
+    for u_signals in ([], [sine, sine]):
+        with pytest.raises(df.DimensionMismatch,
+                           match=f"need 1 known-input signals, got {len(u_signals)}"):
+            df.simulate(E1U, None, [sine], 10, u_signals=u_signals, noise_on=False)
+    with pytest.raises(df.DimensionMismatch, match="need 0 known-input signals, got 1"):
+        df.simulate(E1, None, [sine], 10, u_signals=[sine], noise_on=False)
+
+
 def test_simulate_rejects_a_nonfinite_x0():
     sigs = [df.parse_signal_spec("sine:1:40")]
     for x0 in ([np.nan, 0.0], [0.0, np.inf]):
@@ -242,6 +252,14 @@ def test_compartmental_validation():
         df.compartmental_model(6, 0.1, 0.1, [1, 1], [2])
     with pytest.raises(df.BadIndices):
         df.compartmental_model(6, 0.1, 0.1, [1, 2], [2, 5])  # overlap
+
+
+def test_compartmental_rejects_one_compartment_and_an_empty_list():
+    with pytest.raises(df.BadIndices, match="need at least two compartments, got n=1"):
+        df.compartmental_model(1, 0.1, 0.1, [1], [1])
+    for inputs, outputs, name in (([], [2], "input"), ([1], [], "output")):
+        with pytest.raises(df.BadIndices, match=f"^{name} compartment list is empty$"):
+            df.compartmental_model(6, 0.1, 0.1, inputs, outputs)
 
 
 # -- experiment scoring ------------------------------------------------------
