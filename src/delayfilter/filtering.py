@@ -13,6 +13,8 @@ one trajectory or a batch of trials. The gain schedule depends only on
 batch shares it and the estimates advance together as (trials, n) arrays.
 The schedule freezes by steady_state_gain's rules, and the update, the
 scan gate and the verdict read gain's one error map F = A - L C A^(r+1).
+The update is one product of the raw row [xhat | y[k] | u[k] ... u[k-r-1]]
+with an update map whose last (r+2)m rows carry the known inputs.
 Once the gain is frozen and its error map stable, the rest of the record
 advances by a two-level block scan in about 2 sqrt(N) array steps instead
 of N; run_filter() says how its rounding differs from step()'s.
@@ -24,9 +26,9 @@ refreshed gains; the gain-free constants stay in the model's profile
 recent, keyed on the model object, r and the values of Q, R and P0; a
 fixed gain's plan is built per session. A schedule grows as sessions
 reach steps no session reached before and keeps at most SCHEDULE_CAP
-entries of n^2 + nl + (n+l)(n+l+p) floats each (the covariance, the gain
-and its update map); past the cap a session refreshes its own gain. So a
-later session reads the gains the first one computed, bit for bit.
+entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats each (the covariance, the
+gain and its update map); past the cap a session refreshes its own gain. So
+a later session reads the gains the first one computed, bit for bit.
 """
 
 from __future__ import annotations
@@ -214,11 +216,14 @@ def _new_plan(model: SystemModel, d: _Delay, L, noise: NoiseSpec | None = None) 
 
 
 def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
-    """The read-only G with [xhat | z] G = [xhat' - B u[k-r-1] | innovation | ehat].
+    """The read-only G with [xhat | y[k] | u[k] ... u[k-r-1]] G = [xhat' | innovation | ehat].
 
-    Its first n columns stack F^T (gain._error_map) on L^T; the rest are d.Gd.
+    Its first n columns stack F^T (gain._error_map), L^T and u's rows
+    d.Zu L^T, with B^T added on the rows of u[k-r-1]; the rest are d.Gd.
     """
-    G = np.hstack([np.vstack([_error_map(model, d, L).T, L.T]), d.Gd])
+    Gu = d.Zu @ L.T
+    Gu[len(Gu) - model.m:] += model.B.T
+    G = np.hstack([np.vstack([_error_map(model, d, L).T, L.T, Gu]), d.Gd])
     G.setflags(write=False)
     return G
 
@@ -259,21 +264,13 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     return _Gain(readonly(L), _update_map(model, ops.d, L), P_next, frozen)
 
 
-# The update, shared by step() and run_filter(), is one product [xhat | z] G
-# with the gain's map G (_update_map). With xhat estimating x[k-r-1],
+# The update, shared by step() and run_filter(), is one product of the raw row
+# [xhat | y[k] | u[k] ... u[k-r-1]] with the gain's map G (_update_map). With xhat
+# estimating x[k-r-1],
 #     xhat' = F xhat + L z[k] + B u[k-r-1],   innovation = z[k] - C A^(r+1) xhat,
-# where z[k] = y[k] - D u[k] - sum_j C A^j B u[k-1-j] and ehat = (CA^rH)^+ innovation.
-# run_filter() recurses on G's first n columns, by steps or by _scan, and applies
-# the gain-free rest, Gd, to the whole record after; _input_terms takes any leading axes.
-
-def _input_terms(ops: _FilterOps, y, u, u_lags):
-    """(z[k], B u[k-r-1]) with u_lags[j] = u[k-1-j]; (y, None) without known inputs."""
-    if not ops.d.CAjBt:
-        return y, None
-    z = y - u @ ops.model.D.T
-    for CAjBt, u_j in zip(ops.d.CAjBt, u_lags):
-        z = z - u_j @ CAjBt
-    return z, u_lags[ops.r] @ ops.model.B.T
+# ehat = (CA^rH)^+ innovation and z[k] = y[k] - D u[k] - sum_j C A^j B u[k-1-j],
+# which is y[k] + [u[k] ... u[k-r-1]] Zu. run_filter() recurses on G's first n
+# columns, by steps or by _scan, and applies the gain-free rest, Gd, after.
 
 
 def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
@@ -290,28 +287,23 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
         raise PreconditionViolated("step got a model other than the one given to init_filter")
     if ops.noise is not None and noise is not state.noise:
         raise PreconditionViolated("step got a noise other than the one given to init_filter")
-    y, u = _as_vector(y_k, model.l, "y_k"), None
+    y, u = _as_vector(y_k, model.l, "y_k"), ()   # u: (u_k,) if the model has known inputs
     if model.m > 0:
         if u_k is None:
             raise DimensionMismatch("u_k required: the model has known inputs")
-        u = _as_vector(u_k, model.m, "u_k").copy()     # kept r+1 steps: not the caller's
+        u = (_as_vector(u_k, model.m, "u_k").copy(),)  # kept r+1 steps: not the caller's
 
     if k <= ops.r:
-        buf = state.u_buffer + (u,) if model.m > 0 else ()
-        return state._replace(k=k + 1, u_buffer=buf), None
+        return state._replace(k=k + 1, u_buffer=state.u_buffer + u), None
 
     gain = state.gain
     if not gain.frozen:
         gain = _gain_at(ops, k - ops.r - 1, gain)
-    z, b = _input_terms(ops, y, u, state.u_buffer[::-1])
-    out = np.concatenate((state.xhat_delayed, z)) @ gain.G
+    out = np.concatenate((state.xhat_delayed, y) + u + state.u_buffer[::-1]) @ gain.G
     n, l = model.n, model.l
-    if b is not None:
-        out[:n] += b
     out.setflags(write=False)           # the state and the output share it
     xhat = out[:n]
-    buf = state.u_buffer[1:] + (u,) if model.m > 0 else ()
-    return (FilterState(k + 1, xhat, buf, gain, ops, state.noise),
+    return (FilterState(k + 1, xhat, state.u_buffer[1:] + u, gain, ops, state.noise),
             StepOutput(k, xhat, out[n + l:], out[n:n + l]))
 
 
@@ -345,7 +337,9 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
     Runs the update of step(). u has y's leading shape with m columns; it
     is required when the model has known inputs and ignored otherwise. A
     batch shares one gain schedule, refreshed once per time step until it
-    freezes, and needs O(trials (T+1) (n+l+p+m)) floats of memory.
+    freezes. Its memory is the record, the recursion's W of n + l + (r+2)m
+    columns (each estimate beside the raw row it is updated with; no z or
+    B u array is formed) and the outputs: O(trials (T+1) (n+l+p+(r+2)m)) floats.
 
     Every sample the filter reads must be finite, y from k = r+1 on and u
     from k = 0 on, or NonFiniteSample names the first bad (trial, k,
@@ -426,19 +420,19 @@ def _recurse(state: FilterState, y, u):
     """run_filter's recursion from _validated's (state, y, u): (W, last gain, frozen_at).
 
     W is time-major: W[i, ..., :n] is the state estimate made at k = r+i
-    (i = 0: the initial one), the estimate of x[k-r].
+    (i = 0: the initial one), the estimate of x[k-r], and the rest of W[i]
+    is the raw row it is updated with, [y[k+1] | u[k+1] | u[k] ... u[k-r]].
     """
     # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
     yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
     ops, r = state.ops, state.ops.r
-    n, l = ops.model.n, ops.model.l
+    n, l, m = ops.model.n, ops.model.l, ops.model.m
     emitted = max(len(yt) - r - 1, 0)           # rows k = r+1 .. T
-    z, b = _input_terms(ops, yt[r + 1:], ut[r + 1:],
-                        [ut[r - j:r - j + emitted] for j in range(r + 1)])
-    # W[i] = [xhat | z]: the estimate made at k = r+i (i = 0: the initial one) and z[k+1]
-    W = np.zeros((emitted + 1,) + yt.shape[1:-1] + (n + l,))
+    W = np.zeros((emitted + 1,) + yt.shape[1:-1] + (n + l + (r + 2) * m,))
     W[0, ..., :n] = state.xhat_delayed
-    W[:-1, ..., n:] = z
+    W[:-1, ..., n:n + l] = yt[r + 1:]
+    for j in range(r + 2):                      # block j holds u[k+1-j]
+        W[:-1, ..., n + l + j * m:n + l + (j + 1) * m] = ut[r + 1 - j:r + 1 - j + emitted]
     gain, frozen_at, i = state.gain, None, 0
     with np.errstate(over="ignore", invalid="ignore"):      # reported as nonfinite_at
         while i < emitted:
@@ -447,25 +441,26 @@ def _recurse(state: FilterState, y, u):
                 frozen_at = r + 1 + i if gain.frozen else None
             Gx = np.ascontiguousarray(gain.G[:, :n])
             if gain.frozen and spectral_radius(Gx[:n]) < 1.0:
-                _scan(W[i:], Gx, z[i:], None if b is None else b[i:])
+                _scan(W[i:], Gx)
                 break
             stop = emitted if gain.frozen else i + 1
-            _step(W, Gx, b, range(i, stop))
+            _step(W, Gx, range(i, stop))
             i = stop
     return W, gain, frozen_at
 
 
-def _step(W, Gx, b, rows) -> None:
-    """W[j+1, ..., :n] = W[j] Gx (+ b[j]) for each j in rows, one product per row."""
+def _step(W, Gx, rows) -> None:
+    """W[j+1, ..., :n] = W[j] Gx for each j in rows, one product per row."""
     n = Gx.shape[1]
     for j in rows:
-        W[j + 1, ..., :n] = W[j] @ Gx if b is None else W[j] @ Gx + b[j]
+        W[j + 1, ..., :n] = W[j] @ Gx
 
 
-def _scan(W, Gx, z, b) -> None:
+def _scan(W, Gx) -> None:
     """Fill W[1:, ..., :n] from W[0] under a frozen gain, in about 2 sqrt(N) steps.
 
-    The N rows follow x[j+1] = x[j] F^T + c[j] with c = z L^T (+ b). The
+    The N = len(W) - 1 rows follow x[j+1] = x[j] F^T + c[j], where the drive
+    c[j] = W[j, ..., n:] Gx[n:] is the raw row's share of the product. The
     N mod s rows that fill no block are stepped; the rest are cut into K
     blocks of s = isqrt(N) rows. Inside every block at once the recursion
     runs from zero (s steps), the powers of F^T riding along as n more rows;
@@ -475,20 +470,18 @@ def _scan(W, Gx, z, b) -> None:
     tail's size: on 20 trials at T = 200, one more such array cost about
     what the scan saves.
     """
-    n, N = Gx.shape[1], len(z)
+    n, N = Gx.shape[1], len(W) - 1
     s = math.isqrt(N)
-    _step(W, Gx, b, range(N % s))
-    W, z, K = W[N % s:], z[N % s:], N // s
+    _step(W, Gx, range(N % s))
+    W, K = W[N % s:], N // s
 
     def by_row_in_block(a):                             # (K s, ...) in record order -> (s, K, ...)
         return a.reshape((K, s) + a.shape[1:]).swapaxes(0, 1)
 
-    rows = K * math.prod(z.shape[1:-1])                 # one per block and trial
+    rows = K * math.prod(W.shape[1:-1])                 # one per block and trial
     Y = np.empty((s, rows + n, n))                      # Y[t] = [row t of each block | (F^T)^(t+1)]
-    x, P = Y[:, :rows].reshape((s, K) + z.shape[1:-1] + (n,)), Y[:, rows:]
-    np.matmul(by_row_in_block(z), Gx[n:], out=x)
-    if b is not None:
-        x += by_row_in_block(b[N % s:])
+    x, P = Y[:, :rows].reshape((s, K) + W.shape[1:-1] + (n,)), Y[:, rows:]
+    np.matmul(by_row_in_block(W[:-1, ..., n:]), Gx[n:], out=x)
     P[0], P[1:] = Gx[:n], 0.0
     for t in range(1, s):
         Y[t] += Y[t - 1] @ Gx[:n]

@@ -6,7 +6,8 @@ input sequence is recoverable at all (a strictly weaker property; see
 the bundled 4-state counterexample in the registry). Every verdict on a
 delay, every constant the constraint L S_r = [H 0 ... 0] fixes at it and
 every gain-free constant of the filter's update is read from one profile
-per model, here, in the gain functions and in the filter. Whatever builds,
+per model, here, in the gain functions and in the filter; the known inputs
+enter the update through one of them, Zu, u's rows of z. Whatever builds,
 checks or runs a gain asks _feasible, which raises InfeasibleDelay at any r
 without a gain, r >= n included; DelayOutOfRange means a malformed delay.
 """
@@ -90,12 +91,12 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
 class _Delay:
     """What the constraint L S_r = [H 0 ... 0] and the update fix at one (model, r), read-only.
 
-    The update's gain-free constants are C A^(r+1) (in CA), CAjBt and Gd, built on first use.
+    The update's gain-free constants are C A^(r+1) (in CA), Zu and Gd, built on first use.
     """
 
     r: int
     CA: tuple                           # C A^j for j = 0..r+1
-    CAjBt: tuple                        # (C A^j B)^T for j = 0..r, () without known inputs
+    Zu: np.ndarray                      # -[D^T; (CB)^T; ...; (CA^rB)^T]: u's rows of z, (r+2)m x l
     blocks: tuple                       # C A^j H for j = 0..r
     lower_nonzero: int | None           # first d < r with rank CA^dH > 0, else None
     S: np.ndarray                       # [CA^rH ... CH], contiguous
@@ -110,9 +111,9 @@ class _Delay:
 
     @cached_property
     def Gd(self) -> np.ndarray:
-        """[xhat | z] Gd = [innovation | ehat], ehat = innovation ((CA^rH)^+)^T."""
-        I = np.eye(self.S.shape[0])         # innovation = z - xhat (C A^(r+1))^T
-        return readonly(np.vstack([-self.CA[self.r + 1].T, I])
+        """[xhat | y[k] | u[k] ... u[k-r-1]] Gd = [innovation | ehat = innovation ((CA^rH)^+)^T]."""
+        I = np.eye(self.S.shape[0])         # innovation = z - xhat (C A^(r+1))^T, z = y + u Zu
+        return readonly(np.vstack([-self.CA[self.r + 1].T, I, self.Zu])
                         @ np.hstack([I, pinv_cut(self.blocks[self.r]).T]))
 
 
@@ -146,7 +147,7 @@ def _profile(model: SystemModel) -> _Profile:
     c_norm = float(np.linalg.norm(model.C))
     scales = tuple(c_norm * float(np.linalg.norm(X)) for X in powers)
     blocks = tuple(_sealed(model.C @ X) for X in powers)
-    CAjBt = tuple(readonly((X @ model.B).T) for X in CA[:n]) if model.m > 0 else ()
+    Zu = _sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]]))
     markov_ranks = tuple(map(_anchored_rank, blocks, scales))
     S = [_sealed(np.hstack(blocks[r::-1])) for r in range(n)]
     s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
@@ -161,7 +162,7 @@ def _profile(model: SystemModel) -> _Profile:
             k = s_ranks[r]
             L_min, N = _sealed((H0_r @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
         delays.append(_Delay(
-            r=r, CA=tuple(CA[:r + 2]), CAjBt=CAjBt[:r + 1],
+            r=r, CA=tuple(CA[:r + 2]), Zu=Zu[:(r + 2) * model.m],
             blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
             lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
             L_min=L_min, N=N, H0=H0_r, tol=RESIDUAL_RTOL * (1.0 + frob(model.H))))

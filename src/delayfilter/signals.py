@@ -94,6 +94,4 @@ def signal_values(spec: SignalSpec, T: int, rng=None) -> np.ndarray:
         ndraws = (T + 1 + hold - 1) // hold + 1
         signs = rng.integers(0, 2, size=ndraws) * 2 - 1
         return a * np.repeat(signs, hold)[: T + 1].astype(float)
-    if spec.kind == GAUSSIAN:
-        return a * rng.standard_normal(T + 1)
-    raise ValueError(f"unknown signal kind {spec.kind!r}")
+    return a * rng.standard_normal(T + 1)       # GAUSSIAN, the last kind SignalSpec admits

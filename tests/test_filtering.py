@@ -546,9 +546,9 @@ def _spy_on_scan(monkeypatch):
     """The tail lengths run_filter hands to its block scan, one per call."""
     tails, scan = [], filtering._scan
 
-    def spy(W, Gx, z, b):
-        tails.append(len(z))
-        scan(W, Gx, z, b)
+    def spy(W, Gx):
+        tails.append(len(W) - 1)
+        scan(W, Gx)
 
     monkeypatch.setattr(filtering, "_scan", spy)
     return tails
@@ -744,10 +744,10 @@ def _same_run(a, b):
         for f in ("state_estimates", "input_estimates", "innovations"))
 
 
-def _cold_run(model, noise, config, y):
+def _cold_run(model, noise, config, y, u=None):
     """run_filter with no plan in the memo."""
     filtering._plan.cache_clear()
-    return df.run_filter(model, noise, config, y)
+    return df.run_filter(model, noise, config, y, u)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -856,16 +856,31 @@ def test_fixed_gains_build_their_plans_outside_the_memo():
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_every_update_map_is_the_error_map_over_the_gain(r):
-    model, noise, _ = df.reference_example("nonsquare3")
-    config, n = _tv_config(model, r), model.n
-    y = df.simulate(model, noise, df.example_signals(model), 200, seed=3).y
-    assert _cold_run(model, noise, config, y).frozen_at is not None
-    ops = df.init_filter(model, noise, config).ops
-    maps = [(ops.L0, ops.G0)] + [(entry.L, entry.G) for entry in ops.schedule]
-    assert len(maps) > 2
-    for L, G in maps:
-        assert np.array_equal(G[:, :n], np.vstack([df.error_dynamics_matrix(model, r, L).T, L.T]))
-        assert np.array_equal(G[:, n:], ops.d.Gd)
+    # the rows of u[k] ... u[k-r] carry u's share of z through the gain, Zu L^T,
+    # and the rows of u[k-r-1] add the drive B^T; without known inputs G is
+    # [F^T; L^T | Gd] exactly
+    base, noise, _ = df.reference_example("nonsquare3")
+    rng = np.random.default_rng(28)
+    for m in (0, 2):
+        model = df.validate_model(base.A, base.H, base.C, rng.standard_normal((base.n, m)),
+                                  rng.standard_normal((base.l, m))) if m else base
+        config, n, l = _tv_config(model, r), model.n, model.l
+        traj = df.simulate(model, noise, df.example_signals(model), 200, seed=3)
+        assert _cold_run(model, noise, config, traj.y, traj.u).frozen_at is not None
+        ops = df.init_filter(model, noise, config).ops
+        maps = [(ops.L0, ops.G0)] + [(entry.L, entry.G) for entry in ops.schedule]
+        assert len(maps) > 2
+        lagged = (r + 1) * m                            # the rows of u[k] ... u[k-r]
+        for L, G in maps:
+            F = df.error_dynamics_matrix(model, r, L)
+            assert G.shape == (n + l + (r + 2) * m, n + l + model.p)
+            assert np.array_equal(G[:n + l, :n], np.vstack([F.T, L.T]))
+            ZL = ops.d.Zu @ L.T
+            assert np.array_equal(G[n + l:n + l + lagged, :n], ZL[:lagged])
+            assert np.array_equal(G[n + l + lagged:, :n], ZL[lagged:] + model.B.T)
+            assert np.array_equal(G[:, n:], ops.d.Gd)
+            if not m:
+                assert np.array_equal(G, np.hstack([np.vstack([F.T, L.T]), ops.d.Gd]))
 
 
 def _scaled_schedule(model, noise, r, c):

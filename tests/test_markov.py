@@ -109,9 +109,9 @@ def test_the_profile_holds_the_constraints_null_space():
 
 
 def test_the_profile_holds_the_updates_gain_free_constants_bit_for_bit():
-    # at every feasible r, the known-input terms (C A^j B)^T and the decoder
-    # columns Gd = [-(C A^(r+1))^T; I] [I, ((CA^rH)^+)^T], with the powers
-    # taken by repeated multiplication as the profile takes them
+    # at every feasible r, u's rows of z, Zu = -[D^T; (CB)^T; ...; (CA^rB)^T],
+    # and the decoder Gd = [-(C A^(r+1))^T; I; Zu] [I, ((CA^rH)^+)^T], with the
+    # powers taken by repeated multiplication as the profile takes them
     rng = np.random.default_rng(20)
     models = []
     while len(models) < 9:
@@ -130,15 +130,15 @@ def test_the_profile_holds_the_updates_gain_free_constants_bit_for_bit():
             CA.append(CA[-1] @ model.A)
             AH.append(model.A @ AH[-1])
         for r in df.analyze_delays(model).feasible_delays:
-            d, I = _delay(model, r), np.eye(model.l)
+            d, I, n, l = _delay(model, r), np.eye(model.l), model.n, model.l
             M = model.C @ AH[r]
-            want = np.vstack([-CA[r + 1].T, I]) @ np.hstack([I, pinv_cut(M).T])
+            Zu = -np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:r + 1]])
+            assert d.Zu.shape == ((r + 2) * model.m, l) and not d.Zu.flags.writeable
+            assert np.array_equal(d.Zu, Zu)
+            want = np.vstack([-CA[r + 1].T, I, Zu]) @ np.hstack([I, pinv_cut(M).T])
             assert np.array_equal(d.Gd, want) and not d.Gd.flags.writeable
             assert d.Gd is d.Gd and d.Gd is _delay(model, r).Gd
-            assert np.allclose(d.Gd[model.n:, model.l:].T @ M, np.eye(model.p))
-            assert len(d.CAjBt) == (r + 1 if model.m else 0)
-            for X, CAjBt in zip(CA, d.CAjBt):
-                assert np.array_equal(CAjBt, (X @ model.B).T) and not CAjBt.flags.writeable
+            assert np.allclose(d.Gd[n:n + l, l:].T @ M, np.eye(model.p))
             checked.add(model.m)
     assert checked == {0, 1, 2}
 

@@ -114,33 +114,39 @@ def test_noiseless_recovery_at_every_feasible_delay(seed):
     # the unbiasedness constraint L S_r = [H 0 ... 0] makes the state exact
     # on clean data at every feasible delay, whether or not the Markov
     # blocks below r vanish; the input decoding (CA^rH)^+ innovation is
-    # exact only where they do
+    # exact only where they do. One more case adds known inputs: B, D and u
+    # drawn from the seed with m in {0, 1, 2}, which no gain depends on
     model, gains, rng = _system_with_gains(seed)
     T = 40
     e = rng.standard_normal((T + 1, model.p))
-    x = np.zeros((T + 1, model.n))
-    for k in range(T):
-        x[k + 1] = model.A @ x[k] + model.H @ e[k]
-    y = x @ model.C.T
-    for r, L in gains.items():
-        config = df.FilterConfig(r=r, gain_mode=df.FIXED_USER_SUPPLIED,
-                                 initial_estimate=np.zeros(model.n),
-                                 initial_covariance=np.eye(model.n), gain=L)
-        ks = np.arange(r + 1, T + 1)
-        lower_zero = all(np.max(np.abs(df.markov_parameter(model, j))) < 1e-12
-                         for j in range(r))
-        run = df.run_filter(model, None, config, y)
-        state = df.init_filter(model, None, config)
-        stepped = []
-        for k in range(T + 1):
-            state, out = df.step(state, model, None, y[k])
-            if out is not None:
-                stepped.append((out.state_estimate, out.input_estimate))
-        for xhat, ehat in ((run.state_estimates[ks], run.input_estimates[ks]),
-                           tuple(np.array(a) for a in zip(*stepped))):
-            assert np.max(np.abs(xhat - x[ks - r])) <= 1e-9, (r, gains.keys())
-            if lower_zero:
-                assert np.max(np.abs(ehat - e[ks - r - 1])) <= 1e-9, (r, gains.keys())
+    drawn = np.random.default_rng([seed, 1])
+    m = int(drawn.integers(0, 3))
+    known = df.validate_model(model.A, model.H, model.C, drawn.standard_normal((model.n, m)),
+                              drawn.standard_normal((model.l, m)))
+    for model, u in ((model, np.zeros((T + 1, 0))), (known, drawn.standard_normal((T + 1, m)))):
+        x = np.zeros((T + 1, model.n))
+        for k in range(T):
+            x[k + 1] = model.A @ x[k] + model.B @ u[k] + model.H @ e[k]
+        y = x @ model.C.T + u @ model.D.T
+        for r, L in gains.items():
+            config = df.FilterConfig(r=r, gain_mode=df.FIXED_USER_SUPPLIED,
+                                     initial_estimate=np.zeros(model.n),
+                                     initial_covariance=np.eye(model.n), gain=L)
+            ks = np.arange(r + 1, T + 1)
+            lower_zero = all(np.max(np.abs(df.markov_parameter(model, j))) < 1e-12
+                             for j in range(r))
+            run = df.run_filter(model, None, config, y, u)
+            state = df.init_filter(model, None, config)
+            stepped = []
+            for k in range(T + 1):
+                state, out = df.step(state, model, None, y[k], u[k])
+                if out is not None:
+                    stepped.append((out.state_estimate, out.input_estimate))
+            for xhat, ehat in ((run.state_estimates[ks], run.input_estimates[ks]),
+                               tuple(np.array(a) for a in zip(*stepped))):
+                assert np.max(np.abs(xhat - x[ks - r])) <= 1e-9, (model.m, r, gains.keys())
+                if lower_zero:
+                    assert np.max(np.abs(ehat - e[ks - r - 1])) <= 1e-9, (model.m, r, gains.keys())
 
 
 @given(spec=signal_specs(), seed=st.integers(0, 2**31))
