@@ -116,10 +116,12 @@ def square_gain(model: SystemModel, r: int) -> GainResult:
 def _noise_covariance(E: np.ndarray, Caa: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """E blkdiag(Caa, Q, ..., Q, R) E^T for E with n + jn + l columns, j >= 0."""
     n, l = Caa.shape[0], noise.R.shape[0]
-    mid = E[:, n:-l]                    # the Q blocks, one row of n columns per lag
-    EC = np.concatenate((E[:, :n] @ Caa, (mid.reshape(-1, n) @ noise.Q).reshape(mid.shape),
-                         E[:, -l:] @ noise.R), axis=1)
-    return EC @ E.T
+    parts = [E[:, :n] @ Caa]
+    if E.shape[1] > n + l:              # r >= 1: the Q blocks, one row of n columns per lag
+        mid = E[:, n:-l]
+        parts.append((mid.reshape(-1, n) @ noise.Q).reshape(mid.shape))
+    parts.append(E[:, -l:] @ noise.R)
+    return np.concatenate(parts, axis=1) @ E.T
 
 
 def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
@@ -213,7 +215,7 @@ def _lyapunov(F: np.ndarray, W: np.ndarray) -> CovarianceState | None:
         for _ in range(DOUBLING_ROUNDS):
             increment = F @ P @ F.T
             P = P + increment
-            if not (np.isfinite(P).all() and 0.0 <= np.trace(P) <= COVARIANCE_CAP):
+            if not (np.isfinite(P).all() and 0.0 <= P.trace() <= COVARIANCE_CAP):
                 return None             # a finite P has had finite increments
             if frob(increment) <= 1e-17 * frob(P):
                 return covariance_state(P)
@@ -230,18 +232,21 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     once one covariance step under that gain moves P by at most 1e-10 ||P||.
     Otherwise a gain whose error map F is stable jumps to its exact
     covariance, the solution of P = F P F^T + W by Smith's doubling
-    (_lyapunov), and any other takes the step. The doubling needs about
-    log2(log eps / log rho(F)) rounds, fewer than DOUBLING_ROUNDS for every
-    double rho(F) < 1; a solve that has not settled by then takes the step
-    too. An unstable unique gain (N empty: rank S_r = l) returns at once
+    (_lyapunov), and any other takes the step. Stability is tested only until
+    the first stable F: by Hewer's theorem every later gain of the iteration
+    is stabilizing too. The doubling needs about log2(log eps / log rho(F))
+    rounds, fewer than DOUBLING_ROUNDS for every double rho(F) < 1; a solve
+    that has not settled by then, or whose F rounding has left unstable, takes
+    the step too. An unstable unique gain (N empty: rank S_r = l) returns at once
     with P0; an overflow or a singular innovation covariance ends the run
     with the last gain. max_iter caps the rounds.
     """
     P = covariance_state(_p_matrix(P0, model.n))
     gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
+    stable = False
     for _ in range(max_iter):
         F, W = _error_terms(model, noise, d, gain.L)     # minvar_gain gated every gain
-        stable = spectral_radius(F) < 1.0
+        stable = stable or spectral_radius(F) < 1.0
         if not stable and not d.N.size:
             return gain, P, False
         P_next = covariance_state(F @ P.P @ F.T + W)

@@ -6,6 +6,8 @@ two never disagree about what counts as numerically zero.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative singular-value cutoff, scaled by max(shape) at the call site.
@@ -80,7 +82,9 @@ def spectral_radius(m) -> float:
 
 
 def frob(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float), "fro"))
+    """np.linalg.norm(m, "fro") of a 2-d m, bit for bit, without its dispatch."""
+    v = np.asarray(m, dtype=float).ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 def rms(a: np.ndarray) -> float:

@@ -6,7 +6,8 @@ input sequence is recoverable at all (a strictly weaker property; see
 the bundled 4-state counterexample in the registry). Every verdict on a
 delay, every constant the constraint L S_r = [H 0 ... 0] fixes at it and
 every gain-free constant of the filter's update is read from one profile
-per model, here, in the gain functions and in the filter; the known inputs
+per model, here, in the gain functions and in the filter; a delay's
+constants are built the first time that delay is asked for. The known inputs
 enter the update through one of them, Zu, u's rows of z. Whatever builds,
 checks or runs a gain asks _feasible, which raises InfeasibleDelay at any r
 without a gain, r >= n included; DelayOutOfRange means a malformed delay.
@@ -70,7 +71,8 @@ def _rank_steps(ranks, p: int) -> tuple:
 
 def markov_row_stack(model: SystemModel, r: int) -> np.ndarray:
     """The l x (r+1)p block row [CA^rH  CA^(r-1)H  ...  CH]."""
-    return _delay(model, r).S.copy()
+    _check_delay(model, r)
+    return _profile(model).S[r].copy()
 
 
 def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
@@ -80,10 +82,10 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
     so row block i collects the output contribution of inputs 0..i.
     """
     _check_delay(model, r)
-    delays, l, p = _profile(model).delays, model.l, model.p
+    S, l, p = _profile(model).S, model.l, model.p
     T = np.zeros(((r + 1) * l, (r + 1) * p))
     for i in range(r + 1):          # row block i is [S_i 0]
-        T[i * l:(i + 1) * l, :(i + 1) * p] = delays[i].S
+        T[i * l:(i + 1) * l, :(i + 1) * p] = S[i]
     return T
 
 
@@ -118,14 +120,20 @@ class _Delay:
 
 
 class _Profile(NamedTuple):
-    """The rank profile every delay question of one model is answered from."""
+    """The rank profile every delay question of one model is answered from, and the
+    full-width arrays each delay's constants are slices of."""
 
     blocks: tuple                       # C A^d H for d = 0..n, read-only
     scales: tuple                       # ||C|| ||A^d H||, the size each rank is judged at
     markov_ranks: tuple                 # rank C A^d H for d = 0..n
     s_ranks: tuple                      # rank S_r for r = 0..n-1
     feasible: tuple                     # every r with rank S_r - rank S_(r-1) = p
-    delays: tuple                       # the _Delay of r for r = 0..n-1
+    CA: tuple                           # C A^j for j = 0..n
+    Zu: np.ndarray                      # -[D^T; (CB)^T; ...; (CA^(n-1)B)^T]
+    S: tuple                            # S_r for r = 0..n-1
+    Eb: np.ndarray                      # [CA^(n-1) ... C | I]
+    H0: np.ndarray                      # [H 0 ... 0], n blocks wide
+    delays: dict                        # the _Delay of r, built the first time r is asked for
 
 
 @lru_cache(maxsize=16)
@@ -137,9 +145,10 @@ def _profile(model: SystemModel) -> _Profile:
     rounding dust of that size, with a perfectly good largest singular value
     of its own. Models hash by identity and their arrays are read-only, so an
     entry never goes stale; the bound keeps runs over many models from holding
-    them all.
+    them all. A delay's constants, with the SVD behind L_min and N, wait for
+    _delay or _feasible to ask for that delay.
     """
-    n, p = model.n, model.p
+    n, l, p = model.n, model.l, model.p
     powers, CA = [model.H], [model.C]   # A^d H and C A^d, by repeated multiplication
     for _ in range(n):
         powers.append(model.A @ powers[-1])
@@ -147,33 +156,43 @@ def _profile(model: SystemModel) -> _Profile:
     c_norm = float(np.linalg.norm(model.C))
     scales = tuple(c_norm * float(np.linalg.norm(X)) for X in powers)
     blocks = tuple(_sealed(model.C @ X) for X in powers)
-    Zu = _sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]]))
-    markov_ranks = tuple(map(_anchored_rank, blocks, scales))
-    S = [_sealed(np.hstack(blocks[r::-1])) for r in range(n)]
+    # one batched SVD ranks the n+1 equal-shaped blocks, each at its own scale
+    singular = np.linalg.svd(np.stack(blocks), compute_uv=False)
+    markov_ranks = tuple(int(np.count_nonzero(s > scale * max(l, p) * RANK_RCOND))
+                         if scale else 0 for s, scale in zip(singular, scales))
+    S = tuple(_sealed(np.hstack(blocks[r::-1])) for r in range(n))
     s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
-    feasible = _rank_steps(s_ranks, p)
-    H0 = _sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))]))
-    Eb = _sealed(np.hstack(CA[n - 1::-1] + [np.eye(model.l)]))     # [CA^(n-1) ... C | I]
-    delays = []
-    for r in range(n):
-        H0_r, L_min, N = H0[:, :(r + 1) * p], None, None
-        if r in feasible:               # one SVD of S_r, cut at the rank the profile gave it
-            U, s, Vt = np.linalg.svd(S[r])
-            k = s_ranks[r]
-            L_min, N = _sealed((H0_r @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
-        delays.append(_Delay(
-            r=r, CA=tuple(CA[:r + 2]), Zu=Zu[:(r + 2) * model.m],
-            blocks=blocks[:r + 1], S=S[r], Eb=Eb[:, (n - 1 - r) * n:],
-            lower_nonzero=next((d for d in range(r) if markov_ranks[d]), None),
-            L_min=L_min, N=N, H0=H0_r, tol=RESIDUAL_RTOL * (1.0 + frob(model.H))))
-    return _Profile(blocks=blocks, scales=scales, markov_ranks=markov_ranks,
-                    s_ranks=s_ranks, feasible=feasible, delays=tuple(delays))
+    return _Profile(
+        blocks=blocks, scales=scales, markov_ranks=markov_ranks, s_ranks=s_ranks,
+        feasible=_rank_steps(s_ranks, p), CA=tuple(CA), S=S,
+        Zu=_sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]])),
+        Eb=_sealed(np.hstack(CA[n - 1::-1] + [np.eye(l)])),
+        H0=_sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))])), delays={})
+
+
+def _constants(model: SystemModel, profile: _Profile, r: int) -> _Delay:
+    """The _Delay of r in 0..n-1, built on first use and shared from then on."""
+    d = profile.delays.get(r)
+    if d is not None:
+        return d
+    n, p = model.n, model.p
+    H0, L_min, N = profile.H0[:, :(r + 1) * p], None, None
+    if r in profile.feasible:           # one SVD of S_r, cut at the rank the profile gave it
+        U, s, Vt = np.linalg.svd(profile.S[r])
+        k = profile.s_ranks[r]
+        L_min, N = _sealed((H0 @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
+    d = _Delay(
+        r=r, CA=profile.CA[:r + 2], Zu=profile.Zu[:(r + 2) * model.m],
+        blocks=profile.blocks[:r + 1], S=profile.S[r], Eb=profile.Eb[:, (n - 1 - r) * n:],
+        lower_nonzero=next((j for j in range(r) if profile.markov_ranks[j]), None),
+        L_min=L_min, N=N, H0=H0, tol=RESIDUAL_RTOL * (1.0 + frob(model.H)))
+    return profile.delays.setdefault(r, d)  # a racing thread's _Delay, if it stored one first
 
 
 def _delay(model: SystemModel, r: int) -> _Delay:
     """The constraint constants at (model, r), from the model's profile."""
     _check_delay(model, r)
-    return _profile(model).delays[r]
+    return _constants(model, _profile(model), r)
 
 
 def _feasible(model: SystemModel, r: int) -> _Delay:
@@ -181,7 +200,7 @@ def _feasible(model: SystemModel, r: int) -> _Delay:
     _check_delay(model, r, bounded=False)
     profile = _profile(model)
     if r in profile.feasible:
-        return profile.delays[r]
+        return _constants(model, profile, r)
     ranks = (0,) + profile.s_ranks
     gap = ranks[r + 1] - ranks[r] if r < model.n else 0
     raise InfeasibleDelay(f"no unbiased gain exists at delay {r}: the rank gap "

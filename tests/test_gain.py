@@ -7,7 +7,8 @@ import pytest
 
 import delayfilter as df
 from delayfilter.gain import (DOUBLING_ROUNDS, _error_terms, _innovation_terms, _lyapunov,
-                             constraint_target)
+                             _noise_covariance, constraint_target, covariance_state)
+from delayfilter.linalg import frob
 from delayfilter.markov import _delay
 from conftest import (ill_conditioned_square_model, make_feasible_system, make_square_system,
                       random_noise)
@@ -361,6 +362,128 @@ def test_steady_state_stops_when_the_covariance_overflows():
     res, cov, converged = df.steady_state_gain(model, noise, 0)
     assert converged is False and cov.trace > 1e30
     assert df.gain_spectral_radius(model, 0, res.L) == pytest.approx(2.0)
+
+
+def _policy_iteration_every_round_tested(model, noise, r):
+    """steady_state_gain's loop with a spectral test on every round and np.linalg.norm
+    and np.trace in its stop tests, the doubling included: (GainResult, CovarianceState,
+    converged)."""
+    def doubled(F, W):
+        P = W
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(DOUBLING_ROUNDS):
+                increment = F @ P @ F.T
+                P = P + increment
+                if not (np.isfinite(P).all() and 0.0 <= np.trace(P) <= 1e30):
+                    return None
+                if np.linalg.norm(increment, "fro") <= 1e-17 * np.linalg.norm(P, "fro"):
+                    return covariance_state(P)
+                F = F @ F
+        return None
+
+    P, d = covariance_state(np.eye(model.n)), _delay(model, r)
+    gain = df.minvar_gain(model, noise, r, P)
+    for _ in range(10000):
+        F, W = _error_terms(model, noise, d, gain.L)
+        stable = float(np.max(np.abs(np.linalg.eigvals(F)))) < 1.0
+        if not stable and not d.N.size:
+            return gain, P, False
+        P_next = covariance_state(F @ P.P @ F.T + W)
+        if P_next.trace > 1e30 or not np.isfinite(P_next.P).all():
+            return gain, P_next, False
+        if np.linalg.norm(P_next.P - P.P, "fro") <= 1e-10 * np.linalg.norm(P.P, "fro"):
+            return gain, P, True
+        P = (doubled(F, W) if stable else None) or P_next
+        try:
+            gain = df.minvar_gain(model, noise, r, P)
+        except df.InnovationCovarianceSingular:
+            return gain, P, False
+    return gain, P, False
+
+
+def _policy_iteration_cases():
+    """(name, model, noise, r): a drawn pool with one output more than inputs, half of it
+    with unstable A, so that some iterations start from a destabilizing gain, at every
+    feasible r; then minphase3, nonminphase3, nonsquare12 and the model whose
+    innovation covariance turns singular."""
+    rng = np.random.default_rng(29)
+    drawn = 0
+    while drawn < 40:
+        p = int(rng.integers(1, 3))
+        case = make_feasible_system(rng, n=int(rng.integers(p + 2, 9)), p=p, l=p + 1,
+                                    radius=(0.95, 3.0)[drawn % 2])
+        if case is None:
+            continue
+        model = case[0]
+        noise = random_noise(rng, model) if drawn % 3 == 0 else df.default_noise(model)
+        for r in df.analyze_delays(model).feasible_delays:
+            yield f"draw {drawn} r={r}", model, noise, r
+        drawn += 1
+    for example in ("minphase3", "nonminphase3", "nonsquare12"):
+        model, noise, _ = df.reference_example(example)
+        yield example, model, noise, 1
+    base, _, _ = df.reference_example("nonsquare12")
+    model = df.validate_model(base.A, base.H, np.vstack([base.C, base.C[:1]]))
+    yield "singular innovation", model, df.default_noise(model), 1
+
+
+def test_steady_state_matches_the_policy_iteration_that_tests_every_round_bit_for_bit():
+    outcomes = set()
+    for name, model, noise, r in _policy_iteration_cases():
+        res, cov, converged = df.steady_state_gain(model, noise, r)
+        want, want_cov, want_converged = _policy_iteration_every_round_tested(model, noise, r)
+        assert converged is want_converged, name
+        assert res.L.tobytes() == want.L.tobytes() and res.residual == want.residual, name
+        assert cov.P.tobytes() == want_cov.P.tobytes() and cov.trace == want_cov.trace, name
+        outcomes.add(converged)
+    assert outcomes == {True, False}
+
+
+def test_steady_state_tests_stability_only_until_the_first_stable_gain(monkeypatch):
+    # by Hewer's theorem every gain after a stabilizing one stabilizes too, so the
+    # spectral radius is taken on the unstable rounds and the first stable one only
+    radii, rounds = [], _count_minvar_calls(monkeypatch)
+    spectral_radius = df.gain.spectral_radius
+    monkeypatch.setattr(df.gain, "spectral_radius",
+                        lambda F: radii.append(spectral_radius(F)) or radii[-1])
+    unstable_first = tested = taken = 0
+    for name, model, noise, r in _policy_iteration_cases():
+        radii.clear(), rounds.clear()
+        df.steady_state_gain(model, noise, r)
+        assert radii and all(rho >= 1.0 for rho in radii[:-1]), name
+        unstable_first += len(radii) > 1 and radii[-1] < 1.0
+        tested, taken = tested + len(radii), taken + len(rounds)
+    assert unstable_first >= 10 and 2 * tested < taken
+
+
+def test_frob_is_numpys_frobenius_norm_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        a = rng.standard_normal(tuple(rng.integers(1, 9, size=2))) * 10.0 ** rng.integers(-8, 9)
+        for view in (a, a.T, a[::2], a[:, ::-2], a.T[1:, ::3], np.asfortranarray(a), a[:0]):
+            assert frob(view) == np.linalg.norm(view, "fro")
+    assert type(frob([[3.0, 4.0]])) is float and frob([[3.0, 4.0]]) == 5.0
+
+
+def test_the_noise_covariance_is_one_product_of_its_blocks_at_every_delay():
+    # at r = 0 E has no lag blocks, and skipping them leaves the bits of the
+    # three-block product E blkdiag(Caa, Q, ..., Q, R) E^T
+    rng = np.random.default_rng(29)
+    delays = set()
+    while len(delays) < 3:
+        drawn = make_feasible_system(rng)
+        if drawn is None:
+            continue
+        model, noise = drawn[0], random_noise(rng, drawn[0])
+        X = rng.standard_normal((model.n, model.n))
+        Caa = X @ X.T
+        for r in df.analyze_delays(model).feasible_delays:
+            E, n, l = _delay(model, r).Eb, model.n, model.l
+            mid = E[:, n:-l]
+            EC = np.concatenate((E[:, :n] @ Caa, (mid.reshape(-1, n) @ noise.Q).reshape(mid.shape),
+                                 E[:, -l:] @ noise.R), axis=1)
+            assert _noise_covariance(E, Caa, noise).tobytes() == (EC @ E.T).tobytes()
+            delays.add(min(r, 2))
 
 
 def _stable_maps():

@@ -1,5 +1,8 @@
 """Markov parameters, rank profiles, and delay feasibility."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,142 @@ def test_the_profile_holds_the_updates_gain_free_constants_bit_for_bit():
             assert np.allclose(d.Gd[n:n + l, l:].T @ M, np.eye(model.p))
             checked.add(model.m)
     assert checked == {0, 1, 2}
+
+
+def _same_bits(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.shape == b.shape
+        and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _eager_constants(model):
+    """{r: the constants of r} for r = 0..n-1, each built up front from one model's
+    powers, every S_r ranked and every feasible one split by its own SVD."""
+    n, l, p = model.n, model.l, model.p
+    powers, CA = [model.H], [model.C]
+    for _ in range(n):
+        powers.append(model.A @ powers[-1])
+        CA.append(CA[-1] @ model.A)
+    c_norm = np.linalg.norm(model.C)
+    scales = [c_norm * np.linalg.norm(X) for X in powers]
+    blocks = [model.C @ X for X in powers]
+
+    def rank(M, scale):             # one SVD per matrix, cut at its analytic size
+        if scale == 0.0:
+            return 0
+        cut = scale * max(M.shape) * RANK_RCOND
+        return int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > cut))
+
+    markov_ranks = [rank(X, scale) for X, scale in zip(blocks, scales)]
+    S = [np.hstack(blocks[r::-1]) for r in range(n)]
+    s_ranks = [rank(S[r], max(scales[:r + 1])) for r in range(n)]
+    Zu = -np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]])
+    Eb = np.hstack(CA[n - 1::-1] + [np.eye(l)])
+    H0 = np.hstack([model.H, np.zeros((n, (n - 1) * p))])
+    constants = {}
+    for r in range(n):
+        H0_r, L_min, N = H0[:, :(r + 1) * p], None, None
+        if s_ranks[r] - (s_ranks[r - 1] if r else 0) == p:
+            U, s, Vt = np.linalg.svd(S[r])
+            k = s_ranks[r]
+            L_min, N = (H0_r @ Vt[:k].T / s[:k]) @ U[:, :k].T, U[:, k:]
+        constants[r] = dict(
+            CA=CA[:r + 2], Zu=Zu[:(r + 2) * model.m], Eb=Eb[:, (n - 1 - r) * n:], H0=H0_r,
+            S=S[r], blocks=blocks[:r + 1], L_min=L_min, N=N,
+            lower_nonzero=next((j for j in range(r) if markov_ranks[j]), None),
+            tol=1e-9 * (1.0 + np.linalg.norm(model.H)))
+    return markov_ranks, s_ranks, constants
+
+
+def _lazy_profile_models():
+    """Drawn feasible models with 0, 1 or 2 known inputs, nonsquare12 and invertibility4."""
+    rng = np.random.default_rng(29)
+    models = []
+    while len(models) < 12:
+        drawn = make_feasible_system(rng)
+        if drawn is None:
+            continue
+        base, m = drawn[0], len(models) % 3
+        models.append(df.validate_model(base.A, base.H, base.C,
+                                        rng.standard_normal((base.n, m)),
+                                        rng.standard_normal((base.l, m))) if m else base)
+    return models + [df.reference_example(name)[0] for name in ("nonsquare12", "invertibility4")]
+
+
+def _fresh(model):
+    """A new model object of the same matrices: its profile is built anew."""
+    return df.validate_model(model.A, model.H, model.C, model.B, model.D)
+
+
+def test_a_delays_constants_are_built_on_first_use_bit_for_bit():
+    # every r's constants, asked for lazily, are the eager construction's bits,
+    # the ranks of the batched SVD are those of one SVD per block, and the
+    # rank queries, the Toeplitz map and the row stacks build no delay's constants
+    for model in _lazy_profile_models():
+        markov_ranks, s_ranks, constants = _eager_constants(model)
+        model = _fresh(model)
+        profile = _profile(model)
+        df.analyze_delays(model)
+        df.minimal_delay(model)
+        for r in range(model.n + 1):
+            df.exists_unbiased_gain(model, r)
+        for r in range(model.n):
+            df.markov_toeplitz(model, r)
+            df.markov_row_stack(model, r)
+        assert profile.delays == {}
+        assert profile.markov_ranks == tuple(markov_ranks)
+        assert profile.s_ranks == tuple(s_ranks)
+        for r, want in constants.items():
+            d = _delay(model, r)
+            assert d is _delay(model, r) and set(profile.delays) == set(range(r + 1))
+            for name in ("Zu", "Eb", "H0", "S", "L_min", "N"):
+                assert _same_bits(getattr(d, name), want[name]), (r, name)
+            for name in ("CA", "blocks"):
+                got = getattr(d, name)
+                assert len(got) == len(want[name]), (r, name)
+                assert all(map(_same_bits, got, want[name])), (r, name)
+            assert d.lower_nonzero == want["lower_nonzero"] and d.tol == want["tol"]
+
+
+def test_init_filter_builds_the_constants_of_its_delay_only():
+    checked = 0
+    for model in _lazy_profile_models():
+        for r in df.analyze_delays(model).feasible_delays:
+            fresh, square = _fresh(model), model.l == model.p
+            config = df.FilterConfig(r=r, gain_mode=df.FIXED_SQUARE if square else
+                                     df.TIME_VARYING_MINVAR, initial_estimate=np.zeros(model.n),
+                                     initial_covariance=np.eye(model.n))
+            df.init_filter(fresh, df.default_noise(fresh), config)
+            assert set(_profile(fresh).delays) == {r}
+            checked += 1
+    assert checked >= 12
+
+
+def test_threads_racing_on_one_delay_share_its_constants():
+    # more threads than cores, switching often, each asking for every delay
+    # of the same fresh models: one _Delay per (model, r) whoever stored it
+    # first. The profiles are built beforehand: the race is on their memos
+    models = [_fresh(model) for model in _lazy_profile_models()]
+    assert all(_profile(model).delays == {} for model in models)
+    threads, barrier, seen = 8, threading.Barrier(8), []
+
+    def ask():
+        barrier.wait(timeout=10)
+        seen.append([[_delay(model, r) for r in range(model.n)] for model in models])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and len(seen) == threads
+    for got in seen[1:]:
+        assert all(a is b for x, y in zip(got, seen[0]) for a, b in zip(x, y))
 
 
 def test_toeplitz_structure():
