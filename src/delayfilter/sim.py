@@ -151,17 +151,23 @@ def _propagate(model: SystemModel, x0, w, v, e, u):
     """(x, y) from x[k+1] = A x + B u + H e + w and y = C x + D u + v.
 
     The inputs have T+1 rows, optionally behind a leading trial axis;
-    x0 is (n,) or one row per trial. Row T of w is unused. The recursion
-    runs time-major and in place, over one contiguous (trials, n) slice
-    per step.
+    x0 is (n,) or one row per trial. Row T of u, e and w is unused. The
+    states are one time-major array, and beside the inputs nothing else of
+    the record's size is kept but one product: row k+1 first holds the
+    drive B u[k] + H e[k] + w[k], summed in place in that order, and step k
+    adds A x[k] to it, over one contiguous (trials, n) slice.
     """
-    drive = np.ascontiguousarray(np.moveaxis(u @ model.B.T + e @ model.H.T + w, -2, 0))
-    xt = np.empty_like(drive)
+    wt, et, ut = (np.moveaxis(a, -2, 0)[:-1] for a in (w, e, u))
+    xt = np.empty((w.shape[-2],) + wt.shape[1:])
     xt[0] = x0
-    At = model.A.T
-    for prev, nxt, d in zip(xt[:-1], xt[1:], drive):
-        np.dot(prev, At, out=nxt)       # cheaper per step than np.matmul with out=
-        nxt += d
+    drive = xt[1:]
+    np.matmul(ut, model.B.T, out=drive)
+    drive += et @ model.H.T
+    drive += wt
+    At, buf = model.A.T, np.empty_like(xt[0])
+    for prev, nxt in zip(xt[:-1], drive):
+        np.dot(prev, At, out=buf)       # cheaper per step than np.matmul with out=
+        np.add(buf, nxt, out=nxt)       # A x + drive: IEEE addition commutes
     x = np.moveaxis(xt, 0, -2)
     return x, x @ model.C.T + u @ model.D.T + v
 

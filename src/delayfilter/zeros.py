@@ -62,9 +62,11 @@ def rosenbrock_pencil(model: SystemModel):
     return E, F
 
 
-def _svd_rank(matrix: np.ndarray, scale: float):
-    """(rank, U, Vt) of the full SVD, rank counted above RANK_RCOND max(shape) scale."""
+def _svd_rank(matrix: np.ndarray, scale: float | None = None):
+    """(rank, U, Vt) of the full SVD, rank counted above RANK_RCOND max(shape)
+    scale; the scale defaults to the largest singular value, the 2-norm."""
     U, s, Vt = np.linalg.svd(matrix)
+    scale = s[0] if scale is None else scale
     return int(np.count_nonzero(s > RANK_RCOND * max(matrix.shape) * scale)), U, Vt
 
 
@@ -100,7 +102,7 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     """
     A, n, p = model.A, model.n, model.p
     a_norm = float(np.linalg.norm(A, 2))
-    rank, _, Vt = _svd_rank(model.C, float(np.linalg.norm(model.C, 2)))
+    rank, _, Vt = _svd_rank(model.C)
     V, H = Vt[rank:].T, model.H / np.linalg.norm(model.H, 2)
     while True:
         rank, U, _ = _svd_rank(np.hstack([V, H]), 1.0)

@@ -967,3 +967,80 @@ def test_step_rejects_a_noise_other_than_its_own():
     state = df.init_filter(E1, None, _config())
     state, _ = df.step(state, E1, df.NoiseSpec(Q=np.eye(2), R=np.eye(1)), [0.0])
     assert state.k == 1
+
+
+# -- step: one product of the raw row, and its two tuples ---------------------
+
+def _step_cases():
+    """(model, noise, config) in every mode at r = 0, 1, 2 with m = 0, 1, 2 known
+    inputs: drawn square and non-square models, and nonsquare3 at r = 1, 2."""
+    rng = np.random.default_rng(30)
+    base, base_noise, _ = df.reference_example("nonsquare3")
+
+    def with_inputs(model, m):
+        if m == 0:
+            return model
+        return df.validate_model(model.A, model.H, model.C, B=rng.standard_normal((model.n, m)),
+                                 D=rng.standard_normal((model.l, m)))
+
+    cases = []
+    for r in (0, 1, 2):
+        for m in (0, 1, 2):
+            square = with_inputs(make_square_system(rng, n=4, p=1, delay=r)[0], m)
+            wide = with_inputs(make_feasible_system(rng, n=5, p=1, l=2, delay=r)[0], m)
+            noise = random_noise(rng, wide)
+            L = df.minvar_gain(wide, noise, r).L
+            cases += [(square, None, _config(r=r, n=square.n)),
+                      (wide, None, _config(r=r, mode=df.FIXED_USER_SUPPLIED, n=wide.n, gain=L)),
+                      (wide, noise, _tv_config(wide, r))]
+            if r > 0:
+                cases.append((with_inputs(base, m), base_noise, _tv_config(base, r)))
+    return cases
+
+
+def test_step_is_one_product_of_the_raw_row_bit_for_bit():
+    # each emission is [xhat | y | u[k] ... u[k-r-1]] @ G in bytes, G that of
+    # the gain the step used (its next state's); the next state and the output
+    # are the NamedTuple types, and the three arrays are read-only views of one
+    rng = np.random.default_rng(31)
+    phases = set()
+    for model, noise, config in _step_cases():
+        n, l = model.n, model.l
+        state = df.init_filter(model, noise, config)
+        for k in range(90):
+            y = rng.standard_normal(l) * 10.0 ** rng.uniform(-3, 3)
+            u = rng.standard_normal(model.m) if model.m else None
+            nxt, out = df.step(state, model, noise, y, u)
+            assert type(nxt) is df.FilterState and nxt._fields == (
+                "k", "xhat_delayed", "u_buffer", "gain", "ops", "noise")
+            assert nxt.k == k + 1 and nxt.ops is state.ops and nxt.noise is state.noise
+            if out is None:
+                assert k <= config.r and nxt.xhat_delayed is state.xhat_delayed
+                phases.add("warm-up")
+            else:
+                phases.add((config.gain_mode, state.gain_frozen))
+                row = (state.xhat_delayed, y) + (() if u is None else (u,)) + state.u_buffer[::-1]
+                want = np.concatenate(row) @ nxt.gain.G
+                assert type(out) is df.StepOutput and out._fields == (
+                    "k", "state_estimate", "input_estimate", "innovation")
+                assert out.k == k
+                for got, part in ((out.state_estimate, want[:n]), (nxt.xhat_delayed, want[:n]),
+                                  (out.innovation, want[n:n + l]),
+                                  (out.input_estimate, want[n + l:])):
+                    assert got.shape == part.shape and got.tobytes() == part.tobytes()
+                views = (out.state_estimate, out.input_estimate, out.innovation)
+                base = views[0].base
+                assert not base.flags.writeable and nxt.xhat_delayed.base is base
+                assert all(a.base is base and not a.flags.writeable for a in views)
+                moved = out._replace(k=-1)
+                assert type(moved) is df.StepOutput and moved.k == -1
+                assert moved.state_estimate is out.state_estimate
+                with pytest.raises(AttributeError):
+                    out.k = 0
+            assert nxt.L is nxt.gain.L and nxt.P is nxt.gain.P
+            assert nxt.gain_frozen is nxt.gain.frozen
+            back = nxt._replace(k=k)
+            assert type(back) is type(nxt) and all(a is b for a, b in zip(back[1:], nxt[1:]))
+            state = nxt
+    assert phases == {"warm-up", (df.FIXED_SQUARE, True), (df.FIXED_USER_SUPPLIED, True),
+                      (df.TIME_VARYING_MINVAR, False), (df.TIME_VARYING_MINVAR, True)}

@@ -171,6 +171,73 @@ def test_a_batch_begins_with_simulate_and_grows_by_appending_trials(text, noise_
     assert ss.n_children_spawned == 2
 
 
+def _propagate_in_steps(model, x0, w, v, e, u):
+    """(x, y) with the drive summed into one record before the recursion steps."""
+    drive = np.ascontiguousarray(np.moveaxis(u @ model.B.T + e @ model.H.T + w, -2, 0))
+    xt = np.empty_like(drive)
+    xt[0] = x0
+    for prev, nxt, d in zip(xt[:-1], xt[1:], drive):
+        np.dot(prev, model.A.T, out=nxt)
+        nxt += d
+    x = np.moveaxis(xt, 0, -2)
+    return x, x @ model.C.T + u @ model.D.T + v
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_propagate_forms_the_drive_in_the_state_array_bit_for_bit(m):
+    # the drive formed time-major in the states' array, and A x added to it,
+    # give the bytes (tobytes: -0.0 counts) of the drive summed trial-major:
+    # for one trajectory, as simulate runs it, and for batches of 2 or more
+    # trials, as monte_carlo_bias runs them. Where a time-major product has
+    # one row (T = 1, or a batch of one trial) numpy calls gemv, not gemm, and
+    # the two agree to rounding only
+    rng = np.random.default_rng(40 + m)
+    for i in range(24):
+        p = 1 + i % 3
+        l, n = p + i % 2, p + 2 + i % 4
+        scale = 10.0 ** rng.uniform(-6, 6, size=4)
+        model = df.validate_model(rng.standard_normal((n, n)) / n, rng.standard_normal((n, p)),
+                                  rng.standard_normal((l, n)) * scale[0],
+                                  *((rng.standard_normal((n, m)) * scale[1],
+                                     rng.standard_normal((l, m))) if m else ()))
+        steps = (2, 7, 40)[i % 3]
+        for lead, T, exact in (((), steps, True), ((2 + i,), steps, True), ((), 1, False),
+                               ((1,), steps, False)):
+            w, v, e, u = (rng.standard_normal(lead + (T + 1, c)) * s
+                          for c, s in ((n, scale[2]), (l, 1.0), (p, scale[3]), (m, 1.0)))
+            x0 = rng.standard_normal(lead + (n,)) if lead else np.zeros(n)
+            got = sim._propagate(model, x0, w, v, e, u)
+            for a, b in zip(got, _propagate_in_steps(model, x0, w, v, e, u)):
+                assert a.shape == b.shape
+                if exact:
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_propagate_holds_the_states_and_one_product():
+    # beyond its inputs, _propagate holds the states and, at the most, one
+    # more record-sized product: H e before the drive is summed, or the two
+    # of y's products
+    model, noise, _ = df.reference_example("compartmental-25")
+    trials, T = 200, 200
+    signals = df.example_signals(model)
+    T, signals, u_signals = sim._check_signals(model, signals, None, T)
+    draws = sim._draw(model, sim._noise_factors(noise, True), signals, u_signals, T, 0, trials)
+    sim._propagate(model, np.zeros(model.n), *draws)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sim._propagate(model, np.zeros(model.n), *draws)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    column = 8 * trials * (T + 1)
+    slack = 256 * 1024          # ufunc buffers and Python objects; a column is 316 KB
+    assert peak <= column * (model.n + max(model.n, 2 * model.l)) + slack, peak
+
+
 def test_simulate_leaves_a_seed_sequence_as_it_was():
     # a SeedSequence seed hands out the children it would spawn next, without spawning them
     noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
