@@ -61,7 +61,7 @@ from .gain import (
 from .linalg import is_symmetric, readonly, spectral_radius
 from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel
-from .zeros import UNIT_CIRCLE_TOL
+from .zeros import _circle_band
 
 FIXED_SQUARE = "FixedSquare"
 TIME_VARYING_MINVAR = "TimeVaryingMinVar"
@@ -508,7 +508,8 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     All eigenvalues at numerical zero means the noiseless error dies in
     finitely many steps; spectral radius below one means it decays; a
     radius pinned to one leaves a persistent error; beyond one the
-    error grows without bound.
+    error grows without bound. The band about one is zeros' _circle_band,
+    the one classify_zeros reads off the largest zero modulus.
 
     A square system with n = (r+1)p at a feasible r is deadbeat by an
     integer test: the n rows of [C; CA; ...; CA^r] are independent, F is
@@ -519,16 +520,8 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     _checked_residual(model, d, L, "verdict is only defined for unbiased gains")
     if model.l == model.p and model.n == (r + 1) * model.p:
         return DEADBEAT
-    eigs = np.linalg.eigvals(_error_map(model, d, np.asarray(L, dtype=float)))
-    moduli = np.abs(eigs)
-    if np.all(moduli <= DEADBEAT_TOL):
-        return DEADBEAT
-    rho = float(np.max(moduli))
-    if rho < 1.0 - UNIT_CIRCLE_TOL:
-        return ASYMPTOTIC
-    if rho <= 1.0 + UNIT_CIRCLE_TOL:
-        return PERSISTENT
-    return DIVERGENT
+    rho = spectral_radius(_error_map(model, d, np.asarray(L, dtype=float)))
+    return DEADBEAT if rho <= DEADBEAT_TOL else _circle_band(rho, ASYMPTOTIC, PERSISTENT, DIVERGENT)
 
 
 def predicted_error_sequence(model: SystemModel, r: int, L, eps0, T: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Dense linear-algebra helpers with the package's tolerance conventions.
 
-Rank decisions and pseudoinverses share one relative cutoff so that the
-two never disagree about what counts as numerically zero.
+Every rank decision in the package is rank_above: the singular values above
+scale * max(shape) * RANK_RCOND, none at a zero scale. markov ranks the
+Markov blocks, every S_r and the Toeplitz sweep by it, zeros each basis of
+V*, and model the input map H. pinv_cut cuts at the same relative size.
 """
 
 from __future__ import annotations
@@ -33,17 +35,17 @@ def as_float_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def numerical_rank(matrix, tol: float | None = None) -> int:
-    """Number of singular values above tol of a nonempty 2-d matrix.
+def rank_above(s: np.ndarray, shape: tuple, scale: float) -> int:
+    """Number of the singular values s of a matrix of this shape above
+    scale * max(shape) * RANK_RCOND; 0 at a zero scale, a zero matrix."""
+    return int(np.count_nonzero(s > scale * max(shape) * RANK_RCOND)) if scale else 0
 
-    Default tol is sigma_max * max(rows, cols) * 1e-12, matching the
-    pseudoinverse cutoff used everywhere else in the package.
-    """
+
+def numerical_rank(matrix, scale: float | None = None) -> int:
+    """rank_above of a nonempty 2-d matrix, judged at scale, by default sigma_max."""
     a = np.asarray(matrix, dtype=float)
     s = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = float(s[0]) * max(a.shape) * RANK_RCOND
-    return int(np.count_nonzero(s > tol))
+    return rank_above(s, a.shape, s[0] if scale is None else scale)
 
 
 def pinv_cut(matrix) -> np.ndarray:
@@ -52,11 +54,11 @@ def pinv_cut(matrix) -> np.ndarray:
     return np.linalg.pinv(a, rcond=max(a.shape) * RANK_RCOND)
 
 
-def is_symmetric(m, rel: float = 1e-10) -> bool:
-    """Symmetry test of a nonempty square matrix, to rel * (1 + max |entry|)."""
+def is_symmetric(m) -> bool:
+    """Symmetry test of a nonempty square matrix, to 1e-10 (1 + max |entry|)."""
     a = np.asarray(m, dtype=float)
     scale = 1.0 + float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a - a.T))) <= rel * scale
+    return float(np.max(np.abs(a - a.T))) <= 1e-10 * scale
 
 
 def sym_eig_bounds(m) -> tuple[float, float]:

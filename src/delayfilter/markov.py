@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DelayOutOfRange, InfeasibleDelay
-from .linalg import RANK_RCOND, frob, numerical_rank, pinv_cut, readonly
+from .linalg import frob, numerical_rank, pinv_cut, rank_above, readonly
 from .model import SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
@@ -55,12 +55,6 @@ def _sealed(a: np.ndarray) -> np.ndarray:
     """A freshly computed array, with its write flag cleared in place."""
     a.setflags(write=False)
     return a
-
-
-def _anchored_rank(matrix: np.ndarray, scale: float) -> int:
-    if matrix.size == 0 or scale == 0.0:
-        return 0
-    return numerical_rank(matrix, tol=scale * max(matrix.shape) * RANK_RCOND)
 
 
 def _rank_steps(ranks, p: int) -> tuple:
@@ -153,15 +147,14 @@ def _profile(model: SystemModel) -> _Profile:
     for _ in range(n):
         powers.append(model.A @ powers[-1])
         CA.append(_sealed(CA[-1] @ model.A))
-    c_norm = float(np.linalg.norm(model.C))
-    scales = tuple(c_norm * float(np.linalg.norm(X)) for X in powers)
+    c_norm = frob(model.C)
+    scales = tuple(c_norm * frob(X) for X in powers)
     blocks = tuple(_sealed(model.C @ X) for X in powers)
     # one batched SVD ranks the n+1 equal-shaped blocks, each at its own scale
     singular = np.linalg.svd(np.stack(blocks), compute_uv=False)
-    markov_ranks = tuple(int(np.count_nonzero(s > scale * max(l, p) * RANK_RCOND))
-                         if scale else 0 for s, scale in zip(singular, scales))
+    markov_ranks = tuple(rank_above(s, (l, p), scale) for s, scale in zip(singular, scales))
     S = tuple(_sealed(np.hstack(blocks[r::-1])) for r in range(n))
-    s_ranks = tuple(_anchored_rank(S[r], max(scales[:r + 1])) for r in range(n))
+    s_ranks = tuple(numerical_rank(S[r], max(scales[:r + 1])) for r in range(n))
     return _Profile(
         blocks=blocks, scales=scales, markov_ranks=markov_ranks, s_ranks=s_ranks,
         feasible=_rank_steps(s_ranks, p), CA=tuple(CA), S=S,
@@ -268,7 +261,7 @@ def analyze_delays(model: SystemModel) -> DelayAnalysis:
     T = markov_toeplitz(model, n - 1)
     invertible, prev = (), 0
     for r in range(n):
-        rank = _anchored_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
+        rank = numerical_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
         if rank - prev == p:
             invertible = tuple(range(r, n))
             break

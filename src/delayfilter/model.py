@@ -32,7 +32,6 @@ from .errors import (
 )
 from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly, sym_eig_bounds
 
-SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-10
 
 
@@ -115,9 +114,9 @@ def validate_noise(Q, R, model: SystemModel) -> NoiseSpec:
         raise DimensionMismatch(f"Q must be {(model.n, model.n)}, got {Q.shape}")
     if R.shape != (model.l, model.l):
         raise DimensionMismatch(f"R must be {(model.l, model.l)}, got {R.shape}")
-    if not is_symmetric(Q, SYMMETRY_RTOL):
+    if not is_symmetric(Q):
         raise NotSymmetric("Q is not symmetric")
-    if not is_symmetric(R, SYMMETRY_RTOL):
+    if not is_symmetric(R):
         raise NotSymmetric("R is not symmetric")
     qmin, qmax = sym_eig_bounds(Q)
     if qmin < -PSD_RTOL * (1.0 + qmax):

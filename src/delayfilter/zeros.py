@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PencilDegenerate
-from .linalg import RANK_RCOND
+from .linalg import rank_above
 from .model import SystemModel
 
 NO_ZEROS = "NoZeros"
@@ -63,11 +63,10 @@ def rosenbrock_pencil(model: SystemModel):
 
 
 def _svd_rank(matrix: np.ndarray, scale: float | None = None):
-    """(rank, U, Vt) of the full SVD, rank counted above RANK_RCOND max(shape)
-    scale; the scale defaults to the largest singular value, the 2-norm."""
+    """(rank, U, Vt) of the full SVD, the rank linalg's rank_above at scale,
+    which defaults to the largest singular value, the 2-norm."""
     U, s, Vt = np.linalg.svd(matrix)
-    scale = s[0] if scale is None else scale
-    return int(np.count_nonzero(s > RANK_RCOND * max(matrix.shape) * scale)), U, Vt
+    return rank_above(s, matrix.shape, s[0] if scale is None else scale), U, Vt
 
 
 def _cluster(values: list[complex]) -> list[tuple[complex, int]]:
@@ -95,7 +94,7 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
 
     V_0 = ker C and V_(k+1) = V_k ∩ A^-1(V_k + im H), until the dimension
     stops falling: V_k a stays when A V_k a lies in the range of [V_k, H].
-    Every basis comes from one SVD at the package cutoff, judged at the
+    Every basis comes from one SVD ranked by linalg.rank_above, judged at the
     size of what it factors: ||C|| for ker C, ||A|| for each step and 1
     for [V, H/||H||]. A dependent [V*, H] means V* meets im H, so the
     pencil's normal rank is below n + p and PencilDegenerate is raised.
@@ -123,14 +122,17 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     return ZeroReport(zeros=zeros, normal_rank=n + p, classification=classify_zeros(zeros))
 
 
+def _circle_band(rho: float, inside, on, outside):
+    """inside, on or outside as rho lies below, within or above the band of
+    half-width UNIT_CIRCLE_TOL about the unit circle; the one band of the package."""
+    if rho > 1.0 + UNIT_CIRCLE_TOL:
+        return outside
+    return on if rho >= 1.0 - UNIT_CIRCLE_TOL else inside
+
+
 def classify_zeros(report) -> str:
-    """Classification from max modulus with a 1e-9 band at the unit circle."""
+    """The band of the largest zero modulus, NoZeros without zeros."""
     zeros = report.zeros if isinstance(report, ZeroReport) else tuple(report)
     if len(zeros) == 0:
         return NO_ZEROS
-    moduli = [abs(z) for z in zeros]
-    if any(m > 1.0 + UNIT_CIRCLE_TOL for m in moduli):
-        return OUTSIDE
-    if any(1.0 - UNIT_CIRCLE_TOL <= m <= 1.0 + UNIT_CIRCLE_TOL for m in moduli):
-        return ON_CIRCLE
-    return ALL_INSIDE
+    return _circle_band(max(abs(z) for z in zeros), ALL_INSIDE, ON_CIRCLE, OUTSIDE)
