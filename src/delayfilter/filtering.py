@@ -53,6 +53,7 @@ from .gain import (
     covariance_update,
     minvar_gain,
     square_gain,
+    _checked_gain,
     _checked_residual,
     _error_map,
     _overflowed,
@@ -499,7 +500,7 @@ def _scan(W, Gx) -> None:
 
 def error_dynamics_matrix(model: SystemModel, r: int, L) -> np.ndarray:
     """A - L C A^(r+1), the autonomous map of the delayed estimation error."""
-    return _error_map(model, _delay(model, r), np.asarray(L, dtype=float))
+    return _error_map(model, _delay(model, r), _checked_gain(model, L, "error dynamics"))
 
 
 def classify_convergence(model: SystemModel, r: int, L) -> str:

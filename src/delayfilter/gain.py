@@ -82,16 +82,22 @@ def constraint_target(model: SystemModel, r: int) -> np.ndarray:
 
 def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
     """Frobenius norm of L S_r - [H 0 ... 0]."""
-    return _delay(model, r).residual(L)
+    return _delay(model, r).residual(_checked_gain(model, L, "residual"))
+
+
+def _checked_gain(model: SystemModel, L, what: str) -> np.ndarray:
+    """L as a float array; DimensionMismatch unless it is n x l, ConstraintViolated
+    unless it is finite. Every public function that takes a gain checks it here."""
+    if np.shape(L) != (model.n, model.l):
+        raise DimensionMismatch(f"{what}: gain must be {(model.n, model.l)}, got {np.shape(L)}")
+    if not np.isfinite(L).all():        # a NaN residual would pass the gate's comparison
+        raise ConstraintViolated(f"{what}: gain is not finite")
+    return np.asarray(L, dtype=float)
 
 
 def _checked_residual(model: SystemModel, d: _Delay, L, what: str) -> float:
     """The residual of an n x l gain L at d; ConstraintViolated if L is not finite or biased."""
-    if np.shape(L) != (model.n, model.l):
-        raise DimensionMismatch(f"{what}: gain must be {(model.n, model.l)}, got {np.shape(L)}")
-    if not np.isfinite(L).all():        # a NaN residual would pass the comparison below
-        raise ConstraintViolated(f"{what}: gain is not finite")
-    residual = d.residual(L)
+    residual = d.residual(_checked_gain(model, L, what))
     if residual > d.tol:
         raise ConstraintViolated(f"{what}: residual {residual:.3e} exceeds tolerance {d.tol:.3e}")
     return residual

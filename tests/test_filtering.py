@@ -339,6 +339,48 @@ def test_classify_convergence_rejects_biased_gain():
         df.classify_convergence(E1, 1, L + 1.0)
 
 
+@pytest.mark.parametrize("z, zero_class, verdict", [
+    (0.5, df.ALL_INSIDE, df.ASYMPTOTIC),
+    (1.0 - 2e-9, df.ALL_INSIDE, df.ASYMPTOTIC),
+    (1.0 - 5e-10, df.ON_CIRCLE, df.PERSISTENT),
+    (1.0 + 5e-10, df.ON_CIRCLE, df.PERSISTENT),
+    (1.0 + 2e-9, df.OUTSIDE, df.DIVERGENT),
+    (1.5, df.OUTSIDE, df.DIVERGENT),
+])
+def test_the_zero_class_and_the_verdict_read_one_band_at_the_unit_circle(z, zero_class, verdict):
+    # the companion model of the persistent case with C = [-z, 1]: its one invariant
+    # zero is z and its error map at r = 0 has spectrum {0, z}, so both classifiers
+    # place z against the same band of half-width 1e-9 about the unit circle
+    model = df.validate_model([[0.0, 1.0], [0.1, 0.2]], [[0.0], [1.0]], [[-z, 1.0]])
+    L = df.square_gain(model, 0).L
+    assert df.invariant_zeros(model).zeros[0] == pytest.approx(z, abs=1e-14)
+    assert df.gain_spectral_radius(model, 0, L) == pytest.approx(z, abs=1e-14)
+    assert df.invariant_zeros(model).classification == zero_class
+    assert df.classify_convergence(model, 0, L) == verdict
+
+
+@pytest.mark.parametrize("call", [
+    df.error_dynamics_matrix, df.gain_spectral_radius, df.unbiasedness_residual,
+    lambda model, r, L: df.predicted_error_sequence(model, r, L, np.ones(model.n), 3),
+], ids=["error_dynamics_matrix", "gain_spectral_radius", "unbiasedness_residual",
+        "predicted_error_sequence"])
+def test_every_function_that_takes_a_gain_checks_it_as_the_gate_does(call):
+    # nonsquare3 has n = 3 and l = 2: a 1 x 2 gain would broadcast to a different
+    # gain and a 3 x 3 gain would end in numpy's error; both are the wrong shape
+    model, noise, _ = df.reference_example("nonsquare3")
+    L = np.array(df.minvar_gain(model, noise, 1).L)
+    bad_entry = L.copy()
+    bad_entry[1, 0] = np.nan
+    cases = [(L[:1], df.DimensionMismatch), (np.eye(3), df.DimensionMismatch),
+             (bad_entry, df.ConstraintViolated), (np.full((3, 2), np.inf), df.ConstraintViolated)]
+    for gain, error in cases:
+        with pytest.raises(error, match="gain must be|gain is not finite"):
+            call(model, 1, gain)
+        with pytest.raises(error, match="gain must be|gain is not finite"):
+            df.classify_convergence(model, 1, gain)
+    call(model, 1, L)
+
+
 # -- run_filter: the whole record at once ------------------------------------
 
 def _known_input_case(trials, T=30):

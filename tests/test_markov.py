@@ -9,7 +9,7 @@ import pytest
 import delayfilter as df
 from conftest import make_feasible_system
 from delayfilter.gain import constraint_target
-from delayfilter.linalg import RANK_RCOND, pinv_cut
+from delayfilter.linalg import RANK_RCOND, numerical_rank, pinv_cut, rank_above
 from delayfilter.markov import _delay, _profile
 
 # 2-state system with CH = 0 and CAH = 1: feasible exactly at delay 1
@@ -378,6 +378,22 @@ def test_constructed_systems_feasible_exactly_from_delay():
         feasible = df.analyze_delays(model).feasible_delays
         for r in range(model.n):
             assert df.exists_unbiased_gain(model, r) == (r in feasible)
+
+
+def test_the_rank_rule_counts_singular_values_above_scale_times_size_times_rcond():
+    # a 4 x 3 matrix with singular values 2, and 1e-3 above and below the cutoff
+    # 2 * 4 * 1e-12 it has at its own largest singular value
+    assert RANK_RCOND == 1e-12
+    cut = 2.0 * 4 * RANK_RCOND
+    M = np.zeros((4, 3))
+    M[0, 0], M[1, 1], M[2, 2] = 2.0, cut * (1 + 1e-3), cut * (1 - 1e-3)
+    assert numerical_rank(M) == numerical_rank(M, 2.0) == 2
+    assert numerical_rank(M, 2.0 * (1 + 2e-3)) == 1
+    assert numerical_rank(M, 2.0 * (1 - 2e-3)) == 3
+    assert numerical_rank(M, 0.0) == 0 and numerical_rank(np.zeros((4, 3))) == 0
+    s = np.linalg.svd(M, compute_uv=False)
+    assert rank_above(s, M.shape, 2.0) == 2 and rank_above(s, M.shape, 0.0) == 0
+    assert rank_above(s, (3, 3), 2.0) == 3        # the cutoff grows with max(shape)
 
 
 def test_one_rank_rule_on_widely_scaled_blocks():
