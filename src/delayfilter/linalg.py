@@ -3,7 +3,8 @@
 Every rank decision in the package is rank_above: the singular values above
 scale * max(shape) * RANK_RCOND, none at a zero scale. markov ranks the
 Markov blocks, every S_r and the Toeplitz sweep by it, zeros each basis of
-V*, and model the input map H. pinv_cut cuts at the same relative size.
+V*, model the input map H and registry a Markov-rank fact. pinv_cut cuts at
+the same relative size.
 """
 
 from __future__ import annotations
