@@ -352,11 +352,10 @@ def test_the_zero_class_and_the_verdict_read_one_band_at_the_unit_circle(z, zero
     # zero is z and its error map at r = 0 has spectrum {0, z}, so both classifiers
     # place z against the same band of half-width 1e-9 about the unit circle
     model = df.validate_model([[0.0, 1.0], [0.1, 0.2]], [[0.0], [1.0]], [[-z, 1.0]])
-    L = df.square_gain(model, 0).L
-    assert df.invariant_zeros(model).zeros[0] == pytest.approx(z, abs=1e-14)
+    L, report = df.square_gain(model, 0).L, df.invariant_zeros(model)
+    assert report.zeros == (pytest.approx(z, abs=1e-14),)
     assert df.gain_spectral_radius(model, 0, L) == pytest.approx(z, abs=1e-14)
-    assert df.invariant_zeros(model).classification == zero_class
-    assert df.classify_convergence(model, 0, L) == verdict
+    assert (report.classification, df.classify_convergence(model, 0, L)) == (zero_class, verdict)
 
 
 @pytest.mark.parametrize("call", [
