@@ -29,6 +29,7 @@ from .errors import (
     MeasurementFileError,
     ModelFileError,
     NonFiniteSample,
+    NotPositiveSemidefinite,
     NotSquare,
     NotSymmetric,
     PencilDegenerate,

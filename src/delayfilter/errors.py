@@ -27,12 +27,18 @@ class NotSymmetric(DelayFilterError):
     pass
 
 
-class QIndefinite(DelayFilterError):
+class NotPositiveSemidefinite(DelayFilterError):
+    """A covariance (Q, R or an initial P0) has a significantly negative
+    eigenvalue, by model._covariance, the one covariance rule."""
+
+
+class QIndefinite(NotPositiveSemidefinite):
     """Process-noise covariance has a significantly negative eigenvalue."""
 
 
-class RNotPositiveDefinite(DelayFilterError):
-    pass
+class RNotPositiveDefinite(NotPositiveSemidefinite):
+    """Measurement-noise covariance fails the covariance rule, or, where a model
+    file or validate_noise gives it, is not strictly positive definite."""
 
 
 class ModelFileError(DelayFilterError):

@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     InnovationCovarianceSingular,
     NonFiniteSample,
-    NotSymmetric,
     PreconditionViolated,
 )
 from .gain import (
@@ -59,9 +58,9 @@ from .gain import (
     _overflowed,
     _settled,
 )
-from .linalg import is_symmetric, readonly, spectral_radius
+from .linalg import readonly, spectral_radius
 from .markov import _Delay, _delay, _feasible
-from .model import NoiseSpec, SystemModel
+from .model import NoiseSpec, SystemModel, _covariance
 from .zeros import _circle_band
 
 FIXED_SQUARE = "FixedSquare"
@@ -158,20 +157,19 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     The initial_estimate seeds the delayed state chain and measurements
     y_0 .. y_r are never consumed by the update (there is nothing to
     correct against them), so a wrong seed decays per the error
-    dynamics instead of being fixed during warm-up.
+    dynamics instead of being fixed during warm-up. The initial_covariance
+    must pass the covariance rule (model._covariance) and be n x n, in
+    every gain mode.
     """
     d = _feasible(model, config.r)
     r = d.r
 
     x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
-    P0 = np.asarray(config.initial_covariance, dtype=float)
+    if not np.isfinite(x0).all():
+        raise DimensionMismatch("initial_estimate must be finite")
+    P0 = _covariance(config.initial_covariance, "initial_covariance")
     if P0.shape != (model.n, model.n):
         raise DimensionMismatch(f"initial_covariance must be {(model.n, model.n)}")
-    for name, a in (("initial_estimate", x0), ("initial_covariance", P0)):
-        if not np.isfinite(a).all():
-            raise DimensionMismatch(f"{name} must be finite")
-    if not is_symmetric(P0):
-        raise NotSymmetric("initial_covariance is not symmetric")
 
     mode = config.gain_mode
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
@@ -206,7 +204,8 @@ def _plan(model: SystemModel, r: int, noise_key) -> _FilterOps:
     """The plan of a TimeVaryingMinVar session, built once, schedule and all.
 
     noise_key is _frozen (Q, R, P0): keyed on values, a plan never
-    outlives a change to a NoiseSpec's arrays.
+    outlives a change to a NoiseSpec's arrays, and the NoiseSpec built
+    here checks the changed values by the covariance rule.
     """
     Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
     noise = NoiseSpec(Q=Q, R=R)

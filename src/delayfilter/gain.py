@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import frob, spectral_radius
 from .markov import _Delay, _delay, _feasible
-from .model import NoiseSpec, SystemModel
+from .model import NoiseSpec, SystemModel, _covariance, _integer, _sized
 
 COND_LIMIT = 1e12             # of the innovation covariance V
 COVARIANCE_CAP = 1e30         # of a covariance's trace: past it the recursion has overflowed
@@ -66,7 +66,8 @@ def _overflowed(P: CovarianceState) -> bool:
 
 
 def _p_matrix(P_prev, n: int) -> np.ndarray:
-    """P_prev as a finite (n, n) matrix, the identity when omitted."""
+    """P_prev as a finite (n, n) matrix, the identity when omitted. Not the covariance
+    rule: the schedule and the policy iteration pass their own covariances here."""
     if P_prev is None:
         return np.eye(n)
     P = P_prev.P if isinstance(P_prev, CovarianceState) else np.asarray(P_prev, dtype=float)
@@ -135,7 +136,7 @@ def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
     covariance with a = A eps_(k-1) + w_(k-r-1). Eb maps [a, w_(k-r), ..., w_(k-1), v_k],
     taken as uncorrelated, to the input-free innovation; Caa = Q + A P A^T."""
     P = _p_matrix(P_prev, model.n)
-    Caa = noise.Q + model.A @ P @ model.A.T
+    Caa = _sized(noise, model).Q + model.A @ P @ model.A.T
     V = _noise_covariance(d.Eb, Caa, noise)
     V = 0.5 * (V + V.T)
     if np.linalg.cond(V) > COND_LIMIT:
@@ -200,7 +201,7 @@ def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray)
     K = [I 0 ... 0] - L Eb, so F = K_a A (_error_map) and W = K blkdiag(Q, ..., Q, R) K^T."""
     K = -L @ d.Eb
     K[:, :model.n] += np.eye(model.n)
-    return _error_map(model, d, L), _noise_covariance(K, noise.Q, noise)
+    return _error_map(model, d, L), _noise_covariance(K, _sized(noise, model).Q, noise)
 
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
@@ -245,9 +246,11 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     that has not settled by then, or whose F rounding has left unstable, takes
     the step too. An unstable unique gain (N empty: rank S_r = l) returns at once
     with P0; an overflow or a singular innovation covariance ends the run
-    with the last gain. max_iter caps the rounds.
+    with the last gain. max_iter, an integer, caps the rounds. A given P0 must
+    pass the covariance rule (model._covariance) and be n x n.
     """
-    P = covariance_state(_p_matrix(P0, model.n))
+    max_iter = _integer("max_iter", max_iter)
+    P = covariance_state(_p_matrix(None if P0 is None else _covariance(P0, "P0"), model.n))
     gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
     stable = False
     for _ in range(max_iter):

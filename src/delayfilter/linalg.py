@@ -32,7 +32,7 @@ def as_float_matrix(x, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"{name}: expected a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise DimensionMismatch(f"{name}: contains non-finite entries")
+        raise DimensionMismatch(f"{name} must be finite")
     return a
 
 
@@ -62,18 +62,14 @@ def is_symmetric(m) -> bool:
     return float(np.max(np.abs(a - a.T))) <= 1e-10 * scale
 
 
-def sym_eig_bounds(m) -> tuple[float, float]:
-    """(min, max) eigenvalue of the symmetric part of m."""
-    a = np.asarray(m, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return float(w[0]), float(w[-1])
-
-
 def psd_factor(m) -> np.ndarray:
     """Factor G with G @ G.T = m for symmetric PSD m.
 
     Eigenvalue based so that singular covariances are accepted; Cholesky
-    would reject them. Tiny negative eigenvalues are clipped to zero.
+    would reject them. Negative eigenvalues are clipped to zero: m is a
+    NoiseSpec's Q or R, which passed the covariance rule (model._covariance),
+    so the clip removes rounding only, unless the spec's arrays were changed
+    in place after it was built.
     """
     a = np.asarray(m, dtype=float)
     w, u = np.linalg.eigh(0.5 * (a + a.T))

@@ -38,17 +38,17 @@ def markov_blocks(model: SystemModel, dmax: int) -> list[np.ndarray]:
 
     By Cayley-Hamilton a block beyond n is a combination of the ones before it.
     """
-    if not 0 <= dmax <= model.n:
-        raise DelayOutOfRange(f"Markov parameter index {dmax} outside 0..{model.n}")
+    _check_delay(dmax, model.n, "Markov parameter index")
     return list(_profile(model).blocks[:dmax + 1])
 
 
-def _check_delay(model: SystemModel, r: int, bounded: bool = True) -> None:
-    """DelayOutOfRange unless r is an integer in 0..n-1 (any r >= 0 if not bounded)."""
+def _check_delay(r: int, top: int | None, what: str = "delay") -> None:
+    """DelayOutOfRange unless r is an integer (a numpy one will do, a bool will not)
+    in 0..top, or any r >= 0 if top is None."""
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise DelayOutOfRange(f"delay must be an integer, got {r!r}")
-    if r < 0 or (bounded and r >= model.n):
-        raise DelayOutOfRange(f"delay {r} outside 0..{model.n - 1}")
+        raise DelayOutOfRange(f"{what} must be an integer, got {r!r}")
+    if r < 0 or (top is not None and r > top):
+        raise DelayOutOfRange(f"{what} {r} outside 0..{'inf' if top is None else top}")
 
 
 def _sealed(a: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def _rank_steps(ranks, p: int) -> tuple:
 
 def markov_row_stack(model: SystemModel, r: int) -> np.ndarray:
     """The l x (r+1)p block row [CA^rH  CA^(r-1)H  ...  CH]."""
-    _check_delay(model, r)
+    _check_delay(r, model.n - 1)
     return _profile(model).S[r].copy()
 
 
@@ -75,7 +75,7 @@ def markov_toeplitz(model: SystemModel, r: int) -> np.ndarray:
     Block (i, j) is CA^(i-j)H for i >= j and zero above the diagonal,
     so row block i collects the output contribution of inputs 0..i.
     """
-    _check_delay(model, r)
+    _check_delay(r, model.n - 1)
     S, l, p = _profile(model).S, model.l, model.p
     T = np.zeros(((r + 1) * l, (r + 1) * p))
     for i in range(r + 1):          # row block i is [S_i 0]
@@ -184,13 +184,13 @@ def _constants(model: SystemModel, profile: _Profile, r: int) -> _Delay:
 
 def _delay(model: SystemModel, r: int) -> _Delay:
     """The constraint constants at (model, r), from the model's profile."""
-    _check_delay(model, r)
+    _check_delay(r, model.n - 1)
     return _constants(model, _profile(model), r)
 
 
 def _feasible(model: SystemModel, r: int) -> _Delay:
     """The constants at r if an unbiased gain exists there, else InfeasibleDelay naming the gap."""
-    _check_delay(model, r, bounded=False)
+    _check_delay(r, None)
     profile = _profile(model)
     if r in profile.feasible:
         return _constants(model, profile, r)
@@ -206,7 +206,7 @@ def exists_unbiased_gain(model: SystemModel, r: int) -> bool:
     At r = 0 this collapses to the classical full-rank test on CH. At r >= n
     it is False: by Cayley-Hamilton CA^rH adds no columns to S_(r-1).
     """
-    _check_delay(model, r, bounded=False)
+    _check_delay(r, None)
     return r in _profile(model).feasible
 
 

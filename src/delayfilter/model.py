@@ -16,6 +16,7 @@ covers systems with and without known inputs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     ModelFileError,
+    NotPositiveSemidefinite,
     NotSymmetric,
     QIndefinite,
     RankDeficientH,
@@ -30,9 +32,37 @@ from .errors import (
     TooManyInputs,
     TooManyOutputs,
 )
-from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly, sym_eig_bounds
+from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly
 
 PSD_RTOL = 1e-10
+
+
+def _covariance(a, name: str, error: type = NotPositiveSemidefinite,
+                strict: bool = False) -> np.ndarray:
+    """a if it is a covariance by the package's one rule, else DimensionMismatch,
+    NotSymmetric or error: a finite, nonempty, square matrix, symmetric to is_symmetric's
+    tolerance, whose smallest eigenvalue is at least -PSD_RTOL (1 + its largest), above
+    0 if strict. A float64 array is returned as it is, anything else as a new one.
+    NoiseSpec applies it to Q and R, init_filter and steady_state_gain to P0."""
+    a = as_float_matrix(a, name)
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"{name} must be a nonempty square matrix, got {a.shape}")
+    if not is_symmetric(a):
+        raise NotSymmetric(f"{name} is not symmetric")
+    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    if strict and w[0] <= 0.0:
+        raise error(f"{name} minimum eigenvalue {w[0]:.3e} is not positive")
+    if w[0] < -PSD_RTOL * (1.0 + w[-1]):
+        raise error(f"{name} has eigenvalue {w[0]:.3e} below tolerance")
+    return a
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if it is an integral number (20, 20.0, np.int64(20)) and no bool."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
+        return int(value)
+    raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +82,20 @@ class SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
-    """Validated stationary noise covariances (Q for process, R for sensors)."""
+    """Stationary noise covariances, Q of the process and R of the sensors.
+
+    Both must pass the covariance rule (_covariance; QIndefinite, RNotPositiveDefinite),
+    which R = 0 does. A float64 array stays the same object: filtering's plans are keyed
+    on its values, so an in-place change gets a new plan, whose spec checks it again.
+    The sizes are checked against a model where the spec meets one (_sized).
+    """
 
     Q: np.ndarray
     R: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "Q", _covariance(self.Q, "Q", QIndefinite))
+        object.__setattr__(self, "R", _covariance(self.R, "R", RNotPositiveDefinite))
 
 
 def validate_model(A, H, C, B=None, D=None) -> SystemModel:
@@ -106,25 +146,22 @@ def validate_model(A, H, C, B=None, D=None) -> SystemModel:
     )
 
 
+def _sized(noise: NoiseSpec, model: SystemModel) -> NoiseSpec:
+    """noise, if Q is n x n and R is l x l for the model; else DimensionMismatch."""
+    if noise.Q.shape != (model.n, model.n):
+        raise DimensionMismatch(f"Q must be {(model.n, model.n)}, got {noise.Q.shape}")
+    if noise.R.shape != (model.l, model.l):
+        raise DimensionMismatch(f"R must be {(model.l, model.l)}, got {noise.R.shape}")
+    return noise
+
+
 def validate_noise(Q, R, model: SystemModel) -> NoiseSpec:
-    """Check symmetry and definiteness of the covariance pair (Q, R)."""
-    Q = as_float_matrix(Q, "Q")
-    R = as_float_matrix(R, "R")
-    if Q.shape != (model.n, model.n):
-        raise DimensionMismatch(f"Q must be {(model.n, model.n)}, got {Q.shape}")
-    if R.shape != (model.l, model.l):
-        raise DimensionMismatch(f"R must be {(model.l, model.l)}, got {R.shape}")
-    if not is_symmetric(Q):
-        raise NotSymmetric("Q is not symmetric")
-    if not is_symmetric(R):
-        raise NotSymmetric("R is not symmetric")
-    qmin, qmax = sym_eig_bounds(Q)
-    if qmin < -PSD_RTOL * (1.0 + qmax):
-        raise QIndefinite(f"Q has eigenvalue {qmin:.3e} below tolerance")
-    rmin, _ = sym_eig_bounds(R)
-    if rmin <= 0.0:
-        raise RNotPositiveDefinite(f"R minimum eigenvalue {rmin:.3e} is not positive")
-    return NoiseSpec(Q=readonly(Q), R=readonly(R))
+    """A read-only NoiseSpec(Q, R), which applies the covariance rule, sized for
+    the model and with R strictly positive definite, as a model file's must be."""
+    Q, R = as_float_matrix(Q, "Q"), as_float_matrix(R, "R")
+    noise = _sized(NoiseSpec(Q=readonly(Q), R=readonly(R)), model)
+    _covariance(noise.R, "R", RNotPositiveDefinite, strict=True)
+    return noise
 
 
 # Model files are strict JSON: required A, H, C; optional B, D, Q, R, delay.

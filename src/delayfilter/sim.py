@@ -24,7 +24,6 @@ run_filter()'s, and no input is decoded and no record padded.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
 from .filtering import FilterConfig, _recurse, _validated, run_filter
 from .linalg import psd_factor, readonly, rms
-from .model import NoiseSpec, SystemModel, validate_model
+from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
 
 
@@ -69,19 +68,17 @@ class ErrorStats:
     state_bias: np.ndarray
 
 
-def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
-    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise."""
-    if noise_on and noise is None:
+def _noise_factors(noise: NoiseSpec | None, noise_on: bool, model: SystemModel | None = None):
+    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise. Given a
+    model, as simulate and monte_carlo_bias give theirs, DimensionMismatch unless
+    the spec's sizes fit it (model._sized)."""
+    if not noise_on:
+        return None
+    if noise is None:
         raise PreconditionViolated("noise_on=True needs a NoiseSpec")
-    return (psd_factor(noise.Q), psd_factor(noise.R)) if noise_on else None
-
-
-def _integer(name: str, value) -> int:
-    """value as an int if it is an integral number (20, 20.0, np.int64(20)) and no bool."""
-    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer())):
-        return int(value)
-    raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    if model is not None:
+        _sized(noise, model)
+    return psd_factor(noise.Q), psd_factor(noise.R)
 
 
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
@@ -183,7 +180,7 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
-    factors = _noise_factors(noise, noise_on)
+    factors = _noise_factors(noise, noise_on, model)
     w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
@@ -283,6 +280,8 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if ks is None:
         ks = (max(1, T // 4), max(1, T // 2), T)
     ks = tuple(_integer("bias sample time", k) for k in ks)
+    if not ks:
+        raise DimensionMismatch("need at least one bias sample time")
     r = int(config.r)
     if trials < 2:
         raise DimensionMismatch(f"need at least 2 trials for a standard error, got {trials}")
@@ -291,7 +290,8 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    w, v, e, u = _draw(model, _noise_factors(noise, True), signals, u_signals, T, seed, trials)
+    factors = _noise_factors(noise, True, model)
+    w, v, e, u = _draw(model, factors, signals, u_signals, T, seed, trials)
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
     idx = np.asarray(ks) - r
     truth = x[:, idx]

@@ -425,8 +425,10 @@ _DOC3 = {"A": [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]], "H": [[1.0], 
     ({**_DOC3, "B": [[1.0], [0.0], [0.0]], "D": [[0.0, 0.0], [0.0, 0.0]]}, "DimensionMismatch"),
     ({**_DOC3, "Q": np.eye(3).tolist(), "R": [[1.0]]}, "DimensionMismatch"),
     ({**_DOC3, "Q": np.eye(3).tolist(), "R": [[1.0, 0.5], [0.0, 1.0]]}, "NotSymmetric"),
+    ({**_DOC3, "Q": (-1e-4 * np.eye(3)).tolist(), "R": np.eye(2).tolist()}, "QIndefinite"),
+    ({**_DOC3, "Q": np.eye(3).tolist(), "R": np.zeros((2, 2)).tolist()}, "RNotPositiveDefinite"),
 ], ids=["not-an-object", "non-numeric", "one-d", "h-rows", "h-no-columns", "b-rows",
-        "d-shape", "r-shape", "r-asymmetric"])
+        "d-shape", "r-shape", "r-asymmetric", "q-indefinite", "r-singular"])
 def test_analyze_rejects_a_malformed_model_document(tmp_path, capsys, doc, error):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))

@@ -743,6 +743,69 @@ def _tv_config(model, r=1, P0=None):
                            initial_covariance=np.eye(model.n) if P0 is None else P0)
 
 
+@pytest.mark.parametrize("P0, error", [
+    (np.diag([1.0, -1.0]), df.NotPositiveSemidefinite),
+    (-np.eye(2), df.NotPositiveSemidefinite),
+    ([[1.0, 0.5], [0.0, 1.0]], df.NotSymmetric),
+], ids=["indefinite", "negative", "asymmetric"])
+def test_an_initial_covariance_that_is_no_covariance_raises_in_every_mode(P0, error):
+    noise = df.NoiseSpec(Q=1e-3 * np.eye(2), R=1e-3 * np.eye(1))
+    L = df.square_gain(E1, 1).L
+    for mode, gain in ((df.FIXED_SQUARE, None), (df.TIME_VARYING_MINVAR, None),
+                       (df.FIXED_USER_SUPPLIED, L)):
+        config = dataclasses.replace(_config(mode=mode, gain=gain), initial_covariance=P0)
+        with pytest.raises(error):
+            df.init_filter(E1, noise, config)
+        with pytest.raises(error):
+            df.run_filter(E1, noise, config, np.zeros((10, 1)))
+    model, noise3, _ = df.reference_example("nonsquare3")
+    with pytest.raises(error):
+        df.steady_state_gain(model, noise3, 1, P0=np.pad(P0, ((0, 1), (0, 1))) + np.diag([0, 0, 1]))
+
+
+def test_a_noise_spec_changed_in_place_to_no_covariance_is_rejected_by_the_next_session():
+    model, noise, _ = df.reference_example("nonsquare3")
+    Q = np.array(noise.Q)
+    hand = df.NoiseSpec(Q=Q, R=np.array(noise.R))
+    config = _tv_config(model)
+    df.init_filter(model, hand, config)
+    Q[...] = -1e-4 * np.eye(model.n)
+    with pytest.raises(df.QIndefinite):
+        df.init_filter(model, hand, config)
+    with pytest.raises(df.QIndefinite):
+        df.run_filter(model, hand, config, np.zeros((10, model.l)))
+
+
+def test_the_covariance_rule_runs_once_where_a_covariance_enters(monkeypatch):
+    # eigvalsh is the rule's eigenvalue test: none per step, per schedule refresh
+    # or per steady_state_gain round; one for init_filter's P0 and one for a given P0
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = _tv_config(model)
+    df.init_filter(model, noise, config)                   # the plan is cached from here
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+
+    def count(call):
+        del calls[:]
+        call()
+        return len(calls)
+
+    filtering._plan.cache_clear()
+    assert count(lambda: df.init_filter(model, noise, config)) == 3   # P0, and Q, R rebuilt
+    state = df.init_filter(model, noise, config)
+    assert len(state.ops.schedule) == 0
+    assert count(lambda: df.init_filter(model, noise, config)) == 1
+    y = np.zeros(model.l)
+    for _ in range(80):                    # refreshes until the gain freezes, then frozen steps
+        assert count(lambda: df.step(state, model, noise, y)) == 0
+        state, _ = df.step(state, model, noise, y)
+    assert state.gain_frozen and len(state.ops.schedule) > 0
+    assert count(lambda: filtering._refresh_gain(state.ops, state.gain)) == 0
+    assert count(lambda: df.steady_state_gain(model, noise, 1)) == 0
+    assert count(lambda: df.steady_state_gain(model, noise, 1, P0=np.eye(model.n))) == 1
+
+
 def test_the_gain_schedule_freezes_once_the_covariance_overflows():
     # x2 is unstable and unobserved: the covariance grows fourfold a step
     # while the gain, which does not see x2, stops changing. The schedule

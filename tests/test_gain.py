@@ -241,6 +241,19 @@ def test_steady_state_flags_divergence():
     assert converged is False
 
 
+def test_steady_state_iteration_cap_is_an_integer():
+    model, noise, _ = df.reference_example("nonsquare3")
+    for bad in (2.5, "5", True, None):
+        with pytest.raises(df.DimensionMismatch, match="max_iter must be an integer"):
+            df.steady_state_gain(model, noise, 1, max_iter=bad)
+    # integral values of any numeric type cap the rounds as the int does
+    want = df.steady_state_gain(model, noise, 1, max_iter=3)
+    for cap in (3.0, np.int64(3)):
+        got = df.steady_state_gain(model, noise, 1, max_iter=cap)
+        assert np.array_equal(got[0].L, want[0].L) and np.array_equal(got[1].P, want[1].P)
+        assert got[2] is want[2]
+
+
 def test_steady_state_stops_at_the_iteration_cap():
     model, noise, _ = df.reference_example("nonsquare3")
     res, _, converged = df.steady_state_gain(model, noise, 1, max_iter=1)

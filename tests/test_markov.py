@@ -22,6 +22,15 @@ def test_markov_parameter_values():
     assert np.allclose(df.markov_parameter(E1, 2), [[1.0]])
 
 
+@pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0), True, "1"])
+def test_a_non_integer_markov_index_is_out_of_range(index):
+    # the delay's integer rule: a float, even 1.0, or a bool is no block index
+    for call in (df.markov_blocks, df.markov_parameter):
+        with pytest.raises(df.DelayOutOfRange, match="Markov parameter index must be an integer"):
+            call(E1, index)
+    assert np.array_equal(df.markov_parameter(E1, np.int64(1)), df.markov_parameter(E1, 1))
+
+
 def test_markov_blocks_prefix():
     blocks = df.markov_blocks(E1, E1.n)
     assert len(blocks) == E1.n + 1

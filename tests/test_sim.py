@@ -551,6 +551,17 @@ def test_monte_carlo_bias_sample_times_checked():
             df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=T)
 
 
+def test_monte_carlo_bias_needs_a_sample_time():
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
+                             initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+    signals = [df.parse_signal_spec("sine:1:20")]
+    for ks in ((), []):
+        with pytest.raises(df.DimensionMismatch, match="at least one bias sample time"):
+            df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=ks)
+
+
 def test_monte_carlo_bias_fractional_sample_time_rejected():
     noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
