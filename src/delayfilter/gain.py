@@ -246,11 +246,15 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     that has not settled by then, or whose F rounding has left unstable, takes
     the step too. An unstable unique gain (N empty: rank S_r = l) returns at once
     with P0; an overflow or a singular innovation covariance ends the run
-    with the last gain. max_iter, an integer, caps the rounds. A given P0 must
-    pass the covariance rule (model._covariance) and be n x n.
+    with the last gain. max_iter, an integer, caps the rounds. A given P0, a
+    matrix or the CovarianceState this returns, must be n x n and pass the
+    covariance rule (model._covariance).
     """
     max_iter = _integer("max_iter", max_iter)
-    P = covariance_state(_p_matrix(None if P0 is None else _covariance(P0, "P0"), model.n))
+    P = _p_matrix(P0, model.n)
+    if P0 is not None:
+        _covariance(P, "P0")
+    P = covariance_state(P)
     gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
     stable = False
     for _ in range(max_iter):

@@ -37,12 +37,11 @@ from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly
 PSD_RTOL = 1e-10
 
 
-def _covariance(a, name: str, error: type = NotPositiveSemidefinite,
-                strict: bool = False) -> np.ndarray:
+def _covariance(a, name: str, error: type = NotPositiveSemidefinite) -> np.ndarray:
     """a if it is a covariance by the package's one rule, else DimensionMismatch,
     NotSymmetric or error: a finite, nonempty, square matrix, symmetric to is_symmetric's
-    tolerance, whose smallest eigenvalue is at least -PSD_RTOL (1 + its largest), above
-    0 if strict. A float64 array is returned as it is, anything else as a new one.
+    tolerance, whose smallest eigenvalue is at least -PSD_RTOL (1 + its largest).
+    A float64 array is returned as it is, anything else as a new one.
     NoiseSpec applies it to Q and R, init_filter and steady_state_gain to P0."""
     a = as_float_matrix(a, name)
     if a.shape[0] != a.shape[1] or not a.size:
@@ -50,8 +49,6 @@ def _covariance(a, name: str, error: type = NotPositiveSemidefinite,
     if not is_symmetric(a):
         raise NotSymmetric(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if strict and w[0] <= 0.0:
-        raise error(f"{name} minimum eigenvalue {w[0]:.3e} is not positive")
     if w[0] < -PSD_RTOL * (1.0 + w[-1]):
         raise error(f"{name} has eigenvalue {w[0]:.3e} below tolerance")
     return a
@@ -157,10 +154,13 @@ def _sized(noise: NoiseSpec, model: SystemModel) -> NoiseSpec:
 
 def validate_noise(Q, R, model: SystemModel) -> NoiseSpec:
     """A read-only NoiseSpec(Q, R), which applies the covariance rule, sized for
-    the model and with R strictly positive definite, as a model file's must be."""
+    the model and with R strictly positive definite, as a model file's must be: the
+    one test the rule leaves, on the R it has already checked."""
     Q, R = as_float_matrix(Q, "Q"), as_float_matrix(R, "R")
     noise = _sized(NoiseSpec(Q=readonly(Q), R=readonly(R)), model)
-    _covariance(noise.R, "R", RNotPositiveDefinite, strict=True)
+    rmin = np.linalg.eigvalsh(0.5 * (noise.R + noise.R.T))[0]
+    if rmin <= 0.0:
+        raise RNotPositiveDefinite(f"R minimum eigenvalue {rmin:.3e} is not positive")
     return noise
 
 

@@ -68,17 +68,11 @@ class ErrorStats:
     state_bias: np.ndarray
 
 
-def _noise_factors(noise: NoiseSpec | None, noise_on: bool, model: SystemModel | None = None):
-    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise. Given a
-    model, as simulate and monte_carlo_bias give theirs, DimensionMismatch unless
-    the spec's sizes fit it (model._sized)."""
-    if not noise_on:
-        return None
-    if noise is None:
+def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
+    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise."""
+    if noise_on and noise is None:
         raise PreconditionViolated("noise_on=True needs a NoiseSpec")
-    if model is not None:
-        _sized(noise, model)
-    return psd_factor(noise.Q), psd_factor(noise.R)
+    return (psd_factor(noise.Q), psd_factor(noise.R)) if noise_on else None
 
 
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
@@ -180,7 +174,9 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
-    factors = _noise_factors(noise, noise_on, model)
+    if noise is not None:
+        _sized(noise, model)
+    factors = _noise_factors(noise, noise_on)
     w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
     start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if start.size != model.n:
@@ -290,8 +286,8 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    factors = _noise_factors(noise, True, model)
-    w, v, e, u = _draw(model, factors, signals, u_signals, T, seed, trials)
+    w, v, e, u = _draw(model, _noise_factors(_sized(noise, model), True), signals, u_signals,
+                       T, seed, trials)
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
     idx = np.asarray(ks) - r
     truth = x[:, idx]

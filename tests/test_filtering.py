@@ -804,6 +804,8 @@ def test_the_covariance_rule_runs_once_where_a_covariance_enters(monkeypatch):
     assert count(lambda: filtering._refresh_gain(state.ops, state.gain)) == 0
     assert count(lambda: df.steady_state_gain(model, noise, 1)) == 0
     assert count(lambda: df.steady_state_gain(model, noise, 1, P0=np.eye(model.n))) == 1
+    # Q and R by the rule, then R's strict definiteness on the R the rule checked
+    assert count(lambda: df.validate_noise(noise.Q, noise.R, model)) == 3
 
 
 def test_the_gain_schedule_freezes_once_the_covariance_overflows():

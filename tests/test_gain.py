@@ -254,6 +254,17 @@ def test_steady_state_iteration_cap_is_an_integer():
         assert got[2] is want[2]
 
 
+def test_steady_state_warm_starts_from_the_covariance_it_returns():
+    model, noise, _ = df.reference_example("nonsquare3")
+    _, cov, _ = df.steady_state_gain(model, noise, 1, max_iter=3)
+    want = df.steady_state_gain(model, noise, 1, P0=cov.P)
+    got = df.steady_state_gain(model, noise, 1, P0=cov)
+    assert np.array_equal(got[0].L, want[0].L) and np.array_equal(got[1].P, want[1].P)
+    assert got[2] is want[2]
+    with pytest.raises(df.NotPositiveSemidefinite):
+        df.steady_state_gain(model, noise, 1, P0=df.CovarianceState(P=-cov.P, trace=-cov.trace))
+
+
 def test_steady_state_stops_at_the_iteration_cap():
     model, noise, _ = df.reference_example("nonsquare3")
     res, _, converged = df.steady_state_gain(model, noise, 1, max_iter=1)
