@@ -206,15 +206,15 @@ def cmd_simulate(args, rest, parser) -> int:
     e_specs = [flags[f"e{c}"] for c in range(1, model.p + 1)]
     u_specs = [flags[f"u{c}"] for c in range(1, model.m + 1)]
 
-    noise_on = args.noise == "on"
-    defaulted = noise_on and noise is None
+    defaulted = args.noise == "on" and noise is None
     if defaulted:
         noise = default_noise(model)
+    elif args.noise == "off":
+        noise = None
     if args.T < 1:
         parser.error("--T must be >= 1")
 
-    traj = simulate(model, noise, e_specs, args.T, seed=args.seed,
-                    u_signals=u_specs, noise_on=noise_on)
+    traj = simulate(model, noise, e_specs, args.T, seed=args.seed, u_signals=u_specs)
     write_trajectory(args.out, traj)
     _print_report({
         "schema_version": SCHEMA_VERSION,
@@ -292,7 +292,7 @@ def cmd_reproduce(args) -> int:
     results = check_example_facts(args.example)
 
     os.makedirs(args.outdir, exist_ok=True)
-    traj = simulate(model, None, example_signals(model), 200, seed=7, noise_on=False)
+    traj = simulate(model, None, example_signals(model), 200, seed=7)
     traj_path = os.path.join(args.outdir, f"{args.example}-trajectory.csv")
     write_trajectory(traj_path, traj)
     files = [traj_path]

@@ -60,7 +60,7 @@ from .gain import (
 )
 from .linalg import readonly, spectral_radius
 from .markov import _Delay, _delay, _feasible
-from .model import NoiseSpec, SystemModel, _covariance
+from .model import NoiseSpec, SystemModel, _covariance, _sized
 from .zeros import _circle_band
 
 FIXED_SQUARE = "FixedSquare"
@@ -177,9 +177,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if mode == FIXED_SQUARE:
         ops = _new_plan(model, d, square_gain(model, r).L)
     elif mode == TIME_VARYING_MINVAR:
-        if noise is None:
-            raise PreconditionViolated("TimeVaryingMinVar needs a noise specification")
-        ops = _plan(model, r, tuple(map(_frozen, (noise.Q, noise.R, P0))))
+        ops = _plan(model, r, tuple(map(_frozen, (_sized(noise, model).Q, noise.R, P0))))
     elif mode == FIXED_USER_SUPPLIED:
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")

@@ -26,6 +26,7 @@ from .errors import (
     ModelFileError,
     NotPositiveSemidefinite,
     NotSymmetric,
+    PreconditionViolated,
     QIndefinite,
     RankDeficientH,
     RNotPositiveDefinite,
@@ -143,8 +144,11 @@ def validate_model(A, H, C, B=None, D=None) -> SystemModel:
     )
 
 
-def _sized(noise: NoiseSpec, model: SystemModel) -> NoiseSpec:
-    """noise, if Q is n x n and R is l x l for the model; else DimensionMismatch."""
+def _sized(noise: NoiseSpec | None, model: SystemModel) -> NoiseSpec:
+    """noise, if Q is n x n and R is l x l for the model; else DimensionMismatch. Every
+    call that reads Q or R asks here, so None, the noiseless run, is PreconditionViolated."""
+    if noise is None:
+        raise PreconditionViolated("this call needs a noise specification, got noise=None")
     if noise.Q.shape != (model.n, model.n):
         raise DimensionMismatch(f"Q must be {(model.n, model.n)}, got {noise.Q.shape}")
     if noise.R.shape != (model.l, model.l):

@@ -168,7 +168,7 @@ def _square_run(model, r, x0, T, seed):
     """Error stats of the square gain at r from x0 over a noiseless T-step record."""
     config = FilterConfig(r=r, gain_mode=FIXED_SQUARE, initial_estimate=x0,
                           initial_covariance=np.eye(model.n))
-    traj = simulate(model, None, example_signals(model), T, seed=seed, noise_on=False)
+    traj = simulate(model, None, example_signals(model), T, seed=seed)
     return run_experiment(model, None, config, traj)[0]
 
 

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCoefficient, BadIndices, DimensionMismatch, PreconditionViolated
-from .filtering import FilterConfig, _recurse, _validated, run_filter
+from .errors import BadCoefficient, BadIndices, DimensionMismatch
+from .filtering import FilterConfig, _as_vector, _recurse, _validated, run_filter
 from .linalg import psd_factor, readonly, rms
+from .markov import _feasible
 from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
 
@@ -68,11 +69,9 @@ class ErrorStats:
     state_bias: np.ndarray
 
 
-def _noise_factors(noise: NoiseSpec | None, noise_on: bool):
-    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R, or None without noise."""
-    if noise_on and noise is None:
-        raise PreconditionViolated("noise_on=True needs a NoiseSpec")
-    return (psd_factor(noise.Q), psd_factor(noise.R)) if noise_on else None
+def _noise_factors(noise: NoiseSpec | None):
+    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R; None for noise=None, the noiseless run."""
+    return None if noise is None else (psd_factor(noise.Q), psd_factor(noise.R))
 
 
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
@@ -113,8 +112,8 @@ def _draw(model: SystemModel, factors, e_signals, u_signals, T: int, seed, trial
     (trials, T+1, .) draw, and a prbs or gaussian channel draws trial after
     trial. So trial 0 is what one trial draws, and trial t does not depend
     on the batch size. Only the children a batch reads are built: w and v
-    with noise on, and the prbs and gaussian channels. Any other channel is
-    evaluated once for all trials.
+    given noise factors, and the prbs and gaussian channels. Any other
+    channel is evaluated once for all trials.
     """
     shape = (trials, T + 1)
     if factors is None:
@@ -164,26 +163,23 @@ def _propagate(model: SystemModel, x0, w, v, e, u):
 
 
 def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
-             seed=0, x0=None, u_signals=None, noise_on: bool = True) -> Trajectory:
-    """Simulate k = 0..T with seeded Gaussian noise when enabled.
+             seed=0, x0=None, u_signals=None) -> Trajectory:
+    """Simulate k = 0..T, with seeded Gaussian noise drawn from a NoiseSpec.
 
-    e_signals must give one SignalSpec per unknown-input channel, and
-    u_signals one per known-input channel (omitted means zero known
-    input). Noise and stochastic signal channels draw from independent
-    children of the seed, which is not advanced, so runs are
-    byte-reproducible.
+    noise=None is the noiseless run, w = v = 0. e_signals must give one
+    SignalSpec per unknown-input channel, and u_signals one per
+    known-input channel (omitted means zero known input). x0 (zero when
+    omitted) is n finite values, in any shape. Noise and stochastic signal
+    channels draw from independent children of the seed, which is not
+    advanced, so runs are byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
-    if noise is not None:
-        _sized(noise, model)
-    factors = _noise_factors(noise, noise_on)
-    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
-    start = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if start.size != model.n:
-        raise DimensionMismatch(f"x0 must have n = {model.n} entries, got {start.size}")
+    start = np.zeros(model.n) if x0 is None else _as_vector(x0, model.n, "x0")
     if not np.isfinite(start).all():
         raise DimensionMismatch("x0 must be finite")
-    x, y = _propagate(model, start.reshape(model.n), w, v, e, u)
+    factors = _noise_factors(None if noise is None else _sized(noise, model))
+    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
+    x, y = _propagate(model, start, w, v, e, u)
     return Trajectory(T=T, x=readonly(x), y=readonly(y), e=readonly(e),
                       u=readonly(u), w=readonly(w), v=readonly(v), seed=seed)
 
@@ -278,7 +274,7 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     ks = tuple(_integer("bias sample time", k) for k in ks)
     if not ks:
         raise DimensionMismatch("need at least one bias sample time")
-    r = int(config.r)
+    r = _feasible(model, config.r).r
     if trials < 2:
         raise DimensionMismatch(f"need at least 2 trials for a standard error, got {trials}")
     if min(ks) < r + 1:
@@ -286,7 +282,7 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     if max(ks) > T:
         raise DimensionMismatch(f"bias sample times must be <= T = {T}")
 
-    w, v, e, u = _draw(model, _noise_factors(_sized(noise, model), True), signals, u_signals,
+    w, v, e, u = _draw(model, _noise_factors(_sized(noise, model)), signals, u_signals,
                        T, seed, trials)
     x, y = _propagate(model, np.zeros(model.n), w, v, e, u)
     idx = np.asarray(ks) - r

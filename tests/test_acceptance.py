@@ -48,8 +48,7 @@ def test_criterion_01_compartmental_outputs_2_5():
     assert numerical_rank(df.markov_parameter(model, 1)) == 2
 
     # noiseless sawtooth + sine unknown inputs over T=500
-    traj = df.simulate(model, None, df.example_signals(model), 500,
-                       seed=11, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 500, seed=11)
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(model.n),
                              initial_covariance=np.eye(model.n))
@@ -112,8 +111,7 @@ def test_criterion_03_minphase_three_state():
     config = df.FilterConfig(r=r, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=offset,
                              initial_covariance=np.eye(model.n))
-    traj = df.simulate(model, None, df.example_signals(model), 100,
-                       seed=3, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 100, seed=3)
     stats, _ = df.run_experiment(model, None, config, traj)
     predicted = df.predicted_error_sequence(model, r, L, -offset, 100)
     worst = max(
@@ -138,8 +136,7 @@ def test_criterion_04_nonminphase_three_state():
     config = df.FilterConfig(r=r, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=offset,
                              initial_covariance=np.eye(model.n))
-    traj = df.simulate(model, None, df.example_signals(model), 66,
-                       seed=3, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 66, seed=3)
     stats, _ = df.run_experiment(model, None, config, traj)
     js = stats.ks - r
     mask = (js >= 20) & (js <= 60)

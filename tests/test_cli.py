@@ -253,7 +253,7 @@ def test_filter_square_gain_over_tolerance_exits_1_and_writes_nothing(tmp_path, 
     mf = tmp_path / "model.json"
     mf.write_text(json.dumps({name: getattr(model, name).tolist() for name in "AHC"}))
     meas, out = tmp_path / "meas.csv", tmp_path / "est.csv"
-    traj = df.simulate(model, None, df.example_signals(model), 50, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 50)
     df.write_trajectory(str(meas), traj)
     rc = main(["filter", str(mf), str(meas), "--out", str(out)])
     captured = capsys.readouterr()

@@ -16,8 +16,7 @@ E1U = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
 def _traj(model, T=20, seed=0):
     sigs = [df.parse_signal_spec("sine:1:10")]
     u = [df.parse_signal_spec("constant:0.5")] if model.m else None
-    return df.simulate(model, None, sigs, T, seed=seed, u_signals=u,
-                       noise_on=False)
+    return df.simulate(model, None, sigs, T, seed=seed, u_signals=u)
 
 
 def test_trajectory_roundtrip(tmp_path):

@@ -226,8 +226,7 @@ def test_time_varying_gain_freezes():
     config = df.FilterConfig(r=1, gain_mode=df.TIME_VARYING_MINVAR,
                              initial_estimate=np.zeros(model.n),
                              initial_covariance=np.eye(model.n))
-    traj = df.simulate(model, noise, df.example_signals(model), 400,
-                       seed=2, noise_on=True)
+    traj = df.simulate(model, noise, df.example_signals(model), 400, seed=2)
     state = df.init_filter(model, noise, config)
     frozen_at = None
     gains = []
@@ -323,7 +322,7 @@ def test_a_nilpotent_map_of_a_non_square_model_is_deadbeat_by_its_eigenvalues():
     assert not df.error_dynamics_matrix(model, 0, L).any()
     assert df.classify_convergence(model, 0, L) == df.DEADBEAT
     assert df.gain_spectral_radius(model, 0, L) == 0.0
-    traj = df.simulate(model, None, df.example_signals(model), 60, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 60)
     run = df.run_filter(model, None, _config(r=0, mode=df.FIXED_USER_SUPPLIED, n=3, gain=L),
                         traj.y)
     # xhat[k] = y[k] = x[k] exactly; ehat[k] = H^+ (x[k] - A x[k-1]) rounds once
@@ -461,7 +460,7 @@ def test_run_filter_freezes_a_gain_it_cannot_refresh():
     # so the gain freezes at the last one computed instead of raising
     model, noise, _ = df.reference_example("nonsquare12")
     config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
-    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7)
     run = df.run_filter(model, noise, config, traj.y)
     assert run.frozen_at == 4
     assert np.all(np.isfinite(run.state_estimates[2:]))
@@ -484,7 +483,7 @@ def test_run_filter_reports_where_estimates_overflow():
     # estimates; run_filter reports the first such row instead of warning
     model, noise, _ = df.reference_example("nonsquare12")
     config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
-    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = df.run_filter(model, noise, config, traj.y)
@@ -724,7 +723,7 @@ def test_an_unstable_frozen_map_is_stepped(monkeypatch):
     # estimates do, so a scan would report the overflow rows early
     model, noise, _ = df.reference_example("nonsquare12")
     config = _config(r=1, mode=df.TIME_VARYING_MINVAR, n=model.n)
-    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 600, seed=7)
     tails = _spy_on_scan(monkeypatch)
     N = df.run_filter(model, noise, config, traj.y).nonfinite_at
     assert N is not None
@@ -1037,8 +1036,7 @@ def test_schedule_stops_at_the_cap():
     # nonminphase3's time-varying gain never freezes
     model, noise, _ = df.reference_example("nonminphase3")
     config = _tv_config(model)
-    y = df.simulate(model, noise, df.example_signals(model), filtering.SCHEDULE_CAP + 60,
-                    seed=6).y
+    y = df.simulate(model, noise, df.example_signals(model), filtering.SCHEDULE_CAP + 60, seed=6).y
     cold = _cold_run(model, noise, config, y)
     plan = df.init_filter(model, noise, config).ops
     assert cold.frozen_at is None

@@ -187,6 +187,35 @@ def test_a_listed_covariance_gives_the_arrays_results(entry):
         assert np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
 
 
+def _user_gain_config(model, r):
+    L = df.minvar_gain(model, df.default_noise(model), r).L
+    return df.FilterConfig(r=r, gain_mode=df.FIXED_USER_SUPPLIED, initial_estimate=np.zeros(model.n),
+                           initial_covariance=np.eye(model.n), gain=L)
+
+
+# every public function that reads Q or R, as (model, noise) -> result, on nonsquare3 at r = 1
+_SPEC_NEEDED = {
+    "minvar_gain": lambda m, noise: df.minvar_gain(m, noise, 1),
+    "simplified_minvar_gain": lambda m, noise: df.simplified_minvar_gain(m, noise, 1),
+    "covariance_update": lambda m, noise: df.covariance_update(
+        m, noise, 1, _user_gain_config(m, 1).gain, np.eye(m.n)),
+    "steady_state_gain": lambda m, noise: df.steady_state_gain(m, noise, 1, max_iter=50),
+    "monte_carlo_bias": lambda m, noise: df.monte_carlo_bias(      # a fixed gain: the draws need it
+        m, noise, _user_gain_config(m, 1), df.example_signals(m), trials=3, T=20, seed=2),
+    "run_filter-tv": lambda m, noise: df.run_filter(
+        m, noise, _tv_config(m, 1), np.linspace(-1.0, 1.0, 40 * m.l).reshape(40, m.l)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SPEC_NEEDED))
+def test_every_call_that_reads_q_or_r_says_that_noise_none_has_none(entry):
+    # noise=None is the noiseless run; a call that weighs or draws noise asks for a spec
+    model = _nonsquare3()
+    _SPEC_NEEDED[entry](model, df.default_noise(model))
+    with pytest.raises(df.PreconditionViolated, match="needs a noise specification"):
+        _SPEC_NEEDED[entry](model, None)
+
+
 def _doc(**extra):
     doc = {"A": A2, "H": H2, "C": C2}
     doc.update(extra)

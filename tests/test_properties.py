@@ -37,7 +37,7 @@ def signal_specs(draw):
 def test_deadbeat_filter_recovers_any_input_shape(spec, seed):
     # the recovery guarantee is shape-agnostic: whatever waveform drives
     # the unknown input, clean measurements pin it down exactly
-    traj = df.simulate(CHAIN, None, [spec], T=30, seed=seed, noise_on=False)
+    traj = df.simulate(CHAIN, None, [spec], T=30, seed=seed)
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.array([7.0, -4.0]),
                              initial_covariance=np.eye(2))
@@ -152,8 +152,8 @@ def test_noiseless_recovery_at_every_feasible_delay(seed):
 @given(spec=signal_specs(), seed=st.integers(0, 2**31))
 @settings(max_examples=25, deadline=None)
 def test_simulate_is_deterministic_per_seed(spec, seed):
-    a = df.simulate(CHAIN, None, [spec], T=20, seed=seed, noise_on=False)
-    b = df.simulate(CHAIN, None, [spec], T=20, seed=seed, noise_on=False)
+    a = df.simulate(CHAIN, None, [spec], T=20, seed=seed)
+    b = df.simulate(CHAIN, None, [spec], T=20, seed=seed)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.e, b.e)

@@ -79,8 +79,7 @@ def test_random_signals_need_an_rng(text):
 # -- simulate ----------------------------------------------------------------
 
 def test_simulate_shapes_and_noiseless():
-    traj = df.simulate(E1, None, [df.parse_signal_spec("sine:1:40")], 50,
-                       seed=0, noise_on=False)
+    traj = df.simulate(E1, None, [df.parse_signal_spec("sine:1:40")], 50, seed=0)
     assert traj.T == 50
     assert traj.x.shape == (51, 2)
     assert traj.y.shape == (51, 1)
@@ -95,9 +94,9 @@ def test_simulate_shapes_and_noiseless():
 def test_simulate_deterministic_per_seed():
     noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
     sigs = [df.parse_signal_spec("prbs:1:7")]
-    a = df.simulate(E1, noise, sigs, 40, seed=5, noise_on=True)
-    b = df.simulate(E1, noise, sigs, 40, seed=5, noise_on=True)
-    c = df.simulate(E1, noise, sigs, 40, seed=6, noise_on=True)
+    a = df.simulate(E1, noise, sigs, 40, seed=5)
+    b = df.simulate(E1, noise, sigs, 40, seed=5)
+    c = df.simulate(E1, noise, sigs, 40, seed=6)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.e, b.e)
     assert not np.array_equal(a.y, c.y)
 
@@ -130,7 +129,7 @@ def test_simulate_draw_order():
     ss = np.random.SeedSequence(9)
     for root, entropy in ((5, 5), ([3, 4], [3, 4]), (ss, 9)):
         w_ss, v_ss, _, u_ss = np.random.SeedSequence(entropy).spawn(4)
-        for factors in (sim._noise_factors(noise, True), None):
+        for factors in (sim._noise_factors(noise), None):
             w, v, e, u = sim._draw(model, factors, (sine,), (u_spec,), 30, root, 3)
             assert w.shape == (3, 31, 2) and v.shape == (3, 31, 1)
             assert e.shape == u.shape == (3, 31, 1)
@@ -146,17 +145,17 @@ def test_simulate_draw_order():
     assert ss.n_children_spawned == 0
 
 
-@pytest.mark.parametrize("noise_on", [True, False], ids=["noise", "noiseless"])
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "noiseless"])
 @pytest.mark.parametrize("text", ["prbs:1:5", "prbs:1:4", "prbs:2:3", "gaussian:0.5", "sine:1:7"])
-def test_a_batch_begins_with_simulate_and_grows_by_appending_trials(text, noise_on):
+def test_a_batch_begins_with_simulate_and_grows_by_appending_trials(text, noisy):
     # at T = 30 the three prbs specs draw 8, 9 and 12 signs a trial: odd and even counts
     noise = df.NoiseSpec(Q=np.array([[2e-2, 5e-3], [5e-3, 1e-2]]), R=1e-2 * np.eye(1))
     spec = df.parse_signal_spec(text)
-    factors = sim._noise_factors(noise, noise_on)
+    factors = sim._noise_factors(noise if noisy else None)
     ss = np.random.SeedSequence(11)
     ss.spawn(2)
     for seed in (5, [3, 4], ss):
-        traj = df.simulate(E1U, noise, [spec], 30, seed=seed, u_signals=[spec], noise_on=noise_on)
+        traj = df.simulate(E1U, noise if noisy else None, [spec], 30, seed=seed, u_signals=[spec])
         batches = {N: sim._draw(E1U, factors, (spec,), (spec,), 30, seed, N) for N in (1, 4, 9)}
         for N, draws in batches.items():
             for name, a, b in zip("wveu", draws, batches[9]):
@@ -223,7 +222,7 @@ def test_propagate_holds_the_states_and_one_product():
     trials, T = 200, 200
     signals = df.example_signals(model)
     T, signals, u_signals = sim._check_signals(model, signals, None, T)
-    draws = sim._draw(model, sim._noise_factors(noise, True), signals, u_signals, T, 0, trials)
+    draws = sim._draw(model, sim._noise_factors(noise), signals, u_signals, T, 0, trials)
     sim._propagate(model, np.zeros(model.n), *draws)
     tracemalloc.start()
     try:
@@ -253,26 +252,34 @@ def test_simulate_leaves_a_seed_sequence_as_it_was():
     assert np.array_equal(a.w, w)
 
 
-def test_simulate_noise_requires_spec():
-    with pytest.raises(df.PreconditionViolated):
-        df.simulate(E1, None, [df.parse_signal_spec("sine:1:40")], 10,
-                    noise_on=True)
+def test_simulate_without_a_noise_spec_draws_no_noise():
+    # noise=None is the noiseless run: w = v = 0, and the signals draw as with a spec
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    sigs = [df.parse_signal_spec("prbs:1:7")]
+    quiet, noisy = (df.simulate(E1, spec, sigs, 40, seed=5) for spec in (None, noise))
+    assert quiet.w.shape == (41, 2) and quiet.v.shape == (41, 1)
+    assert not quiet.w.any() and not quiet.v.any()
+    assert noisy.w.any() and noisy.v.any()
+    assert np.array_equal(quiet.e, noisy.e)
+    assert np.array_equal(quiet.y, quiet.x @ E1.C.T)
+    drive = quiet.x[:-1] @ E1.A.T + quiet.e[:-1] @ E1.H.T
+    assert np.max(np.abs(quiet.x[1:] - drive)) <= 1e-14
 
 
 def test_simulate_channel_count_checked():
     sigs = [df.parse_signal_spec("sine:1:40")] * 2
     with pytest.raises(df.DimensionMismatch):
-        df.simulate(E1, None, sigs, 10, noise_on=False)
+        df.simulate(E1, None, sigs, 10)
     for x0 in ([1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(df.DimensionMismatch, match="x0"):
-            df.simulate(E1, None, sigs[:1], 10, x0=x0, noise_on=False)
-    traj = df.simulate(E1, None, sigs[:1], 10, x0=[[1.0], [2.0]], noise_on=False)
+            df.simulate(E1, None, sigs[:1], 10, x0=x0)
+    traj = df.simulate(E1, None, sigs[:1], 10, x0=[[1.0], [2.0]])
     assert np.array_equal(traj.x[0], [1.0, 2.0])
     for T in (10.5, "10", None, True):
         with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
-            df.simulate(E1, None, sigs[:1], T, noise_on=False)
+            df.simulate(E1, None, sigs[:1], T)
     for T in (10.0, np.int64(10)):
-        assert df.simulate(E1, None, sigs[:1], T, noise_on=False).y.shape == (11, 1)
+        assert df.simulate(E1, None, sigs[:1], T).y.shape == (11, 1)
 
 
 def test_simulate_known_input_channel_count_checked():
@@ -280,16 +287,16 @@ def test_simulate_known_input_channel_count_checked():
     for u_signals in ([], [sine, sine]):
         with pytest.raises(df.DimensionMismatch,
                            match=f"need 1 known-input signals, got {len(u_signals)}"):
-            df.simulate(E1U, None, [sine], 10, u_signals=u_signals, noise_on=False)
+            df.simulate(E1U, None, [sine], 10, u_signals=u_signals)
     with pytest.raises(df.DimensionMismatch, match="need 0 known-input signals, got 1"):
-        df.simulate(E1, None, [sine], 10, u_signals=[sine], noise_on=False)
+        df.simulate(E1, None, [sine], 10, u_signals=[sine])
 
 
 def test_simulate_rejects_a_nonfinite_x0():
     sigs = [df.parse_signal_spec("sine:1:40")]
     for x0 in ([np.nan, 0.0], [0.0, np.inf]):
         with pytest.raises(df.DimensionMismatch, match="x0 must be finite"):
-            df.simulate(E1, None, sigs, 10, x0=x0, noise_on=False)
+            df.simulate(E1, None, sigs, 10, x0=x0)
 
 
 # -- compartmental builder ---------------------------------------------------
@@ -332,8 +339,7 @@ def test_compartmental_rejects_one_compartment_and_an_empty_list():
 # -- experiment scoring ------------------------------------------------------
 
 def test_run_experiment_alignment():
-    traj = df.simulate(E1, None, [df.parse_signal_spec("sawtooth:1:20")], 60,
-                       seed=4, noise_on=False)
+    traj = df.simulate(E1, None, [df.parse_signal_spec("sawtooth:1:20")], 60, seed=4)
     config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE,
                              initial_estimate=np.zeros(2),
                              initial_covariance=np.eye(2))
@@ -353,7 +359,7 @@ def test_run_experiment_scores_a_divergent_run_without_a_warning():
     # nonsquare12's unique gain at r = 1 is unstable: its estimation errors
     # reach about 1e163, whose squares overflow
     model, noise, _ = df.reference_example("nonsquare12")
-    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7, noise_on=False)
+    traj = df.simulate(model, None, df.example_signals(model), 200, seed=7)
     config = df.FilterConfig(r=1, gain_mode=df.TIME_VARYING_MINVAR,
                              initial_estimate=traj.x[0], initial_covariance=np.eye(model.n))
     with warnings.catch_warnings():
@@ -463,7 +469,7 @@ def test_monte_carlo_bias_reads_run_filters_state_estimates_exactly(case):
     trials, T, ks = 12, 40, (10, 25, 40)
     T, signals, u_signals = sim._check_signals(model, signals, None, T)
     root = np.random.SeedSequence([7, 1])
-    w, v, e, u = sim._draw(model, sim._noise_factors(noise, True), signals, u_signals, T,
+    w, v, e, u = sim._draw(model, sim._noise_factors(noise), signals, u_signals, T,
                            root, trials)
     x, y = sim._propagate(model, np.zeros(model.n), w, v, e, u)
     idx = np.asarray(ks)
@@ -560,6 +566,23 @@ def test_monte_carlo_bias_needs_a_sample_time():
     for ks in ((), []):
         with pytest.raises(df.DimensionMismatch, match="at least one bias sample time"):
             df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=ks)
+
+
+@pytest.mark.parametrize("r, error", [(None, df.DelayOutOfRange), (1.5, df.DelayOutOfRange),
+                                      (0, df.InfeasibleDelay)], ids=["none", "fractional", "infeasible"])
+def test_monte_carlo_bias_decides_its_delay_before_it_draws(monkeypatch, r, error):
+    # E1 has CH = 0: r = 0 has no unbiased gain. ks = (1, 10) would fail r + 1 = 2 at r = 1
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+    config = df.FilterConfig(r=r, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+    signals = [df.parse_signal_spec("sine:1:20")]
+
+    def drawn(*args):
+        raise AssertionError("monte_carlo_bias drew a batch before deciding its delay")
+
+    monkeypatch.setattr(sim, "_draw", drawn)
+    with pytest.raises(error):
+        df.monte_carlo_bias(E1, noise, config, signals, trials=3, T=60, ks=(1, 10))
 
 
 def test_monte_carlo_bias_fractional_sample_time_rejected():
