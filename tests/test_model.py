@@ -208,7 +208,7 @@ _SPEC_NEEDED = {
 
 
 @pytest.mark.parametrize("entry", list(_SPEC_NEEDED))
-def test_every_call_that_reads_q_or_r_says_that_noise_none_has_none(entry):
+def test_every_call_that_reads_q_or_r_needs_a_noise_spec(entry):
     # noise=None is the noiseless run; a call that weighs or draws noise asks for a spec
     model = _nonsquare3()
     _SPEC_NEEDED[entry](model, df.default_noise(model))
