@@ -21,6 +21,7 @@ import re
 import numpy as np
 
 from .errors import DimensionMismatch, MeasurementFileError
+from .linalg import as_float_array
 from .sim import Trajectory
 
 _CHUNK = 4096       # rows per formatted block written to the file
@@ -153,7 +154,7 @@ def write_estimates(path, rows, n: int, p: int, l: int) -> None:
 
     Rows that are all NaN are the warm-up window and get empty fields.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = as_float_array(rows, "estimates")
     if rows.ndim != 2 or rows.shape[1] != n + p + l:
         raise DimensionMismatch(f"estimates must be (T+1, {n + p + l}), got {rows.shape}")
     header = ["k"] + _names("xhat", n) + _names("ehat", p) + _names("innov", l)

@@ -58,9 +58,9 @@ from .gain import (
     _overflowed,
     _settled,
 )
-from .linalg import readonly, spectral_radius
+from .linalg import as_float_array, as_float_vector, readonly, spectral_radius
 from .markov import _Delay, _delay, _feasible
-from .model import NoiseSpec, SystemModel, _covariance, _sized
+from .model import NoiseSpec, SystemModel, _covariance, _integer, _sized
 from .zeros import _circle_band
 
 FIXED_SQUARE = "FixedSquare"
@@ -77,7 +77,6 @@ DEADBEAT_TOL = 1e-8
 # Time-varying gain steps a plan keeps; a gain that never freezes would
 # otherwise grow its schedule with every step of the longest record.
 SCHEDULE_CAP = 500
-_FLOAT = np.dtype(float)
 # step() builds its NamedTuples by tuple.__new__, skipping the generated
 # constructor's argument binding: it passes every field, in order
 _tuple = tuple.__new__
@@ -142,15 +141,6 @@ class StepOutput(NamedTuple):
     innovation: np.ndarray
 
 
-def _as_vector(x, size: int, name: str) -> np.ndarray:
-    """x as a float (size,) array; a float 1-d array is returned as it is."""
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1:
-        x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (size,):
-        raise DimensionMismatch(f"{name} must have length {size}, got {x.shape}")
-    return x
-
-
 def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig) -> FilterState:
     """Build the initial state; the first estimate appears at k = r + 1.
 
@@ -164,12 +154,10 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     d = _feasible(model, config.r)
     r = d.r
 
-    x0 = _as_vector(config.initial_estimate, model.n, "initial_estimate")
+    x0 = as_float_vector(config.initial_estimate, model.n, "initial_estimate")
     if not np.isfinite(x0).all():
         raise DimensionMismatch("initial_estimate must be finite")
-    P0 = _covariance(config.initial_covariance, "initial_covariance")
-    if P0.shape != (model.n, model.n):
-        raise DimensionMismatch(f"initial_covariance must be {(model.n, model.n)}")
+    P0 = _covariance(config.initial_covariance, "initial_covariance", shape=(model.n, model.n))
 
     mode = config.gain_mode
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
@@ -181,7 +169,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     elif mode == FIXED_USER_SUPPLIED:
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
-        L = np.asarray(config.gain, dtype=float)
+        L = as_float_array(config.gain, "gain")
         # a biased gain would silently invalidate every emitted estimate
         _checked_residual(model, d, L, "supplied gain violates the unbiasedness constraint")
         ops = _new_plan(model, d, L)
@@ -191,9 +179,8 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     return FilterState(0, readonly(x0), (), gain, ops, noise)
 
 
-def _frozen(a) -> tuple:
-    """(shape, bytes): a hashable copy of an array's values."""
-    a = np.asarray(a, dtype=float)
+def _frozen(a: np.ndarray) -> tuple:
+    """(shape, bytes): a hashable copy of a float array's values."""
     return a.shape, a.tobytes()
 
 
@@ -288,11 +275,11 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
         raise PreconditionViolated("step got a model other than the one given to init_filter")
     if ops.noise is not None and noise is not state.noise:
         raise PreconditionViolated("step got a noise other than the one given to init_filter")
-    y, u = _as_vector(y_k, model.l, "y_k"), ()   # u: (u_k,) if the model has known inputs
+    y, u = as_float_vector(y_k, model.l, "y_k"), ()   # u: (u_k,) if the model has known inputs
     if model.m > 0:
         if u_k is None:
             raise DimensionMismatch("u_k required: the model has known inputs")
-        u = (_as_vector(u_k, model.m, "u_k").copy(),)  # kept r+1 steps: not the caller's
+        u = (as_float_vector(u_k, model.m, "u_k").copy(),)  # kept r+1 steps: not the caller's
 
     if k <= ops.r:
         return state._replace(k=k + 1, u_buffer=state.u_buffer + u), None
@@ -387,17 +374,14 @@ def run_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig
 def _validated(model: SystemModel, noise: NoiseSpec | None, config: FilterConfig, y, u):
     """(initial state, y, u) of a record, validated; u is zero-width without known inputs."""
     state = init_filter(model, noise, config)
-    y = np.asarray(y, dtype=float)
+    y = as_float_array(y, "y")
     if y.ndim not in (2, 3) or y.shape[-1] != model.l:
         raise DimensionMismatch(
             f"y must be (T+1, {model.l}) or (trials, T+1, {model.l}), got {y.shape}")
     if model.m > 0:
         if u is None:
             raise DimensionMismatch("u required: the model has known inputs")
-        u = np.asarray(u, dtype=float)
-        if u.shape != y.shape[:-1] + (model.m,):
-            raise DimensionMismatch(
-                f"u must be {y.shape[:-1] + (model.m,)}, got {u.shape}")
+        u = as_float_array(u, "u", y.shape[:-1] + (model.m,))
     else:
         u = np.zeros(y.shape[:-1] + (0,))
     return state, y, u
@@ -514,11 +498,11 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
     nilpotent on the quotient by their kernel, and that kernel is {0}.
     Its computed eigenvalues would scatter like eps^(1/n) ||F||.
     """
-    d = _feasible(model, r)
+    d, L = _feasible(model, r), as_float_array(L, "gain")
     _checked_residual(model, d, L, "verdict is only defined for unbiased gains")
     if model.l == model.p and model.n == (r + 1) * model.p:
         return DEADBEAT
-    rho = spectral_radius(_error_map(model, d, np.asarray(L, dtype=float)))
+    rho = spectral_radius(_error_map(model, d, L))
     return DEADBEAT if rho <= DEADBEAT_TOL else _circle_band(rho, ASYMPTOTIC, PERSISTENT, DIVERGENT)
 
 
@@ -529,9 +513,10 @@ def predicted_error_sequence(model: SystemModel, r: int, L, eps0, T: int) -> np.
     running filter, which makes overlay comparisons against simulated
     errors meaningful.
     """
-    if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 0:
-        raise DimensionMismatch(f"T must be an integer >= 0, got {T!r}")
-    eps = _as_vector(eps0, model.n, "eps0")
+    T = _integer("T", T)
+    if T < 0:
+        raise DimensionMismatch(f"T must be an integer >= 0, got {T}")
+    eps = as_float_vector(eps0, model.n, "eps0")
     M = error_dynamics_matrix(model, r, L)
     out = np.empty((T + 1, model.n))
     out[0] = eps

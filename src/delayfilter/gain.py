@@ -27,7 +27,7 @@ from .errors import (
     NotSquare,
     PreconditionViolated,
 )
-from .linalg import frob, spectral_radius
+from .linalg import as_float_array, frob, spectral_radius
 from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel, _covariance, _integer, _sized
 
@@ -54,8 +54,7 @@ class CovarianceState:
     trace: float
 
 
-def covariance_state(P) -> CovarianceState:
-    P = np.asarray(P, dtype=float)
+def covariance_state(P: np.ndarray) -> CovarianceState:
     P = 0.5 * (P + P.T)
     return CovarianceState(P=P, trace=float(np.trace(P)))
 
@@ -65,14 +64,14 @@ def _overflowed(P: CovarianceState) -> bool:
     return P.trace > COVARIANCE_CAP or not np.isfinite(P.P).all()
 
 
-def _p_matrix(P_prev, n: int) -> np.ndarray:
-    """P_prev as a finite (n, n) matrix, the identity when omitted. Not the covariance
-    rule: the schedule and the policy iteration pass their own covariances here."""
+def _p_matrix(P_prev, n: int, name: str = "P_prev") -> np.ndarray:
+    """P_prev, a matrix or CovarianceState, as a finite (n, n) matrix, the identity if omitted.
+    Not the covariance rule: the schedule and the policy iteration pass their own here."""
     if P_prev is None:
         return np.eye(n)
-    P = P_prev.P if isinstance(P_prev, CovarianceState) else np.asarray(P_prev, dtype=float)
-    if P.shape != (n, n) or not np.isfinite(P).all():
-        raise DimensionMismatch(f"covariance must be a finite {(n, n)} matrix, got {P.shape}")
+    P = as_float_array(P_prev.P if isinstance(P_prev, CovarianceState) else P_prev, name, (n, n))
+    if not np.isfinite(P).all():
+        raise DimensionMismatch(f"{name} must be finite")
     return P
 
 
@@ -87,13 +86,12 @@ def unbiasedness_residual(model: SystemModel, r: int, L) -> float:
 
 
 def _checked_gain(model: SystemModel, L, what: str) -> np.ndarray:
-    """L as a float array; DimensionMismatch unless it is n x l, ConstraintViolated
+    """L read by as_float_array as an n x l gain (DimensionMismatch), ConstraintViolated
     unless it is finite. Every public function that takes a gain checks it here."""
-    if np.shape(L) != (model.n, model.l):
-        raise DimensionMismatch(f"{what}: gain must be {(model.n, model.l)}, got {np.shape(L)}")
+    L = as_float_array(L, f"{what}: gain", (model.n, model.l))
     if not np.isfinite(L).all():        # a NaN residual would pass the gate's comparison
         raise ConstraintViolated(f"{what}: gain is not finite")
-    return np.asarray(L, dtype=float)
+    return L
 
 
 def _checked_residual(model: SystemModel, d: _Delay, L, what: str) -> float:
@@ -206,7 +204,7 @@ def _error_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, L: np.ndarray)
 
 def covariance_update(model: SystemModel, noise: NoiseSpec, r: int, L, P_prev) -> CovarianceState:
     """One covariance step F P F^T + W for an unbiased gain (see _error_terms), symmetrized."""
-    d, L = _feasible(model, r), np.asarray(L, dtype=float)
+    d, L = _feasible(model, r), as_float_array(L, "gain")
     _checked_residual(model, d, L, "covariance update requires an unbiased gain")
     F, W = _error_terms(model, noise, d, L)
     return covariance_state(F @ _p_matrix(P_prev, model.n) @ F.T + W)
@@ -251,7 +249,7 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     covariance rule (model._covariance).
     """
     max_iter = _integer("max_iter", max_iter)
-    P = _p_matrix(P0, model.n)
+    P = _p_matrix(P0, model.n, "P0")
     if P0 is not None:
         _covariance(P, "P0")
     P = covariance_state(P)

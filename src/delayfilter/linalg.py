@@ -1,5 +1,8 @@
 """Dense linear-algebra helpers with the package's tolerance conventions.
 
+as_float_array is the one reader of every array a caller passes (as_float_vector
+and as_float_matrix call it); the helpers below take arrays the package built.
+
 Every rank decision in the package is rank_above: the singular values above
 scale * max(shape) * RANK_RCOND, none at a zero scale. markov ranks the
 Markov blocks, every S_r and the Toeplitz sweep by it, zeros each basis of
@@ -10,25 +13,48 @@ the same relative size.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 # Relative singular-value cutoff, scaled by max(shape) at the call site.
 RANK_RCOND = 1e-12
+_FLOAT = np.dtype(float)
 
 
-def as_float_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce nested sequences to a 2-d float array.
+def as_float_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
+    """x as a float64 array, of the given shape if one is given; a float64 ndarray is returned
+    as it is, not copied. Entries are bools, integers, floats or numbers.Real objects; for a
+    complex dtype, another entry, ragged nesting or another shape, DimensionMismatch names the
+    argument, so no numpy error or ComplexWarning, nor a dropped imaginary part, leaves here."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+        try:
+            a = np.asarray(x)               # ValueError on ragged nesting
+            if a.dtype.kind not in "biuf" and not (     # complex, str, bytes, datetime, ...
+                    a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
+                raise TypeError(a.dtype)
+            x = a.astype(float, copy=False)
+        except (TypeError, ValueError, OverflowError):  # an int past the float range
+            raise DimensionMismatch(f"{name}: not a real numeric array") from None
+    if shape is not None and x.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape}, got {x.shape}")
+    return x
 
-    Raises DimensionMismatch (not ValueError) so callers can surface a
-    structured error for malformed input.
-    """
-    from .errors import DimensionMismatch
 
-    try:
-        a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"{name}: not a numeric matrix ({exc})") from None
+def as_float_vector(x, size: int, name: str) -> np.ndarray:
+    """x, size values in any shape, as a (size,) array; a float64 vector costs one type test."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1:
+        x = as_float_array(x, name).reshape(-1)
+    if x.shape != (size,):
+        raise DimensionMismatch(f"{name} must have length {size}, got {x.shape}")
+    return x
+
+
+def as_float_matrix(x, name: str, shape: tuple | None = None) -> np.ndarray:
+    """as_float_array's x, which must also be 2-d and finite (DimensionMismatch)."""
+    a = as_float_array(x, name, shape)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name}: expected a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -44,22 +70,19 @@ def rank_above(s: np.ndarray, shape: tuple, scale: float) -> int:
 
 def numerical_rank(matrix, scale: float | None = None) -> int:
     """rank_above of a nonempty 2-d matrix, judged at scale, by default sigma_max."""
-    a = np.asarray(matrix, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
-    return rank_above(s, a.shape, s[0] if scale is None else scale)
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return rank_above(s, matrix.shape, s[0] if scale is None else scale)
 
 
 def pinv_cut(matrix) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank cutoff."""
-    a = np.asarray(matrix, dtype=float)
-    return np.linalg.pinv(a, rcond=max(a.shape) * RANK_RCOND)
+    return np.linalg.pinv(matrix, rcond=max(matrix.shape) * RANK_RCOND)
 
 
 def is_symmetric(m) -> bool:
     """Symmetry test of a nonempty square matrix, to 1e-10 (1 + max |entry|)."""
-    a = np.asarray(m, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a - a.T))) <= 1e-10 * scale
+    scale = 1.0 + float(np.max(np.abs(m)))
+    return float(np.max(np.abs(m - m.T))) <= 1e-10 * scale
 
 
 def psd_factor(m) -> np.ndarray:
@@ -71,13 +94,12 @@ def psd_factor(m) -> np.ndarray:
     so the clip removes rounding only, unless the spec's arrays were changed
     in place after it was built.
     """
-    a = np.asarray(m, dtype=float)
-    w, u = np.linalg.eigh(0.5 * (a + a.T))
+    w, u = np.linalg.eigh(0.5 * (m + m.T))
     return u * np.sqrt(np.clip(w, 0.0, None))
 
 
 def spectral_radius(m) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def frob(m) -> float:

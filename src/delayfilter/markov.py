@@ -103,7 +103,7 @@ class _Delay:
     tol: float                          # residual tolerance of the constraint
 
     def residual(self, L) -> float:        # ||L S - [H 0 ... 0]||_F
-        return frob(np.asarray(L, dtype=float) @ self.S - self.H0)
+        return frob(L @ self.S - self.H0)
 
     @cached_property
     def Gd(self) -> np.ndarray:

@@ -38,13 +38,14 @@ from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly
 PSD_RTOL = 1e-10
 
 
-def _covariance(a, name: str, error: type = NotPositiveSemidefinite) -> np.ndarray:
+def _covariance(a, name: str, error: type = NotPositiveSemidefinite,
+                shape: tuple | None = None) -> np.ndarray:
     """a if it is a covariance by the package's one rule, else DimensionMismatch,
-    NotSymmetric or error: a finite, nonempty, square matrix, symmetric to is_symmetric's
-    tolerance, whose smallest eigenvalue is at least -PSD_RTOL (1 + its largest).
-    A float64 array is returned as it is, anything else as a new one.
-    NoiseSpec applies it to Q and R, init_filter and steady_state_gain to P0."""
-    a = as_float_matrix(a, name)
+    NotSymmetric or error: a finite, nonempty, square matrix (of the given shape, if one
+    is), symmetric to is_symmetric's tolerance, whose smallest eigenvalue is at least
+    -PSD_RTOL (1 + its largest). A float64 array is returned as it is, anything else as a
+    new one. NoiseSpec applies it to Q and R, init_filter and steady_state_gain to P0."""
+    a = as_float_matrix(a, name, shape)
     if a.shape[0] != a.shape[1] or not a.size:
         raise DimensionMismatch(f"{name} must be a nonempty square matrix, got {a.shape}")
     if not is_symmetric(a):
@@ -101,9 +102,7 @@ def validate_model(A, H, C, B=None, D=None) -> SystemModel:
 
     B and D may be None when there is no known input.
     """
-    A = as_float_matrix(A, "A")
-    H = as_float_matrix(H, "H")
-    C = as_float_matrix(C, "C")
+    A, H, C = as_float_matrix(A, "A"), as_float_matrix(H, "H"), as_float_matrix(C, "C")
 
     n = A.shape[0]
     if A.shape != (n, n):
@@ -123,17 +122,11 @@ def validate_model(A, H, C, B=None, D=None) -> SystemModel:
     if p >= n:
         raise TooManyInputs(f"p={p} unknown inputs require p < n={n}")
 
-    if B is None:
-        B = np.zeros((n, 0))
-    B = as_float_matrix(B, "B")
+    B = as_float_matrix(np.zeros((n, 0)) if B is None else B, "B")
     if B.shape[0] != n:
         raise DimensionMismatch(f"B has {B.shape[0]} rows, expected n={n}")
     m = B.shape[1]
-    if D is None:
-        D = np.zeros((l, m))
-    D = as_float_matrix(D, "D")
-    if D.shape != (l, m):
-        raise DimensionMismatch(f"D must be {(l, m)}, got {D.shape}")
+    D = as_float_matrix(np.zeros((l, m)) if D is None else D, "D", (l, m))
 
     if numerical_rank(H) < p:
         raise RankDeficientH(f"rank(H)={numerical_rank(H)} < p={p}")

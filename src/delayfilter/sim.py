@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch
-from .filtering import FilterConfig, _as_vector, _recurse, _validated, run_filter
-from .linalg import psd_factor, readonly, rms
+from .filtering import FilterConfig, _recurse, _validated, run_filter
+from .linalg import as_float_vector, psd_factor, readonly, rms
 from .markov import _feasible
 from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
@@ -174,7 +174,7 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     advanced, so runs are byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
-    start = np.zeros(model.n) if x0 is None else _as_vector(x0, model.n, "x0")
+    start = np.zeros(model.n) if x0 is None else as_float_vector(x0, model.n, "x0")
     if not np.isfinite(start).all():
         raise DimensionMismatch("x0 must be finite")
     factors = _noise_factors(None if noise is None else _sized(noise, model))
@@ -191,16 +191,17 @@ def compartmental_model(n: int, alpha: float, beta: float,
     The state map is tridiagonal with every diagonal entry 1-beta-alpha
     and off-diagonal entries alpha. Unknown inputs enter the listed
     compartments (1-based) and outputs read the listed compartments;
-    the two lists must be disjoint.
+    the two lists must be disjoint. n and each compartment are read by model._integer.
     """
     if not (0.0 < alpha < 1.0):
         raise BadCoefficient(f"flow coefficient must lie in (0, 1), got {alpha}")
     if not (0.0 < beta < 1.0):
         raise BadCoefficient(f"loss coefficient must lie in (0, 1), got {beta}")
+    n = _integer("n", n)
     if n < 2:
         raise BadIndices(f"need at least two compartments, got n={n}")
-    inp = list(input_compartments)
-    out = list(output_compartments)
+    inp = [_integer("input compartment", i) for i in input_compartments]
+    out = [_integer("output compartment", i) for i in output_compartments]
     for name, idx in (("input", inp), ("output", out)):
         if not idx:
             raise BadIndices(f"{name} compartment list is empty")

@@ -268,9 +268,11 @@ def test_predicted_error_sequence_closed_form():
 @pytest.mark.parametrize("T", [-1, 2.5, "3", True])
 def test_predicted_error_sequence_rejects_a_bad_T(T):
     L = df.square_gain(E1, 1).L
-    with pytest.raises(df.DimensionMismatch, match="T must be an integer >= 0"):
+    with pytest.raises(df.DimensionMismatch, match="T must be an integer"):
         df.predicted_error_sequence(E1, 1, L, [1.0, -2.0], T)
     assert df.predicted_error_sequence(E1, 1, L, [1.0, -2.0], 0).shape == (1, 2)
+    for five in (5, 5.0, np.int64(5)):      # model._integer's rule, as simulate reads T
+        assert df.predicted_error_sequence(E1, 1, L, [1.0, -2.0], five).shape == (6, 2)
 
 
 def test_classify_convergence_verdicts():

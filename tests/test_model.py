@@ -1,11 +1,16 @@
 """Model construction, validation, and JSON parsing."""
 
 import json
+import os
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import delayfilter as df
+from delayfilter import filtering
+from delayfilter.linalg import as_float_array, as_float_matrix, as_float_vector
 from delayfilter.model import PSD_RTOL
 
 
@@ -214,6 +219,124 @@ def test_every_call_that_reads_q_or_r_needs_a_noise_spec(entry):
     _SPEC_NEEDED[entry](model, df.default_noise(model))
     with pytest.raises(df.PreconditionViolated, match="needs a noise specification"):
         _SPEC_NEEDED[entry](model, None)
+
+
+# nonsquare3 with one known input, so that B, D, u and u_k are read too; r = 1 is feasible
+_READ = df.reference_example("nonsquare3")[0]
+_READ = df.validate_model(_READ.A, _READ.H, _READ.C, [[0.3], [0.1], [0.0]], [[0.2], [0.0]])
+_READ_GAIN = df.minvar_gain(_READ, df.default_noise(_READ), 1).L
+
+
+def _read_config(**fields):
+    config = dict(r=1, gain_mode=df.FIXED_USER_SUPPLIED, initial_estimate=np.zeros(3),
+                  initial_covariance=np.eye(3), gain=_READ_GAIN)
+    return df.FilterConfig(**{**config, **fields})
+
+
+_NOISE = df.default_noise(_READ)
+
+
+def _read_step(y_k, u_k):
+    return df.step(df.init_filter(_READ, _NOISE, _read_config()), _READ, _NOISE, y_k, u_k)
+
+
+_Y, _U = np.linspace(-1.0, 1.0, 20).reshape(10, 2), np.zeros((10, 1))
+# every array argument a public function takes, as (name in the error, a valid value, call)
+_ARRAY_ARGUMENTS = {
+    **{f"validate_model-{key}": (key, np.asarray(getattr(_READ, key)), lambda a, key=key:
+                                 df.validate_model(**{"A": _READ.A, "H": _READ.H, "C": _READ.C,
+                                                      "B": _READ.B, "D": _READ.D, key: a}))
+       for key in "AHCBD"},
+    "NoiseSpec-Q": ("Q", _NOISE.Q, lambda a: df.NoiseSpec(Q=a, R=_NOISE.R)),
+    "NoiseSpec-R": ("R", _NOISE.R, lambda a: df.NoiseSpec(Q=_NOISE.Q, R=a)),
+    "init_filter-initial_estimate": ("initial_estimate", np.zeros(3), lambda a: df.init_filter(
+        _READ, _NOISE, _read_config(initial_estimate=a))),
+    "init_filter-initial_covariance": ("initial_covariance", np.eye(3), lambda a: df.init_filter(
+        _READ, _NOISE, _read_config(initial_covariance=a))),
+    "init_filter-gain": ("gain", _READ_GAIN, lambda a: df.init_filter(
+        _READ, _NOISE, _read_config(gain=a))),
+    "step-y_k": ("y_k", np.zeros(2), lambda a: _read_step(a, np.zeros(1))),
+    "step-u_k": ("u_k", np.zeros(1), lambda a: _read_step(np.zeros(2), a)),
+    "run_filter-y": ("y", _Y, lambda a: df.run_filter(_READ, _NOISE, _read_config(), a, _U)),
+    "run_filter-u": ("u", _U, lambda a: df.run_filter(_READ, _NOISE, _read_config(), _Y, a)),
+    "simulate-x0": ("x0", np.zeros(3), lambda a: df.simulate(
+        _READ, _NOISE, df.example_signals(_READ), 5, seed=1, x0=a)),
+    "predicted_error_sequence-eps0": ("eps0", np.ones(3), lambda a: df.predicted_error_sequence(
+        _READ, 1, _READ_GAIN, a, 3)),
+    "predicted_error_sequence-L": ("gain", _READ_GAIN, lambda a: df.predicted_error_sequence(
+        _READ, 1, a, np.ones(3), 3)),
+    "minvar_gain-P_prev": ("P_prev", np.eye(3), lambda a: df.minvar_gain(_READ, _NOISE, 1, a)),
+    "simplified_minvar_gain-P_prev": ("P_prev", np.eye(3), lambda a: df.simplified_minvar_gain(
+        _READ, _NOISE, 1, a)),
+    "covariance_update-L": ("gain", _READ_GAIN, lambda a: df.covariance_update(
+        _READ, _NOISE, 1, a, np.eye(3))),
+    "covariance_update-P_prev": ("P_prev", np.eye(3), lambda a: df.covariance_update(
+        _READ, _NOISE, 1, _READ_GAIN, a)),
+    "steady_state_gain-P0": ("P0", np.eye(3), lambda a: df.steady_state_gain(
+        _READ, _NOISE, 1, a, max_iter=5)),
+    **{f"{call.__name__}-L": ("gain", _READ_GAIN, lambda a, call=call: call(_READ, 1, a))
+       for call in (df.unbiasedness_residual, df.error_dynamics_matrix, df.gain_spectral_radius,
+                    df.classify_convergence)},
+    "write_estimates-rows": ("estimates", np.zeros((3, 6)), lambda a: df.write_estimates(
+        os.devnull, a, 3, 1, 2)),
+}
+
+
+def _bad_values(good):
+    """A string entry, a complex dtype and ragged nesting, each in place of the valid good."""
+    string = good.tolist()
+    complex_ = good.astype(complex)
+    complex_.flat[0] += 0.5j                # an imaginary part that a float cast would drop
+    ragged = good.tolist()
+    if good.ndim == 1:                      # ragged however short good is
+        string[0], ragged = "x", [[ragged[0]]] + ragged
+    else:
+        string[0][0], ragged[0] = "x", ragged[0][:-1] + [[ragged[0][-1]]]
+    return {"string": string, "complex": complex_, "ragged": ragged}
+
+
+@pytest.mark.parametrize("bad", ["string", "complex", "ragged"])
+@pytest.mark.parametrize("entry", list(_ARRAY_ARGUMENTS))
+def test_every_array_argument_is_read_by_the_one_reader(entry, bad):
+    # no numpy ValueError or TypeError, and no ComplexWarning or a silently dropped imaginary part
+    name, good, call = _ARRAY_ARGUMENTS[entry]
+    call(good)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(df.DimensionMismatch, match=rf"(^|: ){name}: not a real numeric array$"):
+            call(_bad_values(good)[bad])
+
+
+def test_the_reader_takes_an_object_array_of_real_numbers_only():
+    assert as_float_array([Fraction(1, 2), 2**70, True], "a").tolist() == [0.5, 2.0**70, 1.0]
+    for bad in ([Fraction(1, 2), "1.5"], [1.0, None], [10**400, 1]):     # the last overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(df.DimensionMismatch, match="^a: not a real numeric array$"):
+                as_float_array(bad, "a")
+
+
+def test_a_float64_argument_is_read_without_a_copy(monkeypatch):
+    a, v = np.arange(6.0).reshape(2, 3), np.ones(3)
+    view = a.T                              # not contiguous: still float64, still not copied
+    assert as_float_array(a, "a") is a and as_float_array(a, "a", (2, 3)) is a
+    assert as_float_array(view, "a") is view
+    assert as_float_matrix(a, "a") is a and as_float_vector(v, 3, "v") is v
+    assert as_float_array([[1, 2]], "a").dtype == np.float64
+    # step reads each y_k by as_float_vector: a float64 sample is not copied
+    reads = []
+
+    def spy(x, size, name):
+        reads.append((name, x, as_float_vector(x, size, name)))
+        return reads[-1][2]
+
+    monkeypatch.setattr(filtering, "as_float_vector", spy)
+    samples = [np.full(2, 0.1 * k) for k in range(4)]
+    state = df.init_filter(_READ, _NOISE, _read_config())
+    for y_k in samples:
+        state, _ = df.step(state, _READ, _NOISE, y_k, np.zeros(1))
+    got = [x for name, x, out in reads if name == "y_k" and out is x]
+    assert len(got) == len(samples) and all(g is y for g, y in zip(got, samples))
 
 
 def _doc(**extra):

@@ -336,6 +336,16 @@ def test_compartmental_rejects_one_compartment_and_an_empty_list():
             df.compartmental_model(6, 0.1, 0.1, inputs, outputs)
 
 
+
+def test_compartmental_model_reads_its_numbers_by_the_integer_rule():
+    # model._integer: an integral float or numpy integer is the integer, anything else raises
+    want = df.compartmental_model(6, 0.1, 0.1, [1, 6], [2, 5])
+    got = df.compartmental_model(6.0, 0.1, 0.1, [1.0, np.int64(6)], (2.0, 5))
+    assert all(np.array_equal(getattr(got, key), getattr(want, key)) for key in "AHCBD")
+    for n, inputs, outputs in ((6.5, [1], [2]), (6, [1.5], [2]), (6, [1], [True]), (6, [1], ["2"])):
+        with pytest.raises(df.DelayFilterError, match="must be an integer"):
+            df.compartmental_model(n, 0.1, 0.1, inputs, outputs)
+
 # -- experiment scoring ------------------------------------------------------
 
 def test_run_experiment_alignment():
