@@ -222,18 +222,16 @@ def test_every_call_that_reads_q_or_r_needs_a_noise_spec(entry):
 
 
 # nonsquare3 with one known input, so that B, D, u and u_k are read too; r = 1 is feasible
-_READ = df.reference_example("nonsquare3")[0]
-_READ = df.validate_model(_READ.A, _READ.H, _READ.C, [[0.3], [0.1], [0.0]], [[0.2], [0.0]])
-_READ_GAIN = df.minvar_gain(_READ, df.default_noise(_READ), 1).L
+_NS3 = df.reference_example("nonsquare3")[0]
+_READ = df.validate_model(_NS3.A, _NS3.H, _NS3.C, [[0.3], [0.1], [0.0]], [[0.2], [0.0]])
+_NOISE = df.default_noise(_READ)
+_READ_GAIN = df.minvar_gain(_READ, _NOISE, 1).L
 
 
 def _read_config(**fields):
     config = dict(r=1, gain_mode=df.FIXED_USER_SUPPLIED, initial_estimate=np.zeros(3),
                   initial_covariance=np.eye(3), gain=_READ_GAIN)
     return df.FilterConfig(**{**config, **fields})
-
-
-_NOISE = df.default_noise(_READ)
 
 
 def _read_step(y_k, u_k):
@@ -243,7 +241,7 @@ def _read_step(y_k, u_k):
 _Y, _U = np.linspace(-1.0, 1.0, 20).reshape(10, 2), np.zeros((10, 1))
 # every array argument a public function takes, as (name in the error, a valid value, call)
 _ARRAY_ARGUMENTS = {
-    **{f"validate_model-{key}": (key, np.asarray(getattr(_READ, key)), lambda a, key=key:
+    **{f"validate_model-{key}": (key, getattr(_READ, key), lambda a, key=key:
                                  df.validate_model(**{"A": _READ.A, "H": _READ.H, "C": _READ.C,
                                                       "B": _READ.B, "D": _READ.D, key: a}))
        for key in "AHCBD"},
@@ -335,8 +333,9 @@ def test_a_float64_argument_is_read_without_a_copy(monkeypatch):
     state = df.init_filter(_READ, _NOISE, _read_config())
     for y_k in samples:
         state, _ = df.step(state, _READ, _NOISE, y_k, np.zeros(1))
-    got = [x for name, x, out in reads if name == "y_k" and out is x]
-    assert len(got) == len(samples) and all(g is y for g, y in zip(got, samples))
+    y_reads = [(x, out) for name, x, out in reads if name == "y_k"]
+    assert len(y_reads) == len(samples)
+    assert all(x is y and out is y for (x, out), y in zip(y_reads, samples))
 
 
 def _doc(**extra):
