@@ -58,7 +58,8 @@ from .gain import (
     _overflowed,
     _settled,
 )
-from .linalg import as_float_array, as_float_vector, readonly, spectral_radius
+from .linalg import (as_finite_vector, as_float_array, as_float_vector, readonly, sealed,
+                     spectral_radius)
 from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel, _covariance, _integer, _sized
 from .zeros import _circle_band
@@ -154,9 +155,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     d = _feasible(model, config.r)
     r = d.r
 
-    x0 = as_float_vector(config.initial_estimate, model.n, "initial_estimate")
-    if not np.isfinite(x0).all():
-        raise DimensionMismatch("initial_estimate must be finite")
+    x0 = as_finite_vector(config.initial_estimate, model.n, "initial_estimate")
     P0 = _covariance(config.initial_covariance, "initial_covariance", shape=(model.n, model.n))
 
     mode = config.gain_mode
@@ -211,9 +210,7 @@ def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
     """
     Gu = d.Zu @ L.T
     Gu[len(Gu) - model.m:] += model.B.T
-    G = np.hstack([np.vstack([_error_map(model, d, L).T, L.T, Gu]), d.Gd])
-    G.setflags(write=False)
-    return G
+    return sealed(np.hstack([np.vstack([_error_map(model, d, L).T, L.T, Gu]), d.Gd]))
 
 
 def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
@@ -247,9 +244,9 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     except InnovationCovarianceSingular:
         return gain._replace(frozen=True)
     P_next = covariance_update(model, noise, ops.r, L, P)
-    P_next.P.setflags(write=False)      # shared by every session of the plan
+    sealed(P_next.P)                    # shared by every session of the plan
     frozen = _overflowed(P_next) or _settled(P, P_next)
-    return _Gain(readonly(L), _update_map(model, ops.d, L), P_next, frozen)
+    return _Gain(sealed(L), _update_map(model, ops.d, L), P_next, frozen)
 
 
 # The update, shared by step() and run_filter(), is one product of the raw row
@@ -509,14 +506,14 @@ def classify_convergence(model: SystemModel, r: int, L) -> str:
 def predicted_error_sequence(model: SystemModel, r: int, L, eps0, T: int) -> np.ndarray:
     """eps_j = (A - L C A^(r+1))^j eps0 for j = 0..T, one row per j.
 
-    In the noiseless case this is exactly the estimation error of the
-    running filter, which makes overlay comparisons against simulated
-    errors meaningful.
+    eps0 is n finite values. In the noiseless case this is exactly the
+    estimation error of the running filter, which makes overlay comparisons
+    against simulated errors meaningful.
     """
     T = _integer("T", T)
     if T < 0:
         raise DimensionMismatch(f"T must be an integer >= 0, got {T}")
-    eps = as_float_vector(eps0, model.n, "eps0")
+    eps = as_finite_vector(eps0, model.n, "eps0")
     M = error_dynamics_matrix(model, r, L)
     out = np.empty((T + 1, model.n))
     out[0] = eps

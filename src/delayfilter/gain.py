@@ -22,12 +22,11 @@ import numpy as np
 
 from .errors import (
     ConstraintViolated,
-    DimensionMismatch,
     InnovationCovarianceSingular,
     NotSquare,
     PreconditionViolated,
 )
-from .linalg import as_float_array, frob, spectral_radius
+from .linalg import as_float_array, as_float_matrix, frob, spectral_radius
 from .markov import _Delay, _delay, _feasible
 from .model import NoiseSpec, SystemModel, _covariance, _integer, _sized
 
@@ -64,15 +63,13 @@ def _overflowed(P: CovarianceState) -> bool:
     return P.trace > COVARIANCE_CAP or not np.isfinite(P.P).all()
 
 
-def _p_matrix(P_prev, n: int, name: str = "P_prev") -> np.ndarray:
-    """P_prev, a matrix or CovarianceState, as a finite (n, n) matrix, the identity if omitted.
-    Not the covariance rule: the schedule and the policy iteration pass their own here."""
+def _p_matrix(P_prev, n: int, name: str = "P_prev", read=as_float_matrix) -> np.ndarray:
+    """P_prev, a matrix or CovarianceState, read as an (n, n) matrix, the identity if omitted.
+    read is as_float_matrix, finite and no covariance rule, for the P the schedule and the
+    policy iteration pass their own; steady_state_gain reads a given P0 by model._covariance."""
     if P_prev is None:
         return np.eye(n)
-    P = as_float_array(P_prev.P if isinstance(P_prev, CovarianceState) else P_prev, name, (n, n))
-    if not np.isfinite(P).all():
-        raise DimensionMismatch(f"{name} must be finite")
-    return P
+    return read(P_prev.P if isinstance(P_prev, CovarianceState) else P_prev, name, shape=(n, n))
 
 
 def constraint_target(model: SystemModel, r: int) -> np.ndarray:
@@ -249,10 +246,7 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     covariance rule (model._covariance).
     """
     max_iter = _integer("max_iter", max_iter)
-    P = _p_matrix(P0, model.n, "P0")
-    if P0 is not None:
-        _covariance(P, "P0")
-    P = covariance_state(P)
+    P = covariance_state(_p_matrix(P0, model.n, "P0", _covariance))
     gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
     stable = False
     for _ in range(max_iter):

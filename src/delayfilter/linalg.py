@@ -1,7 +1,11 @@
 """Dense linear-algebra helpers with the package's tolerance conventions.
 
-as_float_array is the one reader of every array a caller passes (as_float_vector
-and as_float_matrix call it); the helpers below take arrays the package built.
+The package's one array policy is here, in three parts. as_float_array is the one
+reader of every array a caller passes (as_float_vector, as_finite_vector and
+as_float_matrix call it): it decides what such an array may be. readonly keeps a
+caller's array: a read-only C-order copy, so no later change by the caller reaches
+it. sealed keeps an array the package built: its write flag is cleared in place, and
+it is not copied. The other helpers take arrays the package built.
 
 Every rank decision in the package is rank_above: the singular values above
 scale * max(shape) * RANK_RCOND, none at a zero scale. markov ranks the
@@ -49,6 +53,14 @@ def as_float_vector(x, size: int, name: str) -> np.ndarray:
         x = as_float_array(x, name).reshape(-1)
     if x.shape != (size,):
         raise DimensionMismatch(f"{name} must have length {size}, got {x.shape}")
+    return x
+
+
+def as_finite_vector(x, size: int, name: str) -> np.ndarray:
+    """as_float_vector's x, which must also be finite (DimensionMismatch)."""
+    x = as_float_vector(x, size, name)
+    if not np.isfinite(x).all():
+        raise DimensionMismatch(f"{name} must be finite")
     return x
 
 
@@ -115,7 +127,11 @@ def rms(a: np.ndarray) -> float:
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous copy with the write flag cleared."""
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """A caller's float array kept: a new C-contiguous copy with the write flag cleared."""
+    return sealed(np.array(a, dtype=float, order="C"))
+
+
+def sealed(a: np.ndarray) -> np.ndarray:
+    """An array the package built, with its write flag cleared in place: a, not a copy."""
+    a.setflags(write=False)
+    return a

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DelayOutOfRange, InfeasibleDelay
-from .linalg import frob, numerical_rank, pinv_cut, rank_above, readonly
+from .linalg import frob, numerical_rank, pinv_cut, rank_above, readonly, sealed
 from .model import SystemModel
 
 RESIDUAL_RTOL = 1e-9          # residual <= RESIDUAL_RTOL * (1 + ||H||_F)
@@ -49,12 +49,6 @@ def _check_delay(r: int, top: int | None, what: str = "delay") -> None:
         raise DelayOutOfRange(f"{what} must be an integer, got {r!r}")
     if r < 0 or (top is not None and r > top):
         raise DelayOutOfRange(f"{what} {r} outside 0..{'inf' if top is None else top}")
-
-
-def _sealed(a: np.ndarray) -> np.ndarray:
-    """A freshly computed array, with its write flag cleared in place."""
-    a.setflags(write=False)
-    return a
 
 
 def _rank_steps(ranks, p: int) -> tuple:
@@ -109,8 +103,8 @@ class _Delay:
     def Gd(self) -> np.ndarray:
         """[xhat | y[k] | u[k] ... u[k-r-1]] Gd = [innovation | ehat = innovation ((CA^rH)^+)^T]."""
         I = np.eye(self.S.shape[0])         # innovation = z - xhat (C A^(r+1))^T, z = y + u Zu
-        return readonly(np.vstack([-self.CA[self.r + 1].T, I, self.Zu])
-                        @ np.hstack([I, pinv_cut(self.blocks[self.r]).T]))
+        return sealed(np.vstack([-self.CA[self.r + 1].T, I, self.Zu])
+                      @ np.hstack([I, pinv_cut(self.blocks[self.r]).T]))
 
 
 class _Profile(NamedTuple):
@@ -146,21 +140,21 @@ def _profile(model: SystemModel) -> _Profile:
     powers, CA = [model.H], [model.C]   # A^d H and C A^d, by repeated multiplication
     for _ in range(n):
         powers.append(model.A @ powers[-1])
-        CA.append(_sealed(CA[-1] @ model.A))
+        CA.append(sealed(CA[-1] @ model.A))
     c_norm = frob(model.C)
     scales = tuple(c_norm * frob(X) for X in powers)
-    blocks = tuple(_sealed(model.C @ X) for X in powers)
+    blocks = tuple(sealed(model.C @ X) for X in powers)
     # one batched SVD ranks the n+1 equal-shaped blocks, each at its own scale
     singular = np.linalg.svd(np.stack(blocks), compute_uv=False)
     markov_ranks = tuple(rank_above(s, (l, p), scale) for s, scale in zip(singular, scales))
-    S = tuple(_sealed(np.hstack(blocks[r::-1])) for r in range(n))
+    S = tuple(sealed(np.hstack(blocks[r::-1])) for r in range(n))
     s_ranks = tuple(numerical_rank(S[r], max(scales[:r + 1])) for r in range(n))
     return _Profile(
         blocks=blocks, scales=scales, markov_ranks=markov_ranks, s_ranks=s_ranks,
         feasible=_rank_steps(s_ranks, p), CA=tuple(CA), S=S,
-        Zu=_sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]])),
-        Eb=_sealed(np.hstack(CA[n - 1::-1] + [np.eye(l)])),
-        H0=_sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))])), delays={})
+        Zu=sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]])),
+        Eb=sealed(np.hstack(CA[n - 1::-1] + [np.eye(l)])),
+        H0=sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))])), delays={})
 
 
 def _constants(model: SystemModel, profile: _Profile, r: int) -> _Delay:
@@ -172,8 +166,8 @@ def _constants(model: SystemModel, profile: _Profile, r: int) -> _Delay:
     H0, L_min, N = profile.H0[:, :(r + 1) * p], None, None
     if r in profile.feasible:           # one SVD of S_r, cut at the rank the profile gave it
         U, s, Vt = np.linalg.svd(profile.S[r])
-        k = profile.s_ranks[r]
-        L_min, N = _sealed((H0 @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
+        k = profile.s_ranks[r]          # N is copied: BLAS rounds a strided view differently
+        L_min, N = sealed((H0 @ Vt[:k].T / s[:k]) @ U[:, :k].T), readonly(U[:, k:])
     d = _Delay(
         r=r, CA=profile.CA[:r + 2], Zu=profile.Zu[:(r + 2) * model.m],
         blocks=profile.blocks[:r + 1], S=profile.S[r], Eb=profile.Eb[:, (n - 1 - r) * n:],

@@ -33,7 +33,7 @@ from .errors import (
     TooManyInputs,
     TooManyOutputs,
 )
-from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly
+from .linalg import as_float_array, as_float_matrix, is_symmetric, numerical_rank, readonly
 
 PSD_RTOL = 1e-10
 
@@ -150,10 +150,10 @@ def _sized(noise: NoiseSpec | None, model: SystemModel) -> NoiseSpec:
 
 
 def validate_noise(Q, R, model: SystemModel) -> NoiseSpec:
-    """A read-only NoiseSpec(Q, R), which applies the covariance rule, sized for
-    the model and with R strictly positive definite, as a model file's must be: the
-    one test the rule leaves, on the R it has already checked."""
-    Q, R = as_float_matrix(Q, "Q"), as_float_matrix(R, "R")
+    """A NoiseSpec of read-only copies of Q and R, which applies the covariance rule (its
+    finiteness test included), sized for the model and with R strictly positive definite,
+    as a model file's must be: the one test the rule leaves, on the R it has already checked."""
+    Q, R = as_float_array(Q, "Q"), as_float_array(R, "R")
     noise = _sized(NoiseSpec(Q=readonly(Q), R=readonly(R)), model)
     rmin = np.linalg.eigvalsh(0.5 * (noise.R + noise.R.T))[0]
     if rmin <= 0.0:

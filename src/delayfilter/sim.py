@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch
 from .filtering import FilterConfig, _recurse, _validated, run_filter
-from .linalg import as_float_vector, psd_factor, readonly, rms
+from .linalg import as_finite_vector, psd_factor, rms, sealed
 from .markov import _feasible
 from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
@@ -174,14 +174,11 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     advanced, so runs are byte-reproducible.
     """
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
-    start = np.zeros(model.n) if x0 is None else as_float_vector(x0, model.n, "x0")
-    if not np.isfinite(start).all():
-        raise DimensionMismatch("x0 must be finite")
+    start = np.zeros(model.n) if x0 is None else as_finite_vector(x0, model.n, "x0")
     factors = _noise_factors(None if noise is None else _sized(noise, model))
     w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
     x, y = _propagate(model, start, w, v, e, u)
-    return Trajectory(T=T, x=readonly(x), y=readonly(y), e=readonly(e),
-                      u=readonly(u), w=readonly(w), v=readonly(v), seed=seed)
+    return Trajectory(T, *map(sealed, (x, y, e, u, w, v)), seed=seed)
 
 
 def compartmental_model(n: int, alpha: float, beta: float,
