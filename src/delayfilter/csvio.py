@@ -51,10 +51,14 @@ def _write_table(path, header: list[str], rows: np.ndarray, blank=None) -> None:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    """Write a simulated trajectory (measurements plus truth columns)."""
-    l, m, n, p = traj.y.shape[1], traj.u.shape[1], traj.x.shape[1], traj.e.shape[1]
-    header = ["k"] + _names("y", l) + _names("u", m) + _names("x", n) + _names("e", p)
-    _write_table(path, header, np.hstack([traj.y, traj.u, traj.x, traj.e]))
+    """Write a simulated trajectory (measurements plus truth columns). Its y, u, x and e
+    are read by as_float_array and must be 2-d with one row count (DimensionMismatch)."""
+    blocks = [as_float_array(getattr(traj, name), name) for name in "yuxe"]
+    for name, a in zip("yuxe", blocks):
+        if a.ndim != 2 or len(a) != len(blocks[0]):
+            raise DimensionMismatch(f"{name} must be 2-d, with as many rows as y, got {a.shape}")
+    header = ["k"] + [c for name, a in zip("yuxe", blocks) for c in _names(name, a.shape[1])]
+    _write_table(path, header, np.hstack(blocks))
 
 
 def _is_blank(row: list[str]) -> bool:

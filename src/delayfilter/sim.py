@@ -5,9 +5,9 @@ residuals are zero by construction and every run is reproducible from
 its seed. It is two stages: _draw() takes a seed and a trial count and
 returns the trials' noise and signal samples on a leading trial axis, and
 _propagate() runs the state recursion over the batch, time-major. A seed
-is an int, a list of ints or a SeedSequence; child i of a seed is the
-child seed.spawn would hand out i-th, built without advancing the seed,
-so one seed always gives one trajectory.
+is an int >= 0, a list of them or a SeedSequence, read by _sequence before
+anything is drawn; child i of a seed is the child seed.spawn would hand out
+i-th, built without advancing the seed, so one seed always gives one trajectory.
 
 run_experiment() drives the filter over a trajectory with run_filter()
 and scores it against the truth. monte_carlo_bias() repeats that over
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch
 from .filtering import FilterConfig, _recurse, _validated, run_filter
-from .linalg import as_finite_vector, psd_factor, rms, sealed
+from .linalg import as_finite_vector, as_float_array, psd_factor, rms, sealed
 from .markov import _feasible
 from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
 from .signals import RANDOM_KINDS, SignalSpec, signal_values
@@ -75,7 +75,8 @@ def _noise_factors(noise: NoiseSpec | None):
 
 
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
-    """Validated (T, e_signals, u_signals); omitted u_signals mean zero."""
+    """Validated (T, e_signals, u_signals): one SignalSpec per channel, e1.. then u1..;
+    omitted u_signals mean zero."""
     T = _integer("T", T)
     if T < 1:
         raise DimensionMismatch(f"T must be >= 1, got {T}")
@@ -89,11 +90,22 @@ def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
     if len(u_signals) != model.m:
         raise DimensionMismatch(
             f"need {model.m} known-input signals, got {len(u_signals)}")
+    for name, specs in (("e", e_signals), ("u", u_signals)):
+        for c, spec in enumerate(specs):
+            if not isinstance(spec, SignalSpec):
+                raise DimensionMismatch(f"{name}{c + 1} must be a SignalSpec, got {spec!r}")
     return T, e_signals, u_signals
 
 
 def _sequence(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """seed as a SeedSequence; DimensionMismatch for a seed numpy's SeedSequence rejects."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):     # -1, 1.5, "a", ...
+        raise DimensionMismatch(f"seed must be an integer >= 0, a sequence of them or a "
+                                f"SeedSequence, got {seed!r}") from None
 
 
 def _child(seed, i: int) -> np.random.SeedSequence:
@@ -176,7 +188,8 @@ def simulate(model: SystemModel, noise: NoiseSpec | None, e_signals, T: int,
     T, e_signals, u_signals = _check_signals(model, e_signals, u_signals, T)
     start = np.zeros(model.n) if x0 is None else as_finite_vector(x0, model.n, "x0")
     factors = _noise_factors(None if noise is None else _sized(noise, model))
-    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, seed, 1))
+    sequence = _sequence(seed)
+    w, v, e, u = (a[0] for a in _draw(model, factors, e_signals, u_signals, T, sequence, 1))
     x, y = _propagate(model, start, w, v, e, u)
     return Trajectory(T, *map(sealed, (x, y, e, u, w, v)), seed=seed)
 
@@ -218,14 +231,20 @@ def run_experiment(model: SystemModel, noise: NoiseSpec | None,
                    config: FilterConfig, trajectory: Trajectory):
     """Drive the filter over a trajectory; score against the truth.
 
+    The trajectory's y, x and e are read by as_float_array as (T+1, l), (T+1, n)
+    and (T+1, p) arrays (DimensionMismatch), and u by run_filter.
+
     Returns (ErrorStats, FilterRun): the scores and the run_filter
     result they were computed from, warm-up rows included.
     """
-    run = run_filter(model, noise, config, trajectory.y, trajectory.u)
+    T = _integer("T", trajectory.T)
+    y, x, e = (as_float_array(getattr(trajectory, name), name, (T + 1, width))
+               for name, width in (("y", model.l), ("x", model.n), ("e", model.p)))
+    run = run_filter(model, noise, config, y, trajectory.u)
     r = int(config.r)
-    ks = np.arange(r + 1, trajectory.T + 1)
-    serr = trajectory.x[ks - r] - run.state_estimates[ks]
-    ierr = trajectory.e[ks - r - 1] - run.input_estimates[ks]
+    ks = np.arange(r + 1, T + 1)
+    serr = x[ks - r] - run.state_estimates[ks]
+    ierr = e[ks - r - 1] - run.input_estimates[ks]
     stats = ErrorStats(
         ks=ks,
         state_errors=serr,
@@ -266,7 +285,7 @@ def monte_carlo_bias(model: SystemModel, noise: NoiseSpec, config: FilterConfig,
     flag to mean anything.
     """
     T, signals, u_signals = _check_signals(model, signals, None, T)
-    trials = _integer("trials", trials)
+    trials, seed = _integer("trials", trials), _sequence(seed)
     if ks is None:
         ks = (max(1, T // 4), max(1, T // 2), T)
     ks = tuple(_integer("bias sample time", k) for k in ks)

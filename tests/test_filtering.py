@@ -275,6 +275,14 @@ def test_predicted_error_sequence_rejects_a_bad_T(T):
         assert df.predicted_error_sequence(E1, 1, L, [1.0, -2.0], five).shape == (6, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_predicted_error_sequence_rejects_a_nonfinite_eps0(bad):
+    # eps0 is read as initial_estimate and x0 are: n finite values
+    L = df.square_gain(E1, 1).L
+    with pytest.raises(df.DimensionMismatch, match="eps0 must be finite"):
+        df.predicted_error_sequence(E1, 1, L, [1.0, bad], 5)
+
+
 def test_classify_convergence_verdicts():
     # deadbeat: the unique square gain of the chain system
     L = df.square_gain(E1, 1).L

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter import filtering
+from delayfilter import filtering, linalg, model as model_module
 from delayfilter.linalg import as_float_array, as_float_matrix, as_float_vector
 from delayfilter.model import PSD_RTOL
 
@@ -336,6 +336,31 @@ def test_a_float64_argument_is_read_without_a_copy(monkeypatch):
     y_reads = [(x, out) for name, x, out in reads if name == "y_k"]
     assert len(y_reads) == len(samples)
     assert all(x is y and out is y for (x, out), y in zip(y_reads, samples))
+
+
+def test_readonly_keeps_a_c_order_copy_and_sealed_keeps_the_array():
+    a = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    kept = linalg.readonly(a)
+    assert kept.flags.c_contiguous and not kept.flags.writeable
+    assert kept is not a and not np.shares_memory(kept, a) and np.array_equal(kept, a)
+    assert a.flags.writeable                # the caller's array is left as it was
+    built = np.ones(3)
+    assert linalg.sealed(built) is built and not built.flags.writeable
+
+
+def test_validate_noise_reads_q_and_r_once(monkeypatch):
+    # the reader's shape and finiteness test runs once per covariance, in NoiseSpec's rule
+    calls = []
+
+    def counted(x, name, shape=None):
+        calls.append(name)
+        return as_float_matrix(x, name, shape)
+
+    model = df.validate_model(A2, H2, C2)
+    monkeypatch.setattr(model_module, "as_float_matrix", counted)
+    noise = df.validate_noise([[1e-4, 0.0], [0.0, 1e-4]], [[1e-4]], model)
+    assert calls == ["Q", "R"]
+    assert not noise.Q.flags.writeable and not noise.R.flags.writeable
 
 
 def _doc(**extra):

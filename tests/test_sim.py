@@ -1,5 +1,6 @@
 """Signal generation, simulation, and experiment scoring."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter import sim
+from delayfilter import csvio, sim
 from delayfilter.linalg import psd_factor
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
@@ -377,6 +378,89 @@ def test_run_experiment_scores_a_divergent_run_without_a_warning():
         stats, _ = df.run_experiment(model, noise, config, traj)
     for score in (stats.state_rms, stats.input_rms):
         assert not np.isfinite(score) or score > 1e100
+
+
+_C25 = df.reference_example("compartmental-25")[0]
+_C25_TRAJECTORY = df.simulate(_C25, None, df.example_signals(_C25), 20, seed=1)
+# field changes a caller can make with dataclasses.replace
+_TRAJECTORY_CHANGES = {
+    "complex-x": dict(x=_C25_TRAJECTORY.x + 0.5j),
+    "one-column-e": dict(e=_C25_TRAJECTORY.e[:, :1]),
+    "short-x": dict(x=_C25_TRAJECTORY.x[:5]),
+    "T-past-the-record": dict(T=50),
+    "one-d-y": dict(y=_C25_TRAJECTORY.y[:, 0]),
+}
+# the message each reader raises; write_trajectory knows no model and no T, only the row count
+_TRAJECTORY_MESSAGES = {
+    "run_experiment": {
+        "complex-x": "x: not a real numeric array",
+        "one-column-e": r"e must be \(21, 2\), got \(21, 1\)",
+        "short-x": r"x must be \(21, 6\), got \(5, 6\)",
+        "T-past-the-record": r"y must be \(51, 2\), got \(21, 2\)",
+        "one-d-y": r"y must be \(21, 2\), got \(21,\)",
+    },
+    "write_trajectory": {
+        "complex-x": "x: not a real numeric array",
+        "short-x": r"x must be 2-d, with as many rows as y, got \(5, 6\)",
+        "one-d-y": r"y must be 2-d, with as many rows as y, got \(21,\)",
+    },
+}
+_TRAJECTORY_READERS = {
+    "run_experiment": lambda traj, tmp_path: df.run_experiment(
+        _C25, None, df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(6),
+                                    initial_covariance=np.eye(6)), traj),
+    "write_trajectory": lambda traj, tmp_path: csvio.write_trajectory(tmp_path / "t.csv", traj),
+}
+
+
+@pytest.mark.parametrize("reader, case", [(reader, case) for reader, cases in
+                                          _TRAJECTORY_MESSAGES.items() for case in cases])
+def test_a_callers_trajectory_is_read_by_the_one_reader(tmp_path, reader, case):
+    bad = dataclasses.replace(_C25_TRAJECTORY, **_TRAJECTORY_CHANGES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(df.DimensionMismatch, match=_TRAJECTORY_MESSAGES[reader][case]):
+            _TRAJECTORY_READERS[reader](bad, tmp_path)
+
+
+_NOISE_E1 = df.NoiseSpec(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
+_CONFIG_E1 = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(2),
+                             initial_covariance=np.eye(2))
+_SEED_READERS = {
+    "simulate-noiseless": lambda seed: df.simulate(
+        E1, None, [df.parse_signal_spec("sine:1:20")], 10, seed=seed),
+    "simulate-noise": lambda seed: df.simulate(
+        E1, _NOISE_E1, [df.parse_signal_spec("sine:1:20")], 10, seed=seed),
+    "monte_carlo_bias": lambda seed: df.monte_carlo_bias(
+        E1, _NOISE_E1, _CONFIG_E1, [df.parse_signal_spec("sine:1:20")], trials=3, T=10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a"], ids=["negative", "fractional", "string"])
+@pytest.mark.parametrize("entry", list(_SEED_READERS))
+def test_a_seed_is_read_once_before_any_draw(monkeypatch, entry, seed):
+    def drawn(*args):
+        raise AssertionError("a batch was drawn before the seed was read")
+
+    monkeypatch.setattr(sim, "_draw", drawn)
+    with pytest.raises(df.DimensionMismatch, match=f"seed must be .*, got {seed!r}"):
+        _SEED_READERS[entry](seed)
+
+
+_SINE = df.parse_signal_spec("sine:1:40")
+_SIGNAL_READERS = {
+    "simulate-e": (lambda: df.simulate(E1, None, ["sine:1:40"], 10), "e1"),
+    "simulate-u": (lambda: df.simulate(E1U, None, [_SINE], 10, u_signals=["sine:1:4"]), "u1"),
+    "monte_carlo_bias-e": (lambda: df.monte_carlo_bias(E1, _NOISE_E1, _CONFIG_E1, ["sine:1:4"],
+                                                       trials=3, T=10), "e1"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SIGNAL_READERS))
+def test_a_signal_that_is_not_a_signal_spec_is_rejected(entry):
+    call, channel = _SIGNAL_READERS[entry]
+    with pytest.raises(df.DimensionMismatch, match=f"{channel} must be a SignalSpec, got 'sine:1:4"):
+        call()
 
 
 def test_monte_carlo_bias_shapes():
