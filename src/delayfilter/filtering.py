@@ -175,6 +175,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     else:
         raise PreconditionViolated(f"unknown gain mode {mode!r}")
     gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
+    sealed(gain.P.P)                    # the first refresh reads it into the plan's schedule
     return FilterState(0, readonly(x0), (), gain, ops, noise)
 
 

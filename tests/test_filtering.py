@@ -275,6 +275,18 @@ def test_predicted_error_sequence_rejects_a_bad_T(T):
         assert df.predicted_error_sequence(E1, 1, L, [1.0, -2.0], five).shape == (6, 2)
 
 
+def test_the_initial_covariance_is_sealed():
+    # the first refresh of a TimeVaryingMinVar session reads it, and the plan's schedule,
+    # shared by every session of (model, r, Q, R, P0), keeps the gain it gives
+    model = df.reference_example("nonsquare3")[0]
+    noise = df.default_noise(model)
+    config = df.FilterConfig(r=1, gain_mode=df.TIME_VARYING_MINVAR,
+                             initial_estimate=np.zeros(model.n), initial_covariance=np.eye(model.n))
+    state = df.init_filter(model, noise, config)
+    with pytest.raises(ValueError, match="read-only"):
+        state.P.P[0, 0] = 100.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_predicted_error_sequence_rejects_a_nonfinite_eps0(bad):
     # eps0 is read as initial_estimate and x0 are: n finite values
