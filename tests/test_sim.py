@@ -449,7 +449,7 @@ def test_a_seed_is_read_once_before_any_draw(monkeypatch, entry, seed):
 
 _SINE = df.parse_signal_spec("sine:1:40")
 _SIGNAL_READERS = {
-    "simulate-e": (lambda: df.simulate(E1, None, ["sine:1:40"], 10), "e1"),
+    "simulate-e": (lambda: df.simulate(E1, None, ["sine:1:4"], 10), "e1"),
     "simulate-u": (lambda: df.simulate(E1U, None, [_SINE], 10, u_signals=["sine:1:4"]), "u1"),
     "monte_carlo_bias-e": (lambda: df.monte_carlo_bias(E1, _NOISE_E1, _CONFIG_E1, ["sine:1:4"],
                                                        trials=3, T=10), "e1"),
@@ -459,7 +459,8 @@ _SIGNAL_READERS = {
 @pytest.mark.parametrize("entry", list(_SIGNAL_READERS))
 def test_a_signal_that_is_not_a_signal_spec_is_rejected(entry):
     call, channel = _SIGNAL_READERS[entry]
-    with pytest.raises(df.DimensionMismatch, match=f"{channel} must be a SignalSpec, got 'sine:1:4"):
+    with pytest.raises(df.DimensionMismatch,
+                       match=f"{channel} must be a SignalSpec, got 'sine:1:4'$"):
         call()
 
 
