@@ -268,10 +268,10 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
     inputs. model, and in TimeVaryingMinVar mode noise, must be the
     objects given to init_filter: the state's gain belongs to them.
     """
-    ops, k = state.ops, state.k
+    k, xhat, buffer, gain, ops, state_noise = state
     if model is not ops.model:
         raise PreconditionViolated("step got a model other than the one given to init_filter")
-    if ops.noise is not None and noise is not state.noise:
+    if ops.noise is not None and noise is not state_noise:
         raise PreconditionViolated("step got a noise other than the one given to init_filter")
     y, u = as_float_vector(y_k, model.l, "y_k"), ()   # u: (u_k,) if the model has known inputs
     if model.m > 0:
@@ -280,17 +280,16 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
         u = (as_float_vector(u_k, model.m, "u_k").copy(),)  # kept r+1 steps: not the caller's
 
     if k <= ops.r:
-        return state._replace(k=k + 1, u_buffer=state.u_buffer + u), None
+        return state._replace(k=k + 1, u_buffer=buffer + u), None
 
-    gain = state.gain
     if not gain.frozen:
         gain = _gain_at(ops, k - ops.r - 1, gain)
-    # np.dot makes the same BLAS call as @ with less dispatch around it
-    out = np.dot(np.concatenate((state.xhat_delayed, y) + u + state.u_buffer[::-1]), gain.G)
+    # ndarray.dot makes the same BLAS call as @ with less dispatch around it
+    out = np.concatenate((xhat, y) + u + buffer[::-1]).dot(gain.G)
     n, l = model.n, model.l
     out.setflags(write=False)           # the state and the output share it
     xhat = out[:n]
-    return (_tuple(FilterState, (k + 1, xhat, state.u_buffer[1:] + u, gain, ops, state.noise)),
+    return (_tuple(FilterState, (k + 1, xhat, buffer[1:] + u, gain, ops, state_noise)),
             _tuple(StepOutput, (k, xhat, out[n + l:], out[n:n + l])))
 
 
@@ -437,7 +436,7 @@ def _step(W, Gx, rows) -> None:
     """W[j+1, ..., :n] = W[j] Gx for each j in rows, one product per row."""
     n = Gx.shape[1]
     for j in rows:
-        W[j + 1, ..., :n] = W[j] @ Gx
+        W[j + 1, ..., :n] = W[j].dot(Gx)
 
 
 def _scan(W, Gx) -> None:
@@ -468,11 +467,11 @@ def _scan(W, Gx) -> None:
     np.matmul(by_row_in_block(W[:-1, ..., n:]), Gx[n:], out=x)
     P[0], P[1:] = Gx[:n], 0.0
     for t in range(1, s):
-        Y[t] += Y[t - 1] @ Gx[:n]
+        Y[t] += Y[t - 1].dot(Gx[:n])
     starts = np.empty(x.shape[1:])                      # x[ks]
     starts[0], starts[1:] = W[0, ..., :n], x[s - 1, :-1]
     for k in range(1, K):
-        starts[k] += starts[k - 1] @ P[s - 1]
+        starts[k] += starts[k - 1].dot(P[s - 1])
     lift = (starts.reshape(rows, n) @ P).reshape(x.shape)
     np.add(x, lift, out=by_row_in_block(W[1:, ..., :n]))
 

@@ -239,16 +239,20 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
     is stabilizing too. The doubling needs about log2(log eps / log rho(F))
     rounds, fewer than DOUBLING_ROUNDS for every double rho(F) < 1; a solve
     that has not settled by then, or whose F rounding has left unstable, takes
-    the step too. An unstable unique gain (N empty: rank S_r = l) returns at once
-    with P0; an overflow or a singular innovation covariance ends the run
-    with the last gain. max_iter, an integer, caps the rounds. A given P0, a
-    matrix or the CovarianceState this returns, must be n x n and pass the
-    covariance rule (model._covariance).
+    the step too. Hewer's iteration lowers the exact covariance every round,
+    so a round whose exact trace is not below the last one's has met
+    rounding, not the fixed point: it returns the last gain and its exact
+    covariance, not converged, since no step has settled. An unstable unique
+    gain (N empty: rank S_r = l) returns at once with P0; an overflow or a
+    singular innovation covariance ends the run with the last gain.
+    max_iter, an integer, caps the rounds. A given P0, a matrix or the
+    CovarianceState this returns, must be n x n and pass the covariance rule
+    (model._covariance).
     """
     max_iter = _integer("max_iter", max_iter)
     P = covariance_state(_p_matrix(P0, model.n, "P0", _covariance))
     gain, d = minvar_gain(model, noise, r, P), _feasible(model, r)
-    stable = False
+    stable, previous = False, None      # previous: the last round's gain once P is its exact P
     for _ in range(max_iter):
         F, W = _error_terms(model, noise, d, gain.L)     # minvar_gain gated every gain
         stable = stable or spectral_radius(F) < 1.0
@@ -259,7 +263,10 @@ def steady_state_gain(model: SystemModel, noise: NoiseSpec, r: int,
             return gain, P_next, False
         if _settled(P, P_next):
             return gain, P, True
-        P = (_lyapunov(F, W) if stable else None) or P_next
+        exact = _lyapunov(F, W) if stable else None
+        if exact and previous and exact.trace >= P.trace:
+            return previous, P, False   # no lower cost than the last gain's: the iteration stalled
+        previous, P = (gain if exact else None), exact or P_next
         try:
             gain = minvar_gain(model, noise, r, P)
         except InnovationCovarianceSingular:

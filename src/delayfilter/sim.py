@@ -98,14 +98,17 @@ def _check_signals(model: SystemModel, e_signals, u_signals, T: int):
 
 
 def _sequence(seed) -> np.random.SeedSequence:
-    """seed as a SeedSequence; DimensionMismatch for a seed numpy's SeedSequence rejects."""
+    """seed as a SeedSequence; DimensionMismatch for None, which would draw OS entropy,
+    and for a seed numpy's SeedSequence rejects."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    try:
-        return np.random.SeedSequence(seed)
-    except (TypeError, ValueError):     # -1, 1.5, "a", ...
-        raise DimensionMismatch(f"seed must be an integer >= 0, a sequence of them or a "
-                                f"SeedSequence, got {seed!r}") from None
+    if seed is not None:
+        try:
+            return np.random.SeedSequence(seed)
+        except (TypeError, ValueError):     # -1, 1.5, "a", ...
+            pass
+    raise DimensionMismatch(f"seed must be an integer >= 0, a sequence of them or a "
+                            f"SeedSequence, got {seed!r}")
 
 
 def _child(seed, i: int) -> np.random.SeedSequence:
@@ -168,7 +171,7 @@ def _propagate(model: SystemModel, x0, w, v, e, u):
     drive += wt
     At, buf = model.A.T, np.empty_like(xt[0])
     for prev, nxt in zip(xt[:-1], drive):
-        np.dot(prev, At, out=buf)       # cheaper per step than np.matmul with out=
+        prev.dot(At, out=buf)           # cheaper per step than np.matmul with out=
         np.add(buf, nxt, out=nxt)       # A x + drive: IEEE addition commutes
     x = np.moveaxis(xt, 0, -2)
     return x, x @ model.C.T + u @ model.D.T + v

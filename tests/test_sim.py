@@ -436,7 +436,8 @@ _SEED_READERS = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "a"], ids=["negative", "fractional", "string"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", None],
+                         ids=["negative", "fractional", "string", "none"])
 @pytest.mark.parametrize("entry", list(_SEED_READERS))
 def test_a_seed_is_read_once_before_any_draw(monkeypatch, entry, seed):
     def drawn(*args):
