@@ -21,7 +21,8 @@ holds both commits' line and code-line counts of src/delayfilter, as CI's
 interrupted session keeps what it ran. --claim WORKLOAD:METRIC adds the
 gain rule's verdict: the change better in at least nine tenths of the
 pairs, and the medians further apart than the parent's quartiles.
---trace-seed adds one `--trace 1` run per side of the first workload.
+--trace-seed adds one `--trace 1` run per side of the first workload, of
+the same length.
 Only the standard library is used.
 """
 
@@ -58,7 +59,6 @@ def parse_args(argv):
     parser.add_argument("--what", default="", help="what the change is, for the record")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--trace-seed", type=int)
-    parser.add_argument("--trace-seconds", type=float, default=10.0)
     return parser.parse_args(argv)
 
 
@@ -212,12 +212,11 @@ def main(argv=None) -> int:
         if args.trace_seed is not None:
             w = args.workloads[0]
             record["traced_runs"] = {"workload": w, "seed": args.trace_seed,
-                                     "seconds": args.trace_seconds}
+                                     "seconds": args.seconds}
             for side in SIDES:
                 record["traced_runs"][side] = bench(trees[side], w, args.trace_seed,
-                                                    args.trace_seconds, 1)
+                                                    args.seconds, 1)
                 save()
-        save()
     return 0
 
 

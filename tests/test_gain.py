@@ -506,16 +506,15 @@ def test_steady_state_stops_once_policy_evaluation_stops_improving(monkeypatch):
     # whose exact trace is not below the last one's has met rounding: it returns the
     # last gain with its exact covariance, not converged
     noise, rounds = df.default_noise(STALLED), []
-    error_terms = df.gain._error_terms
     monkeypatch.setattr(df.gain, "_error_terms",
-                        lambda *args: rounds.append(1) or error_terms(*args))
+                        lambda *args: rounds.append(1) or _error_terms(*args))
     res, cov, converged = df.steady_state_gain(STALLED, noise, 2, max_iter=2000)
     assert converged is False and len(rounds) <= 10
     assert df.classify_convergence(STALLED, 2, res.L) == df.ASYMPTOTIC
     d = _delay(STALLED, 2)
-    assert cov.P.tobytes() == _lyapunov(*error_terms(STALLED, noise, d, res.L)).P.tobytes()
+    assert cov.P.tobytes() == _lyapunov(*_error_terms(STALLED, noise, d, res.L)).P.tobytes()
     following = df.minvar_gain(STALLED, noise, 2, cov)
-    assert _lyapunov(*error_terms(STALLED, noise, d, following.L)).trace >= cov.trace
+    assert _lyapunov(*_error_terms(STALLED, noise, d, following.L)).trace >= cov.trace
 
 
 def test_frob_is_numpys_frobenius_norm_bit_for_bit():
