@@ -16,6 +16,7 @@ its cross term and the covariance step all read it (_noise_covariance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,12 +130,15 @@ def _noise_covariance(E: np.ndarray, Caa: np.ndarray, noise: NoiseSpec) -> np.nd
 def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
     """(V, G): the nonsingular innovation covariance and G = Caa (CA^r)^T, its cross
     covariance with a = A eps_(k-1) + w_(k-r-1). Eb maps [a, w_(k-r), ..., w_(k-1), v_k],
-    taken as uncorrelated, to the input-free innovation; Caa = Q + A P A^T."""
+    taken as uncorrelated, to the input-free innovation; Caa = Q + A P A^T. V is singular,
+    InnovationCovarianceSingular, where its singular values have s_min = 0 or s_max / s_min
+    > COND_LIMIT: np.linalg.cond(V) > COND_LIMIT, which reads 0 / 0 as inf, from one SVD."""
     P = _p_matrix(P_prev, model.n)
     Caa = _sized(noise, model).Q + model.A @ P @ model.A.T
     V = _noise_covariance(d.Eb, Caa, noise)
     V = 0.5 * (V + V.T)
-    if np.linalg.cond(V) > COND_LIMIT:
+    s = np.linalg.svd(V, compute_uv=False).tolist()     # Python floats: s[0] / s[-1] never warns
+    if s[-1] == 0.0 or s[0] / s[-1] > COND_LIMIT:
         raise InnovationCovarianceSingular("innovation covariance is numerically singular")
     return V, Caa @ d.CA[d.r].T
 
@@ -211,15 +215,19 @@ def _lyapunov(F: np.ndarray, W: np.ndarray) -> CovarianceState | None:
     """P = F P F^T + W for a stable F by Smith's doubling: k rounds of P += F P F^T, F = F^2
     from P = W sum F^t W (F^t)^T over t < 2^k. None if the increment is still above
     1e-17 ||P|| after DOUBLING_ROUNDS, or once rounding has taken the powers F^(2^k) outside
-    the unit circle, so that P stops being finite or its trace leaves [0, COVARIANCE_CAP]."""
+    the unit circle, so that P stops being finite or its trace leaves [0, COVARIANCE_CAP].
+    ||P||_F is not finite where P is not, nor where the sum of P's squared entries
+    overflows; a PSD P then has a trace above ||P||_F > 1e154, past the cap. So one norm
+    per round both tests finiteness and sizes the settle test."""
     P = W
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DOUBLING_ROUNDS):
             increment = F @ P @ F.T
             P = P + increment
-            if not (np.isfinite(P).all() and 0.0 <= P.trace() <= COVARIANCE_CAP):
+            size = frob(P)
+            if not (math.isfinite(size) and 0.0 <= P.trace() <= COVARIANCE_CAP):
                 return None             # a finite P has had finite increments
-            if frob(increment) <= 1e-17 * frob(P):
+            if frob(increment) <= 1e-17 * size:
                 return covariance_state(P)
             F = F @ F
     return None

@@ -133,8 +133,10 @@ def _profile(model: SystemModel) -> _Profile:
     rounding dust of that size, with a perfectly good largest singular value
     of its own. Models hash by identity and their arrays are read-only, so an
     entry never goes stale; the bound keeps runs over many models from holding
-    them all. A delay's constants, with the SVD behind L_min and N, wait for
-    _delay or _feasible to ask for that delay.
+    them all. S_r holds every column of S_(r-1), so its rank never falls and
+    never exceeds l: S_r is ranked only until a rank reaches l, and every
+    later entry of s_ranks is l. A delay's constants, with the SVD behind
+    L_min and N, wait for _delay or _feasible to ask for that delay.
     """
     n, l, p = model.n, model.l, model.p
     powers, CA = [model.H], [model.C]   # A^d H and C A^d, by repeated multiplication
@@ -148,7 +150,9 @@ def _profile(model: SystemModel) -> _Profile:
     singular = np.linalg.svd(np.stack(blocks), compute_uv=False)
     markov_ranks = tuple(rank_above(s, (l, p), scale) for s, scale in zip(singular, scales))
     S = tuple(sealed(np.hstack(blocks[r::-1])) for r in range(n))
-    s_ranks = tuple(numerical_rank(S[r], max(scales[:r + 1])) for r in range(n))
+    s_ranks = ()
+    for r in range(n):                  # S_r holds S_(r-1)'s columns: from rank l on, all are l
+        s_ranks += (l if l in s_ranks else numerical_rank(S[r], max(scales[:r + 1])),)
     return _Profile(
         blocks=blocks, scales=scales, markov_ranks=markov_ranks, s_ranks=s_ranks,
         feasible=_rank_steps(s_ranks, p), CA=tuple(CA), S=S,

@@ -128,8 +128,9 @@ def validate_model(A, H, C, B=None, D=None) -> SystemModel:
     m = B.shape[1]
     D = as_float_matrix(np.zeros((l, m)) if D is None else D, "D", (l, m))
 
-    if numerical_rank(H) < p:
-        raise RankDeficientH(f"rank(H)={numerical_rank(H)} < p={p}")
+    rank = numerical_rank(H)
+    if rank < p:
+        raise RankDeficientH(f"rank(H)={rank} < p={p}")
 
     return SystemModel(
         A=readonly(A), B=readonly(B), H=readonly(H), C=readonly(C), D=readonly(D),

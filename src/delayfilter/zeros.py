@@ -100,9 +100,9 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     pencil's normal rank is below n + p and PencilDegenerate is raised.
     """
     A, n, p = model.A, model.n, model.p
-    a_norm = float(np.linalg.norm(A, 2))
+    a_norm = float(np.linalg.svd(A, compute_uv=False)[0])      # ||A||_2, as np.linalg.norm gives it
     rank, _, Vt = _svd_rank(model.C)
-    V, H = Vt[rank:].T, model.H / np.linalg.norm(model.H, 2)
+    V, H = Vt[rank:].T, model.H / np.linalg.svd(model.H, compute_uv=False)[0]
     while True:
         rank, U, _ = _svd_rank(np.hstack([V, H]), 1.0)
         AV = A @ V
