@@ -132,7 +132,7 @@ def _innovation_terms(model: SystemModel, noise: NoiseSpec, d: _Delay, P_prev):
     covariance with a = A eps_(k-1) + w_(k-r-1). Eb maps [a, w_(k-r), ..., w_(k-1), v_k],
     taken as uncorrelated, to the input-free innovation; Caa = Q + A P A^T. V is singular,
     InnovationCovarianceSingular, where its singular values have s_min = 0 or s_max / s_min
-    > COND_LIMIT: np.linalg.cond(V) > COND_LIMIT, which reads 0 / 0 as inf, from one SVD."""
+    > COND_LIMIT: numpy's cond(V) > COND_LIMIT, which reads 0 / 0 as inf, from one SVD."""
     P = _p_matrix(P_prev, model.n)
     Caa = _sized(noise, model).Q + model.A @ P @ model.A.T
     V = _noise_covariance(d.Eb, Caa, noise)

@@ -627,6 +627,22 @@ def test_minvar_singular_innovation_covariance_raises():
         df.minvar_gain(model, silent, 1, np.zeros((model.n, model.n)))
 
 
+@pytest.mark.parametrize("c", [0.0, np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0)])
+def test_innovation_covariance_is_singular_exactly_where_numpys_cond_says(monkeypatch, c):
+    # V = diag(1, c) has cond(V) = 1 / c: above COND_LIMIT just below c = 1e-12, equal
+    # to it at 1e-12, and inf at c = 0, where the largest over the smallest is 1 / 0
+    model, noise, _ = df.reference_example("nonsquare3")
+    V = np.diag([1.0, c])
+    monkeypatch.setattr(df.gain, "_noise_covariance", lambda E, Caa, noise: V.copy())
+    singular = np.linalg.cond(V) > df.gain.COND_LIMIT
+    assert singular == (c < 1e-12)
+    if singular:
+        with pytest.raises(df.InnovationCovarianceSingular):
+            _innovation_terms(model, noise, _delay(model, 1), None)
+    else:
+        assert np.array_equal(_innovation_terms(model, noise, _delay(model, 1), None)[0], V)
+
+
 def _covariance_by_hand(model, noise, r, L, P):
     """covariance_update's formula with every power of A formed afresh."""
     CA = [model.C @ np.linalg.matrix_power(model.A, j) for j in range(r + 2)]

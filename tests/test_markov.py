@@ -8,6 +8,7 @@ import pytest
 
 import delayfilter as df
 from conftest import make_feasible_system
+from delayfilter import markov
 from delayfilter.gain import constraint_target
 from delayfilter.linalg import RANK_RCOND, numerical_rank, pinv_cut, rank_above
 from delayfilter.markov import _delay, _profile
@@ -248,6 +249,50 @@ def test_a_delays_constants_are_built_on_first_use_bit_for_bit():
                 assert len(got) == len(want[name]), (r, name)
                 assert all(map(_same_bits, got, want[name])), (r, name)
             assert d.lower_nonzero == want["lower_nonzero"] and d.tol == want["tol"]
+
+
+def test_the_profile_ranks_s_r_only_until_its_rank_reaches_l(monkeypatch):
+    # S_r holds every column of S_(r-1), so once a rank is l every later one is: on
+    # compartmental-25, s_ranks (0, 2, 2, 2, 2, 2), S_0 and S_1 are ranked and no more
+    calls = []
+
+    def counted(matrix, scale=None):
+        calls.append(matrix.shape)
+        return numerical_rank(matrix, scale)
+
+    monkeypatch.setattr(markov, "numerical_rank", counted)
+    profile = _profile(_fresh(df.reference_example("compartmental-25")[0]))
+    assert profile.s_ranks == (0, 2, 2, 2, 2, 2)
+    assert calls == [(2, 2), (2, 4)]
+
+
+def test_the_profile_ranks_are_the_exhaustive_ranks_wherever_those_never_fall():
+    # every S_r ranked at its own scale, up to n-1: the profile holds those ranks
+    # until one is l and l after it, so the two agree on every model whose
+    # exhaustive ranks never fall; half the draws feasible by construction, half sparse
+    rng, monotone = np.random.default_rng(37), 0
+    for i in range(300):
+        drawn = make_feasible_system(rng) if i % 2 else None
+        if drawn is not None:
+            model = drawn[0]
+        else:
+            n = int(rng.integers(2, 9))
+            p, l = int(rng.integers(1, n)), int(rng.integers(1, n + 1))
+            A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+            C = rng.standard_normal((l, n)) * (rng.random((l, n)) < 0.5)
+            try:
+                model = df.validate_model(A, rng.standard_normal((n, p)), C)
+            except df.DelayFilterError:
+                continue
+        profile, n, l = _profile(model), model.n, model.l
+        exhaustive = tuple(numerical_rank(profile.S[r], max(profile.scales[:r + 1]))
+                           for r in range(n))
+        full = next((r for r, rank in enumerate(exhaustive) if rank == l), n)
+        assert profile.s_ranks == exhaustive[:full + 1] + (l,) * (n - full - 1)
+        if all(a <= b for a, b in zip(exhaustive, exhaustive[1:])):
+            assert profile.s_ranks == exhaustive
+            monotone += 1
+    assert monotone >= 200
 
 
 def test_init_filter_builds_the_constants_of_its_delay_only():
