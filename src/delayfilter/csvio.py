@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, MeasurementFileError
 from .linalg import as_float_array
 from .sim import Trajectory
 
-_CHUNK = 4096       # rows per formatted block written to the file
+_CHUNK = 12288      # values (k included) per formatted block written to the file
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -35,17 +35,20 @@ def _write_table(path, header: list[str], rows: np.ndarray, blank=None) -> None:
     """Write the header and one k,row line per row, every float as %.17g.
 
     Row k is written with empty fields where blank[k] is true. Rows are
-    formatted a chunk at a time, with one % of a line template per chunk.
+    formatted a chunk of at most _CHUNK values at a time, with one % of a
+    line template per chunk, so the Python floats and strings held at once
+    do not grow with the row's width.
     """
     width = rows.shape[1]
+    step = max(1, _CHUNK // (width + 1))
     full = "%d," + ",".join(["%.17g"] * width) + "\r\n"
     empty = "%d" + ",%.0s" * width + "\r\n"      # %.0s prints a value as nothing
     skip = [False] * len(rows) if blank is None else blank.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(rows), _CHUNK):
-            chunk = rows[lo:lo + _CHUNK]
-            template = "".join([empty if b else full for b in skip[lo:lo + _CHUNK]])
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            template = "".join([empty if b else full for b in skip[lo:lo + step]])
             ks = np.arange(lo, lo + len(chunk))
             fh.write(template % tuple(np.column_stack([ks, chunk]).ravel().tolist()))
 

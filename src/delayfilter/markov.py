@@ -135,8 +135,10 @@ def _profile(model: SystemModel) -> _Profile:
     entry never goes stale; the bound keeps runs over many models from holding
     them all. S_r holds every column of S_(r-1), so its rank never falls and
     never exceeds l: S_r is ranked only until a rank reaches l, and every
-    later entry of s_ranks is l. A delay's constants, with the SVD behind
-    L_min and N, wait for _delay or _feasible to ask for that delay.
+    later entry of s_ranks is l. S_0 is CH at the scale of CH, so its rank
+    is the Markov rank of CH and takes no SVD of its own. A delay's
+    constants, with the SVD behind L_min and N, wait for _delay or _feasible
+    to ask for that delay.
     """
     n, l, p = model.n, model.l, model.p
     powers, CA = [model.H], [model.C]   # A^d H and C A^d, by repeated multiplication
@@ -149,16 +151,16 @@ def _profile(model: SystemModel) -> _Profile:
     # one batched SVD ranks the n+1 equal-shaped blocks, each at its own scale
     singular = np.linalg.svd(np.stack(blocks), compute_uv=False)
     markov_ranks = tuple(rank_above(s, (l, p), scale) for s, scale in zip(singular, scales))
-    S = tuple(sealed(np.hstack(blocks[r::-1])) for r in range(n))
-    s_ranks = ()
-    for r in range(n):                  # S_r holds S_(r-1)'s columns: from rank l on, all are l
+    S = tuple(sealed(np.concatenate(blocks[r::-1], axis=1)) for r in range(n))
+    s_ranks = markov_ranks[:1]          # S_0 is CH, ranked at scales[0] above
+    for r in range(1, n):               # S_r holds S_(r-1)'s columns: from rank l on, all are l
         s_ranks += (l if l in s_ranks else numerical_rank(S[r], max(scales[:r + 1])),)
     return _Profile(
         blocks=blocks, scales=scales, markov_ranks=markov_ranks, s_ranks=s_ranks,
         feasible=_rank_steps(s_ranks, p), CA=tuple(CA), S=S,
         Zu=sealed(-np.vstack([model.D.T] + [(X @ model.B).T for X in CA[:n]])),
-        Eb=sealed(np.hstack(CA[n - 1::-1] + [np.eye(l)])),
-        H0=sealed(np.hstack([model.H, np.zeros((n, (n - 1) * p))])), delays={})
+        Eb=sealed(np.concatenate(CA[n - 1::-1] + [np.eye(l)], axis=1)),
+        H0=sealed(np.concatenate([model.H, np.zeros((n, (n - 1) * p))], axis=1)), delays={})
 
 
 def _constants(model: SystemModel, profile: _Profile, r: int) -> _Delay:
@@ -253,17 +255,20 @@ def analyze_delays(model: SystemModel) -> DelayAnalysis:
     T_r is the leading (r+1)l x (r+1)p corner of T_(n-1), ranked at the
     scale of S_r. The gap rank T_r - rank T_(r-1) never shrinks as r
     grows, so the sweep stops at the first r whose gap is p and reports
-    every delay from there to n-1.
+    every delay from there to n-1. T_0 is CH at the scale of CH: its rank
+    is the Markov rank of CH, and T_(n-1) is built only past r = 0.
     """
     profile, n, l, p = _profile(model), model.n, model.l, model.p
-    T = markov_toeplitz(model, n - 1)
-    invertible, prev = (), 0
-    for r in range(n):
-        rank = numerical_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
-        if rank - prev == p:
-            invertible = tuple(range(r, n))
-            break
-        prev = rank
+    prev = profile.markov_ranks[0]      # rank T_0
+    invertible = tuple(range(n)) if prev == p else ()
+    if not invertible:
+        T = markov_toeplitz(model, n - 1)
+        for r in range(1, n):
+            rank = numerical_rank(T[:(r + 1) * l, :(r + 1) * p], max(profile.scales[:r + 1]))
+            if rank - prev == p:
+                invertible = tuple(range(r, n))
+                break
+            prev = rank
     return DelayAnalysis(
         markov_ranks=tuple(enumerate(profile.markov_ranks)),
         s_ranks=tuple(enumerate(profile.s_ranks)),

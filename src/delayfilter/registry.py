@@ -12,6 +12,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .filtering import (
     predicted_error_sequence,
 )
 from .gain import minvar_gain, simplified_minvar_gain, square_gain, steady_state_gain
-from .linalg import frob, numerical_rank
+from .linalg import frob, numerical_rank, sealed
 from .markov import analyze_delays, markov_parameter
-from .model import NoiseSpec, SystemModel, validate_model, validate_noise
+from .model import NoiseSpec, SystemModel, validate_model
 from .sim import compartmental_model, run_experiment, simulate
 from .signals import SignalSpec
 from .zeros import NO_ZEROS, invariant_zeros
@@ -79,8 +80,17 @@ def _nonsquare12_model() -> SystemModel:
 
 
 def default_noise(model: SystemModel) -> NoiseSpec:
-    """The registry's default covariance pair, 1e-4 on both diagonals."""
-    return validate_noise(1e-4 * np.eye(model.n), 1e-4 * np.eye(model.l), model)
+    """The registry's default covariance pair, 1e-4 on both diagonals, sized for the model.
+
+    Every model of one (n, l) gets one shared NoiseSpec of read-only arrays,
+    built and put through the covariance rule the first time that size asks.
+    """
+    return _default_noise(model.n, model.l)
+
+
+@lru_cache(maxsize=128)
+def _default_noise(n: int, l: int) -> NoiseSpec:
+    return NoiseSpec(Q=sealed(1e-4 * np.eye(n)), R=sealed(1e-4 * np.eye(l)))
 
 
 def example_signals(model: SystemModel):
@@ -321,7 +331,8 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
 def reference_example(example_id: str):
-    """(SystemModel, NoiseSpec, facts) for a bundled example id, with a new model per call."""
+    """(SystemModel, NoiseSpec, facts) for a bundled example id, with a new model per call
+    and default_noise's shared spec."""
     if not isinstance(example_id, str) or example_id not in _EXAMPLES:
         raise UnknownExample(
             f"unknown example {example_id!r}; known ids: {', '.join(EXAMPLE_IDS)}")

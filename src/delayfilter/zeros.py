@@ -104,7 +104,7 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     rank, _, Vt = _svd_rank(model.C)
     V, H = Vt[rank:].T, model.H / np.linalg.svd(model.H, compute_uv=False)[0]
     while True:
-        rank, U, _ = _svd_rank(np.hstack([V, H]), 1.0)
+        rank, U, _ = _svd_rank(np.concatenate([V, H], axis=1), 1.0)
         AV = A @ V
         drop, _, Wt = _svd_rank(AV - U[:, :rank] @ (U[:, :rank].T @ AV), a_norm)
         if drop == 0:
@@ -114,7 +114,7 @@ def invariant_zeros(model: SystemModel) -> ZeroReport:
     if rank < k + p:
         raise PencilDegenerate(f"rank [V*, H] = {rank} < dim V* + p = {k + p}: pencil normal "
                                f"rank below n+p = {n + p}; no unbiased-gain theory applies")
-    X = np.linalg.lstsq(np.hstack([V, model.H]), AV, rcond=None)[0][:k]
+    X = np.linalg.lstsq(np.concatenate([V, model.H], axis=1), AV, rcond=None)[0][:k]
     zeros = []
     for center, mult in _cluster([complex(z) for z in np.linalg.eigvals(X)]):
         zeros.extend([center] * mult)

@@ -13,6 +13,7 @@ import pytest
 
 import delayfilter as df
 from delayfilter import cli, registry
+from delayfilter import model as model_module
 from delayfilter.cli import main
 from conftest import ill_conditioned_square_model
 
@@ -569,6 +570,51 @@ def test_example_ids_come_from_the_registry_table():
         with pytest.raises(df.UnknownExample) as exc:
             df.reference_example(bad)
         assert str(exc.value) == f"unknown example {bad!r}; known ids: {known}"
+
+
+def test_default_noise_is_one_read_only_spec_per_size(monkeypatch):
+    # every model of one (n, l) shares one spec, whose Q and R pass the covariance
+    # rule once, on the first call of that size; reference_example hands out the same
+    checks, rule = [], model_module._covariance
+
+    def counted(a, name, *args, **kwargs):
+        checks.append(name)
+        return rule(a, name, *args, **kwargs)
+
+    registry._default_noise.cache_clear()
+    monkeypatch.setattr(model_module, "_covariance", counted)
+    A = np.diag([0.5, 0.4, 0.3])
+    first = df.validate_model(A, [[1.0], [0.0], [0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    twin = df.validate_model(2 * A, [[0.0], [1.0], [0.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    other = df.validate_model(A, [[1.0], [0.0], [0.0]], [[1.0, 0.0, 0.0]])
+    spec = df.default_noise(first)
+    assert checks == ["Q", "R"]
+    assert df.default_noise(twin) is spec and df.default_noise(first) is spec
+    assert df.reference_example("nonsquare3")[1] is spec        # n = 3, l = 2 as well
+    assert checks == ["Q", "R"]
+    assert np.array_equal(spec.Q, 1e-4 * np.eye(3)) and np.array_equal(spec.R, 1e-4 * np.eye(2))
+    small = df.default_noise(other)
+    assert small is not spec and small.R.shape == (1, 1) and checks == ["Q", "R", "Q", "R"]
+    assert df.default_noise(other) is small and len(checks) == 4
+    for a in (spec.Q, spec.R, small.Q, small.R):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+def test_readme_round_trip_on_the_chain_model(tmp_path, capsys):
+    # README's round trip: %.17g writes -1 and 0, not -1.0 and 0.0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"A": [[0.5, 0.0], [1.0, 0.5]], "H": [[1.0], [0.0]],
+                                 "C": [[0.0, 1.0]]}))
+    traj, est = str(tmp_path / "traj.csv"), tmp_path / "est.csv"
+    assert main(["simulate", str(chain), "--e1", "prbs:1:5", "--T", "40", "--seed", "1",
+                 "--out", traj]) == 0
+    capsys.readouterr()
+    assert main(["filter", str(chain), traj, "--out", str(est)]) == 0
+    report = _report(capsys)
+    assert (report["delay"], report["verdict"], report["emitted"]) == (1, "DeadbeatUnbiased", 39)
+    assert est.read_text().splitlines()[:4] == [
+        "k,xhat1,xhat2,ehat1,innov1", "0,,,,", "1,,,,", "2,-1,0,-1,-1"]
 
 
 def test_reproduce_exits_3_when_a_fact_fails(tmp_path, capsys, monkeypatch):

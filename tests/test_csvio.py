@@ -1,6 +1,7 @@
 """Trajectory/estimate CSV round-trips and malformed-input rejection."""
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,6 +97,25 @@ def test_estimates_warmup_rows_empty(tmp_path):
     assert lines[2] == "1,,,,"
     assert lines[3].startswith("2,") and ",," not in lines[3]
     assert len(lines) == traj.T + 2
+
+
+def test_writing_estimates_holds_a_bounded_chunk_of_formatted_values(tmp_path):
+    # a 20,001-row, 11-column table: the writer formats at most csvio._CHUNK values at
+    # a time, so its peak traced memory stays below 1.5 MB (4,096-row chunks took
+    # 3.2 MB), and the file is the one a single block would write
+    rows = np.random.default_rng(5).standard_normal((20001, 11))
+    rows[:3] = np.nan
+    path = tmp_path / "e.csv"
+    tracemalloc.start()
+    try:
+        df.write_estimates(str(path), rows, 6, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    want = [f"{k}" + "," * 11 if k < 3 else f"{k}," + ",".join("%.17g" % v for v in row)
+            for k, row in enumerate(rows)]
+    assert path.read_text().splitlines()[1:] == want
 
 
 def test_estimates_reject_a_wrong_column_count(tmp_path):

@@ -253,7 +253,8 @@ def test_a_delays_constants_are_built_on_first_use_bit_for_bit():
 
 def test_the_profile_ranks_s_r_only_until_its_rank_reaches_l(monkeypatch):
     # S_r holds every column of S_(r-1), so once a rank is l every later one is: on
-    # compartmental-25, s_ranks (0, 2, 2, 2, 2, 2), S_0 and S_1 are ranked and no more
+    # compartmental-25, s_ranks (0, 2, 2, 2, 2, 2), S_1 is ranked and no more; S_0
+    # is CH, whose rank the profile reads from the batched Markov SVD
     calls = []
 
     def counted(matrix, scale=None):
@@ -263,7 +264,7 @@ def test_the_profile_ranks_s_r_only_until_its_rank_reaches_l(monkeypatch):
     monkeypatch.setattr(markov, "numerical_rank", counted)
     profile = _profile(_fresh(df.reference_example("compartmental-25")[0]))
     assert profile.s_ranks == (0, 2, 2, 2, 2, 2)
-    assert calls == [(2, 2), (2, 4)]
+    assert calls == [(2, 4)]
 
 
 def test_the_profile_ranks_are_the_exhaustive_ranks_wherever_those_never_fall():
@@ -293,6 +294,34 @@ def test_the_profile_ranks_are_the_exhaustive_ranks_wherever_those_never_fall():
             assert profile.s_ranks == exhaustive
             monotone += 1
     assert monotone >= 200
+
+
+def test_the_ranks_of_s_0_and_t_0_are_those_of_their_own_svds():
+    # S_0 and T_0 are both CH: the profile and the invertibility sweep read their rank
+    # off the batched Markov SVD, and T is built only past r = 0. Ranked here by SVDs
+    # of their own, and the sweep redone over every T_r; in every odd draw C is
+    # projected off H's first column, so rank CH < p and the sweep goes past r = 0
+    rng, past_zero = np.random.default_rng(38), 0
+    for i in range(300):
+        n = int(rng.integers(2, 9))
+        p, l = int(rng.integers(1, n)), int(rng.integers(1, n + 1))
+        A, H, C = (rng.standard_normal(shape) for shape in ((n, n), (n, p), (l, n)))
+        if i % 2:
+            h = H[:, :1]
+            C = C - (C @ h) @ h.T / (h.T @ h)
+        model = df.validate_model(A, H, C)
+        scales, analysis = _profile(model).scales, df.analyze_delays(model)
+        rank_s0 = numerical_rank(df.markov_row_stack(model, 0), scales[0])
+        T = df.markov_toeplitz(model, n - 1)
+        ranks = [numerical_rank(T[:(r + 1) * l, :(r + 1) * p], max(scales[:r + 1]))
+                 for r in range(n)]
+        first = next((r for r, (prev, rank) in enumerate(zip([0] + ranks, ranks))
+                      if rank - prev == p), n)
+        assert analysis.s_ranks[0] == (0, rank_s0) and ranks[0] == rank_s0
+        assert analysis.invertible_delays == tuple(range(first, n))
+        assert rank_s0 < p or not i % 2
+        past_zero += ranks[0] < p
+    assert past_zero >= 150
 
 
 def test_init_filter_builds_the_constants_of_its_delay_only():
