@@ -7,9 +7,10 @@ are expected. Estimate files carry k,xhat1..xhatn,ehat1..ehatp,
 innov1..innovl with every estimate field left empty during warm-up.
 
 Floats are written as %.17g, which round-trips every double exactly
-(0.0 is written 0, 0.1 as 0.10000000000000001). The reader parses the
-k,y,u prefix in one numpy pass; only a file that pass rejects is
-scanned line by line, to skip its blank rows or name the line at fault.
+(0.0 is written 0, 0.1 as 0.10000000000000001). The reader streams the
+file's body to one numpy pass over the k,y,u prefix; only a file that pass
+rejects is read again, line by line, to skip its blank rows or name the
+line at fault.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import as_float_array
 from .sim import Trajectory
 
 _CHUNK = 12288      # values (k included) per formatted block written to the file
+_PEEK = 65536       # characters per read while looking for a body's first non-blank one
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -76,14 +78,16 @@ def _numeric(cells: list[str]) -> list[float]:
     return list(map(float, cells))
 
 
-def _scan(path, body: str, width: int, header_lines: int) -> np.ndarray:
-    """The first `width` fields of body's rows as the csv module reads them.
+def _scan(path, fh, start, width: int, header_lines: int) -> np.ndarray:
+    """The first `width` fields of the rows of fh's body, from position start, as the
+    csv module reads them.
 
     Skips blank rows and raises on the first short row, non-numeric field
     or fractional k, in file order, or on a body with no data rows. The
     body starts after the header's header_lines physical lines.
     """
-    rows, reader, end = [], csv.reader(io.StringIO(body)), header_lines
+    fh.seek(start)
+    rows, reader, end = [], csv.reader(fh), header_lines
     for row in reader:      # a quoted field may span lines; name the line the row starts on
         line_no, end = end + 1, header_lines + reader.line_num
         if _is_blank(row):
@@ -115,13 +119,18 @@ def read_measurements(path, l: int, m: int):
         raise MeasurementFileError(f"cannot read measurement file {path}: {exc}") from None
     with fh:
         try:
-            head = csv.reader(fh)
-            header = next(head)
-            body = fh.read()
-        except StopIteration:
-            raise DimensionMismatch(f"{path}: empty file") from None
+            return _read(path, fh, l, m)
         except UnicodeDecodeError as exc:
             raise MeasurementFileError(f"cannot read measurement file {path}: {exc}") from None
+
+
+def _read(path, fh, l: int, m: int):
+    """read_measurements of the open text file fh."""
+    head = csv.reader(iter(fh.readline, ""))   # by readline, which leaves fh.tell() working
+    try:
+        header = next(head)
+    except StopIteration:
+        raise DimensionMismatch(f"{path}: empty file") from None
     expected = ["k"] + _names("y", l) + _names("u", m)
     if [h.strip() for h in header[: len(expected)]] != expected:
         raise DimensionMismatch(
@@ -135,15 +144,20 @@ def read_measurements(path, l: int, m: int):
                 f"{path}: unexpected column {name.strip()!r} after the "
                 f"y/u block (truth columns are x<i>/e<i>)")
     width = len(expected)
+    if not fh.seekable():                   # a pipe: its body is held, to be read twice
+        fh = io.StringIO(fh.read())
+    start = fh.tell()
     try:
-        if body.isspace() or not body:      # numpy warns on a body without rows
+        # numpy warns on a body without rows, which holds whitespace alone
+        if all(chunk.isspace() for chunk in iter(lambda: fh.read(_PEEK), "")):
             raise ValueError("no data rows")
-        data = np.loadtxt(io.StringIO(body), delimiter=",", usecols=range(width),
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", usecols=range(width),
                           quotechar='"', comments=None, ndmin=2)
     except ValueError:
-        data = _scan(path, body, width, head.line_num)
+        data = _scan(path, fh, start, width, head.line_num)
     if not np.array_equal(data[:, 0], np.arange(len(data))):
-        _scan(path, body, width, head.line_num)     # names a fractional k before the gap
+        _scan(path, fh, start, width, head.line_num)    # names a fractional k before the gap
         raise DimensionMismatch(f"{path}: k column must run 0..T without gaps")
     samples = data[:, 1:]
     bad = np.argwhere(~np.isfinite(samples))

@@ -20,11 +20,12 @@ advances by a two-level block scan in about 2 sqrt(N) array steps instead
 of N; run_filter() says how its rounding differs from step()'s.
 
 What no measurement changes is one filter plan (_FilterOps): the initial
-gain, its update map and, in TimeVaryingMinVar mode, the schedule of
-refreshed gains; the gain-free constants stay in the model's profile
-(markov's _Delay). Only time-varying plans are memoised, the 16 most
-recent, keyed on the model object, r and the values of Q, R and P0; a
-fixed gain's plan is built per session. A schedule grows as sessions
+gain, its update map, whether its error map is stable and, in
+TimeVaryingMinVar mode, the schedule of refreshed gains; the gain-free
+constants stay in the model's profile (markov's _Delay). FixedSquare and
+TimeVaryingMinVar plans are memoised together by _plan, the 16 most recent,
+keyed on the model object and r, and for TimeVaryingMinVar on the values of
+Q, R and P0; a FixedUserSupplied plan is built per session. A schedule grows as sessions
 reach steps no session reached before and keeps at most SCHEDULE_CAP
 entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats each (the covariance, the
 gain and its update map); past the cap a session refreshes its own gain. So
@@ -108,16 +109,19 @@ class _FilterOps:
     d: _Delay                           # the model's constants at r
     L0: np.ndarray                      # the initial gain
     G0: np.ndarray                      # its update map
+    stable0: bool                       # _Gain.stable of the initial gain
     schedule: list = field(default_factory=list, repr=False)
 
 
 class _Gain(NamedTuple):
-    """A gain, its update map, the covariance it leads to and whether it is final."""
+    """A gain, its update map, the covariance it leads to, whether it is final and
+    whether run_filter scans under it (_recurse)."""
 
     L: np.ndarray
     G: np.ndarray                       # the read-only update map under L, see _update_map
     P: CovarianceState
     frozen: bool
+    stable: bool                        # frozen, with rho(F) < 1 (_stable); False while unfrozen
 
 
 class FilterState(NamedTuple):
@@ -162,7 +166,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
         raise PreconditionViolated(f"{mode} builds its own gain; config.gain must be None")
     if mode == FIXED_SQUARE:
-        ops = _new_plan(model, d, square_gain(model, r).L)
+        ops = _plan(model, r, None)
     elif mode == TIME_VARYING_MINVAR:
         ops = _plan(model, r, tuple(map(_frozen, (_sized(noise, model).Q, noise.R, P0))))
     elif mode == FIXED_USER_SUPPLIED:
@@ -174,7 +178,7 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         ops = _new_plan(model, d, L)
     else:
         raise PreconditionViolated(f"unknown gain mode {mode!r}")
-    gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR)
+    gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR, ops.stable0)
     sealed(gain.P.P)                    # the first refresh reads it into the plan's schedule
     return FilterState(0, readonly(x0), (), gain, ops, noise)
 
@@ -186,21 +190,30 @@ def _frozen(a: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=16)
 def _plan(model: SystemModel, r: int, noise_key) -> _FilterOps:
-    """The plan of a TimeVaryingMinVar session, built once, schedule and all.
+    """The plan of a FixedSquare (noise_key None) or TimeVaryingMinVar session, built once.
 
-    noise_key is _frozen (Q, R, P0): keyed on values, a plan never
-    outlives a change to a NoiseSpec's arrays, and the NoiseSpec built
-    here checks the changed values by the covariance rule.
+    A FixedSquare plan is the square gain, gated by square_gain's residual
+    check, its update map and its scan verdict, shared by every session of
+    (model, r). For TimeVaryingMinVar, noise_key is _frozen (Q, R, P0): keyed
+    on values, a plan never outlives a change to a NoiseSpec's arrays, and
+    the NoiseSpec built here checks the changed values by the covariance
+    rule. Threads that miss the memo at once each build an equal plan, and
+    the memo keeps one of them.
     """
+    d = _feasible(model, r)
+    if noise_key is None:
+        return _new_plan(model, d, square_gain(model, r).L)
     Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
     noise = NoiseSpec(Q=Q, R=R)
-    return _new_plan(model, _feasible(model, r), minvar_gain(model, noise, r, P0).L, noise)
+    return _new_plan(model, d, minvar_gain(model, noise, r, P0).L, noise)
 
 
 def _new_plan(model: SystemModel, d: _Delay, L, noise: NoiseSpec | None = None) -> _FilterOps:
-    """The plan at d of a session whose initial gain is L."""
-    return _FilterOps(model=model, noise=noise, r=d.r, d=d, L0=readonly(L),
-                      G0=_update_map(model, d, L))
+    """The plan at d of a session whose initial gain is L; frozen, and so given its
+    scan verdict, in the fixed modes (noise None)."""
+    G = _update_map(model, d, L)
+    return _FilterOps(model=model, noise=noise, r=d.r, d=d, L0=readonly(L), G0=G,
+                      stable0=noise is None and _stable(G, model.n))
 
 
 def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
@@ -212,6 +225,12 @@ def _update_map(model: SystemModel, d: _Delay, L) -> np.ndarray:
     Gu = d.Zu @ L.T
     Gu[len(Gu) - model.m:] += model.B.T
     return sealed(np.hstack([np.vstack([_error_map(model, d, L).T, L.T, Gu]), d.Gd]))
+
+
+def _stable(G: np.ndarray, n: int) -> bool:
+    """Whether the error map F under update map G (whose G[:n, :n] is F^T) has spectral
+    radius below 1: the scan verdict of a frozen gain, taken once where the gain freezes."""
+    return spectral_radius(G[:n, :n]) < 1.0
 
 
 def _gain_at(ops: _FilterOps, i: int, gain: _Gain) -> _Gain:
@@ -237,17 +256,19 @@ def _refresh_gain(ops: _FilterOps, gain: _Gain) -> _Gain:
     The gain freezes by the rules that stop steady_state_gain: once the
     covariance step settles (gain._settled) or overflows (gain.COVARIANCE_CAP),
     and, keeping the last gain, once the innovation covariance turns singular,
-    as under a divergent gain: divergence is information.
+    as under a divergent gain: divergence is information. A gain that freezes
+    takes its scan verdict (_stable) here, once for every session of the plan.
     """
     model, noise, P = ops.model, ops.noise, gain.P
     try:
         L = minvar_gain(model, noise, ops.r, P).L
     except InnovationCovarianceSingular:
-        return gain._replace(frozen=True)
+        return gain._replace(frozen=True, stable=_stable(gain.G, model.n))
     P_next = covariance_update(model, noise, ops.r, L, P)
     sealed(P_next.P)                    # shared by every session of the plan
     frozen = _overflowed(P_next) or _settled(P, P_next)
-    return _Gain(sealed(L), _update_map(model, ops.d, L), P_next, frozen)
+    G = _update_map(model, ops.d, L)
+    return _Gain(sealed(L), G, P_next, frozen, frozen and _stable(G, model.n))
 
 
 # The update, shared by step() and run_filter(), is one product of the raw row
@@ -405,6 +426,8 @@ def _recurse(state: FilterState, y, u):
     W is time-major: W[i, ..., :n] is the state estimate made at k = r+i
     (i = 0: the initial one), the estimate of x[k-r], and the rest of W[i]
     is the raw row it is updated with, [y[k+1] | u[k+1] | u[k] ... u[k-r]].
+    Whether the frozen tail is scanned is the gain's own verdict (_Gain.stable),
+    taken when it froze, so a run computes no spectrum.
     """
     # time-major views: yt[k] is (l,) for one trajectory, (trials, l) for a batch
     yt, ut = np.moveaxis(y, -2, 0), np.moveaxis(u, -2, 0)
@@ -423,7 +446,7 @@ def _recurse(state: FilterState, y, u):
                 gain = _gain_at(ops, i, gain)
                 frozen_at = r + 1 + i if gain.frozen else None
             Gx = np.ascontiguousarray(gain.G[:, :n])
-            if gain.frozen and spectral_radius(Gx[:n]) < 1.0:
+            if gain.stable:
                 _scan(W[i:], Gx)
                 break
             stop = emitted if gain.frozen else i + 1

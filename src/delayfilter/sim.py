@@ -25,11 +25,12 @@ run_filter()'s, and no input is decoded and no record padded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadCoefficient, BadIndices, DimensionMismatch
-from .filtering import FilterConfig, _recurse, _validated, run_filter
+from .filtering import FilterConfig, _frozen, _recurse, _validated, run_filter
 from .linalg import as_finite_vector, as_float_array, psd_factor, rms, sealed
 from .markov import _feasible
 from .model import NoiseSpec, SystemModel, _integer, _sized, validate_model
@@ -70,8 +71,18 @@ class ErrorStats:
 
 
 def _noise_factors(noise: NoiseSpec | None):
-    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R; None for noise=None, the noiseless run."""
-    return None if noise is None else (psd_factor(noise.Q), psd_factor(noise.R))
+    """(Gw, Gv) with Gw Gw^T = Q and Gv Gv^T = R; None for noise=None, the noiseless run.
+
+    Read from _factors, keyed like filtering._plan on the values of Q and R (_frozen),
+    so a spec whose arrays were changed in place gets the factors of its new values.
+    """
+    return None if noise is None else _factors(_frozen(noise.Q), _frozen(noise.R))
+
+
+@lru_cache(maxsize=16)
+def _factors(*keys) -> tuple:
+    """psd_factor of each array a _frozen key holds, sealed: shared by every call."""
+    return tuple(sealed(psd_factor(np.frombuffer(data).reshape(shape))) for shape, data in keys)
 
 
 def _check_signals(model: SystemModel, e_signals, u_signals, T: int):

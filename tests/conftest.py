@@ -6,11 +6,27 @@ construction: C is drawn orthogonal to the reachability-style stack
 parameters, and the draw is retried until CA^dH has full column rank.
 """
 
+import collections
 import re
 
 import numpy as np
 
 from delayfilter import SystemModel, NoiseSpec, exists_unbiased_gain, validate_model
+
+
+# the numpy.linalg functions the package calls
+LINALG = ("eigh", "eigvals", "eigvalsh", "lstsq", "norm", "pinv", "solve", "svd")
+
+
+def count_linalg_calls(monkeypatch) -> collections.Counter:
+    """A Counter, by name, of the LINALG calls made from now until the test ends."""
+    calls = collections.Counter()
+    for name in LINALG:
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def random_stable_a(rng, n, radius=0.95):

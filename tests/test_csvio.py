@@ -1,6 +1,8 @@
 """Trajectory/estimate CSV round-trips and malformed-input rejection."""
 
 import csv
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -221,6 +223,22 @@ def test_measurements_without_data_rows(tmp_path, body):
         warnings.simplefilter("error")
         with pytest.raises(df.DimensionMismatch, match=r"m\.csv: no data rows$"):
             df.read_measurements(str(path), 1, 0)
+
+
+def test_measurements_read_from_a_pipe(tmp_path):
+    # a pipe cannot be read twice, so its body is held for the line scan: blank rows still
+    # fall back to it, from a file that can be read only once
+    path = tmp_path / "m.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("k,y1,u1\n0,1.5,2\n\n1,3,4\n",),
+                              daemon=True)
+    writer.start()
+    try:
+        ks, y, u = df.read_measurements(str(path), 1, 1)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert ks == [0, 1] and y.tolist() == [[1.5], [3.0]] and u.tolist() == [[2.0], [4.0]]
 
 
 def test_measurements_empty_file(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 import delayfilter as df
 from delayfilter import filtering
 from delayfilter.gain import _innovation_terms
-from conftest import make_feasible_system, make_square_system, random_noise
+from conftest import count_linalg_calls, make_feasible_system, make_square_system, random_noise
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 
@@ -968,17 +968,44 @@ def test_plans_belong_to_their_model():
     assert filtering._plan.cache_info().currsize == filtering._plan.cache_info().maxsize == 16
 
 
-def test_fixed_gains_build_their_plans_outside_the_memo():
-    # only the time-varying schedule is shared between sessions
+def test_fixed_square_shares_its_plan_and_a_supplied_gain_builds_its_own():
+    # a FixedSquare plan depends on (model, r) alone: the memo builds it once, residual
+    # gate and scan verdict with it, and every later session reads that one plan; a
+    # FixedUserSupplied gain is the caller's, so its plan is built per session, outside
     model = df.reference_example("compartmental-34")[0]
     L = df.square_gain(model, 2).L
-    for cfg in (_config(r=2, n=model.n),
-                _config(r=2, mode=df.FIXED_USER_SUPPLIED, n=model.n, gain=L)):
-        before = filtering._plan.cache_info()
-        first = df.init_filter(model, None, cfg).ops
-        assert filtering._plan.cache_info() == before
-        assert df.init_filter(model, None, cfg).ops is not first
-        assert np.array_equal(first.L0, L)
+    filtering._plan.cache_clear()
+    square = _config(r=2, n=model.n)
+    first = df.init_filter(model, None, square).ops
+    before = filtering._plan.cache_info()
+    assert (before.hits, before.misses) == (0, 1)
+    assert df.init_filter(model, None, square).ops is first
+    after = filtering._plan.cache_info()
+    assert (after.hits, after.misses) == (1, 1)
+    assert np.array_equal(first.L0, L) and first.stable0 and not first.L0.flags.writeable
+    supplied = _config(r=2, mode=df.FIXED_USER_SUPPLIED, n=model.n, gain=L)
+    own = df.init_filter(model, None, supplied).ops
+    assert df.init_filter(model, None, supplied).ops is not own
+    assert filtering._plan.cache_info() == after
+    assert np.array_equal(own.L0, L)
+
+
+def test_a_second_run_on_a_frozen_schedule_computes_nothing_again(monkeypatch):
+    # the schedule's frozen gain carries its scan verdict, so a second run reads the
+    # gains and the verdict from the plan: of numpy.linalg only the covariance rule's
+    # eigvalsh on P0 runs, and the outputs are the cold run's bits
+    model, noise, _ = df.reference_example("nonsquare3")
+    config = _tv_config(model, 1)
+    y = df.simulate(model, noise, df.example_signals(model), 200, seed=3).y
+    cold = _cold_run(model, noise, config, y)
+    assert cold.frozen_at is not None
+    assert df.init_filter(model, noise, config).ops.schedule[-1].stable
+    calls = count_linalg_calls(monkeypatch)
+    warm = df.run_filter(model, noise, config, y)
+    assert calls == {"eigvalsh": 1}
+    for name in ("state_estimates", "input_estimates", "innovations", "L"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+    assert (warm.frozen_at, warm.nonfinite_at) == (cold.frozen_at, cold.nonfinite_at)
 
 
 @pytest.mark.parametrize("r", [1, 2])

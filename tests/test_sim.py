@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import delayfilter as df
-from delayfilter import csvio, sim
+from delayfilter import csvio, filtering, sim
 from delayfilter.linalg import psd_factor
+from conftest import count_linalg_calls
 
 E1 = df.validate_model([[0.5, 0.0], [1.0, 0.5]], [[1.0], [0.0]], [[0.0, 1.0]])
 E1U = df.validate_model(E1.A, E1.H, E1.C, B=[[0.3], [0.1]], D=[[0.2]])
@@ -612,6 +613,51 @@ def test_monte_carlo_bias_frees_its_draws_before_it_filters(monkeypatch):
     # holding any one of w (n columns), v (l), e (p) or x (n) would break the bound
     assert 8 * rows * min(model.n, model.l, model.p) > 10 * slack
     assert held[0] - before <= kept + slack, (held[0] - before, kept)
+
+
+def test_a_warm_batch_rebuilds_nothing(monkeypatch):
+    # criterion 8's batch: a second one reads the square gain's plan, its scan verdict and
+    # the noise factors from their memos; of numpy.linalg it calls only the covariance
+    # rule's eigvalsh on P0, and its report is the bits of a batch run with both memos clear
+    model, _, _ = df.reference_example("compartmental-25")
+    noise = df.NoiseSpec(Q=1e-4 * np.eye(model.n), R=1e-4 * np.eye(model.l))
+    config = df.FilterConfig(r=1, gain_mode=df.FIXED_SQUARE, initial_estimate=np.zeros(model.n),
+                             initial_covariance=np.eye(model.n))
+
+    def batch():
+        return df.monte_carlo_bias(model, noise, config, df.example_signals(model), trials=1000,
+                                   T=200, seed=0, ks=(50, 100, 200))
+
+    batch()
+    calls = count_linalg_calls(monkeypatch)
+    warm = batch()
+    assert calls == {"eigvalsh": 1}
+    filtering._plan.cache_clear()
+    sim._factors.cache_clear()
+    calls.clear()
+    cold = batch()
+    # the solve of the square gain, the eigvals of its verdict and the eigh of Q and R
+    assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1, "eigh": 2}
+    for name in ("mean", "stderr", "flagged"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+
+
+def test_the_noise_factors_follow_a_specs_values_not_the_spec():
+    # a NoiseSpec keeps a float64 array as it is, so a change to it in place reaches the
+    # spec; the factor memo is keyed on the values, and the next draw uses the new ones
+    Q, R = 1e-2 * np.eye(2), 1e-2 * np.eye(1)
+    noise = df.NoiseSpec(Q=Q, R=R)
+    signals = [df.parse_signal_spec("sine:1:8")]
+    first = df.simulate(E1, noise, signals, 30, seed=4)
+    Q *= 4.0
+    assert noise.Q is Q
+    second = df.simulate(E1, noise, signals, 30, seed=4)
+    fresh = df.simulate(E1, df.NoiseSpec(Q=Q.copy(), R=R.copy()), signals, 30, seed=4)
+    for name in "xywv":
+        assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
+    assert not np.array_equal(second.w, first.w) and np.array_equal(second.v, first.v)
+    Gw, Gv = sim._noise_factors(noise)
+    assert not Gw.flags.writeable and not Gv.flags.writeable
 
 
 def test_monte_carlo_bias_takes_a_seed_sequence():
