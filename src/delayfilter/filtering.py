@@ -25,11 +25,12 @@ TimeVaryingMinVar mode, the schedule of refreshed gains; the gain-free
 constants stay in the model's profile (markov's _Delay). FixedSquare and
 TimeVaryingMinVar plans are memoised together by _plan, the 16 most recent,
 keyed on the model object and r, and for TimeVaryingMinVar on the values of
-Q, R and P0; a FixedUserSupplied plan is built per session. A schedule grows as sessions
-reach steps no session reached before and keeps at most SCHEDULE_CAP
-entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats each (the covariance, the
-gain and its update map); past the cap a session refreshes its own gain. So
-a later session reads the gains the first one computed, bit for bit.
+Q, R and P0; a FixedUserSupplied plan is built per session. A schedule
+grows as sessions reach steps no session reached before and keeps at most
+SCHEDULE_CAP entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats each (the
+covariance, the gain and its update map); past the cap a session refreshes
+its own gain. So a later session reads the gains the first one computed,
+bit for bit.
 """
 
 from __future__ import annotations
