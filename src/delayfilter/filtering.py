@@ -24,13 +24,13 @@ gain, its update map, whether its error map is stable and, in
 TimeVaryingMinVar mode, the schedule of refreshed gains; the gain-free
 constants stay in the model's profile (markov's _Delay). FixedSquare and
 TimeVaryingMinVar plans are memoised together by _plan, the 16 most recent,
-keyed on the model object and r, and for TimeVaryingMinVar on the values of
-Q, R and P0; a FixedUserSupplied plan is built per session. A schedule
-grows as sessions reach steps no session reached before and keeps at most
-SCHEDULE_CAP entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats each (the
-covariance, the gain and its update map); past the cap a session refreshes
-its own gain. So a later session reads the gains the first one computed,
-bit for bit.
+keyed on the model object and r, and for TimeVaryingMinVar on the NoiseSpec
+object and the values of P0; a FixedUserSupplied plan is built per session.
+A schedule grows as sessions reach steps no session reached before and
+keeps at most SCHEDULE_CAP entries of n^2 + nl + (n+l+(r+2)m)(n+l+p) floats
+each (the covariance, the gain and its update map); past the cap a session
+refreshes its own gain. So a later session reads the gains the first one
+computed, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class _FilterOps:
     """
 
     model: SystemModel
-    noise: NoiseSpec | None             # the plan's own copy; None in the fixed modes
+    noise: NoiseSpec | None             # the spec init_filter was given; None in the fixed modes
     r: int
     d: _Delay                           # the model's constants at r
     L0: np.ndarray                      # the initial gain
@@ -131,7 +131,6 @@ class FilterState(NamedTuple):
     u_buffer: tuple                     # r+1 most recent known inputs, () if m=0
     gain: _Gain
     ops: _FilterOps
-    noise: NoiseSpec | None             # as given to init_filter
 
     L = property(lambda self: self.gain.L)
     P = property(lambda self: self.gain.P)
@@ -167,9 +166,9 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
     if config.gain is not None and mode in (FIXED_SQUARE, TIME_VARYING_MINVAR):
         raise PreconditionViolated(f"{mode} builds its own gain; config.gain must be None")
     if mode == FIXED_SQUARE:
-        ops = _plan(model, r, None)
+        ops = _plan(model, r, None, None)
     elif mode == TIME_VARYING_MINVAR:
-        ops = _plan(model, r, tuple(map(_frozen, (_sized(noise, model).Q, noise.R, P0))))
+        ops = _plan(model, r, _sized(noise, model), P0.tobytes())
     elif mode == FIXED_USER_SUPPLIED:
         if config.gain is None:
             raise PreconditionViolated("FixedUserSupplied needs config.gain")
@@ -181,32 +180,26 @@ def init_filter(model: SystemModel, noise: NoiseSpec | None, config: FilterConfi
         raise PreconditionViolated(f"unknown gain mode {mode!r}")
     gain = _Gain(ops.L0, ops.G0, covariance_state(P0), mode != TIME_VARYING_MINVAR, ops.stable0)
     sealed(gain.P.P)                    # the first refresh reads it into the plan's schedule
-    return FilterState(0, readonly(x0), (), gain, ops, noise)
-
-
-def _frozen(a: np.ndarray) -> tuple:
-    """(shape, bytes): a hashable copy of a float array's values."""
-    return a.shape, a.tobytes()
+    return FilterState(0, readonly(x0), (), gain, ops)
 
 
 @lru_cache(maxsize=16)
-def _plan(model: SystemModel, r: int, noise_key) -> _FilterOps:
-    """The plan of a FixedSquare (noise_key None) or TimeVaryingMinVar session, built once.
+def _plan(model: SystemModel, r: int, noise: NoiseSpec | None, P0: bytes | None) -> _FilterOps:
+    """The plan of a FixedSquare (noise None) or TimeVaryingMinVar session, built once.
 
     A FixedSquare plan is the square gain, gated by square_gain's residual
     check, its update map and its scan verdict, shared by every session of
-    (model, r). For TimeVaryingMinVar, noise_key is _frozen (Q, R, P0): keyed
-    on values, a plan never outlives a change to a NoiseSpec's arrays, and
-    the NoiseSpec built here checks the changed values by the covariance
-    rule. Threads that miss the memo at once each build an equal plan, and
-    the memo keeps one of them.
+    (model, r). A TimeVaryingMinVar plan is keyed, like the model, on the
+    NoiseSpec object, which cannot change after it is checked, and on the
+    bytes of the n x n P0, which each session's FilterConfig holds anew.
+    Threads that miss the memo at once each build an equal plan, and the
+    memo keeps one of them.
     """
     d = _feasible(model, r)
-    if noise_key is None:
+    if noise is None:
         return _new_plan(model, d, square_gain(model, r).L)
-    Q, R, P0 = (np.frombuffer(data).reshape(shape) for shape, data in noise_key)
-    noise = NoiseSpec(Q=Q, R=R)
-    return _new_plan(model, d, minvar_gain(model, noise, r, P0).L, noise)
+    P_prev = np.frombuffer(P0).reshape(model.n, model.n)
+    return _new_plan(model, d, minvar_gain(model, noise, r, P_prev).L, noise)
 
 
 def _new_plan(model: SystemModel, d: _Delay, L, noise: NoiseSpec | None = None) -> _FilterOps:
@@ -290,10 +283,10 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
     inputs. model, and in TimeVaryingMinVar mode noise, must be the
     objects given to init_filter: the state's gain belongs to them.
     """
-    k, xhat, buffer, gain, ops, state_noise = state
+    k, xhat, buffer, gain, ops = state
     if model is not ops.model:
         raise PreconditionViolated("step got a model other than the one given to init_filter")
-    if ops.noise is not None and noise is not state_noise:
+    if ops.noise is not None and noise is not ops.noise:
         raise PreconditionViolated("step got a noise other than the one given to init_filter")
     y, u = as_float_vector(y_k, model.l, "y_k"), ()   # u: (u_k,) if the model has known inputs
     if model.m > 0:
@@ -311,7 +304,7 @@ def step(state: FilterState, model: SystemModel, noise: NoiseSpec | None,
     n, l = model.n, model.l
     out.setflags(write=False)           # the state and the output share it
     xhat = out[:n]
-    return (_tuple(FilterState, (k + 1, xhat, buffer[1:] + u, gain, ops, state_noise)),
+    return (_tuple(FilterState, (k + 1, xhat, buffer[1:] + u, gain, ops)),
             _tuple(StepOutput, (k, xhat, out[n + l:], out[n:n + l])))
 
 

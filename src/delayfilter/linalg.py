@@ -102,9 +102,8 @@ def psd_factor(m) -> np.ndarray:
 
     Eigenvalue based so that singular covariances are accepted; Cholesky
     would reject them. Negative eigenvalues are clipped to zero: m is a
-    NoiseSpec's Q or R, which passed the covariance rule (model._covariance),
-    so the clip removes rounding only, unless the spec's arrays were changed
-    in place after it was built.
+    NoiseSpec's Q or R, which passed the covariance rule (model._covariance)
+    and cannot change after, so the clip removes rounding only.
     """
     w, u = np.linalg.eigh(0.5 * (m + m.T))
     return u * np.sqrt(np.clip(w, 0.0, None))

@@ -33,7 +33,7 @@ from .errors import (
     TooManyInputs,
     TooManyOutputs,
 )
-from .linalg import as_float_array, as_float_matrix, is_symmetric, numerical_rank, readonly
+from .linalg import as_float_matrix, is_symmetric, numerical_rank, readonly
 
 PSD_RTOL = 1e-10
 
@@ -84,17 +84,17 @@ class NoiseSpec:
     """Stationary noise covariances, Q of the process and R of the sensors.
 
     Both must pass the covariance rule (_covariance; QIndefinite, RNotPositiveDefinite),
-    which R = 0 does. A float64 array stays the same object: filtering's plans are keyed
-    on its values, so an in-place change gets a new plan, whose spec checks it again.
-    The sizes are checked against a model where the spec meets one (_sized).
+    which R = 0 does, and are kept as read-only copies, as a SystemModel's matrices are:
+    a spec cannot change after it is checked, so the memos that read it key on the spec
+    object. The sizes are checked against a model where the spec meets one (_sized).
     """
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", _covariance(self.Q, "Q", QIndefinite))
-        object.__setattr__(self, "R", _covariance(self.R, "R", RNotPositiveDefinite))
+        object.__setattr__(self, "Q", readonly(_covariance(self.Q, "Q", QIndefinite)))
+        object.__setattr__(self, "R", readonly(_covariance(self.R, "R", RNotPositiveDefinite)))
 
 
 def validate_model(A, H, C, B=None, D=None) -> SystemModel:
@@ -151,11 +151,10 @@ def _sized(noise: NoiseSpec | None, model: SystemModel) -> NoiseSpec:
 
 
 def validate_noise(Q, R, model: SystemModel) -> NoiseSpec:
-    """A NoiseSpec of read-only copies of Q and R, which applies the covariance rule (its
-    finiteness test included), sized for the model and with R strictly positive definite,
-    as a model file's must be: the one test the rule leaves, on the R it has already checked."""
-    Q, R = as_float_array(Q, "Q"), as_float_array(R, "R")
-    noise = _sized(NoiseSpec(Q=readonly(Q), R=readonly(R)), model)
+    """The NoiseSpec of Q and R, sized for the model and with R strictly positive definite,
+    as a model file's must be: the one test the spec's covariance rule leaves, on the R it
+    has already checked."""
+    noise = _sized(NoiseSpec(Q=Q, R=R), model)
     rmin = np.linalg.eigvalsh(0.5 * (noise.R + noise.R.T))[0]
     if rmin <= 0.0:
         raise RNotPositiveDefinite(f"R minimum eigenvalue {rmin:.3e} is not positive")

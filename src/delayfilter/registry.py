@@ -29,7 +29,7 @@ from .filtering import (
     predicted_error_sequence,
 )
 from .gain import minvar_gain, simplified_minvar_gain, square_gain, steady_state_gain
-from .linalg import frob, numerical_rank, sealed
+from .linalg import frob, numerical_rank
 from .markov import analyze_delays, markov_parameter
 from .model import NoiseSpec, SystemModel, validate_model
 from .sim import compartmental_model, run_experiment, simulate
@@ -82,15 +82,15 @@ def _nonsquare12_model() -> SystemModel:
 def default_noise(model: SystemModel) -> NoiseSpec:
     """The registry's default covariance pair, 1e-4 on both diagonals, sized for the model.
 
-    Every model of one (n, l) gets one shared NoiseSpec of read-only arrays,
-    built and put through the covariance rule the first time that size asks.
+    Every model of one (n, l) gets one shared NoiseSpec, built and put through the
+    covariance rule the first time that size asks.
     """
     return _default_noise(model.n, model.l)
 
 
 @lru_cache(maxsize=128)
 def _default_noise(n: int, l: int) -> NoiseSpec:
-    return NoiseSpec(Q=sealed(1e-4 * np.eye(n)), R=sealed(1e-4 * np.eye(l)))
+    return NoiseSpec(Q=1e-4 * np.eye(n), R=1e-4 * np.eye(l))
 
 
 def example_signals(model: SystemModel):

@@ -784,17 +784,17 @@ def test_an_initial_covariance_that_is_no_covariance_raises_in_every_mode(P0, er
         df.steady_state_gain(model, noise3, 1, P0=np.pad(P0, ((0, 1), (0, 1))) + np.diag([0, 0, 1]))
 
 
-def test_a_noise_spec_changed_in_place_to_no_covariance_is_rejected_by_the_next_session():
+def test_a_no_covariance_written_into_the_callers_q_does_not_reach_the_next_session():
+    # the spec keeps a read-only copy of the Q it checked: the next session reads its plan
     model, noise, _ = df.reference_example("nonsquare3")
     Q = np.array(noise.Q)
     hand = df.NoiseSpec(Q=Q, R=np.array(noise.R))
     config = _tv_config(model)
-    df.init_filter(model, hand, config)
+    plan = df.init_filter(model, hand, config).ops
     Q[...] = -1e-4 * np.eye(model.n)
-    with pytest.raises(df.QIndefinite):
-        df.init_filter(model, hand, config)
-    with pytest.raises(df.QIndefinite):
-        df.run_filter(model, hand, config, np.zeros((10, model.l)))
+    assert df.init_filter(model, hand, config).ops is plan
+    y = np.zeros((10, model.l))
+    assert _same_run(df.run_filter(model, hand, config, y), df.run_filter(model, noise, config, y))
 
 
 def test_the_covariance_rule_runs_once_where_a_covariance_enters(monkeypatch):
@@ -813,7 +813,7 @@ def test_the_covariance_rule_runs_once_where_a_covariance_enters(monkeypatch):
         return len(calls)
 
     filtering._plan.cache_clear()
-    assert count(lambda: df.init_filter(model, noise, config)) == 3   # P0, and Q, R rebuilt
+    assert count(lambda: df.init_filter(model, noise, config)) == 1   # P0: the spec's were checked
     state = df.init_filter(model, noise, config)
     assert len(state.ops.schedule) == 0
     assert count(lambda: df.init_filter(model, noise, config)) == 1
@@ -905,9 +905,12 @@ def test_a_second_session_reads_the_first_sessions_schedule():
     warm = _step_loop(model, noise, config, y)
     assert warm[2] == cold[2]
     assert all(np.array_equal(a, b) for a, b in zip(cold[:2], warm[:2]))
-    # equal values in another NoiseSpec give the same plan
+    # equal values in another NoiseSpec give another plan, with the same bits
     twin = df.NoiseSpec(Q=np.array(noise.Q), R=np.array(noise.R))
-    assert df.init_filter(model, twin, config).ops is plan
+    assert df.init_filter(model, twin, config).ops is not plan
+    twin_loop = _step_loop(model, twin, config, y)
+    assert twin_loop[2] == cold[2]
+    assert all(np.array_equal(a, b) for a, b in zip(cold[:2], twin_loop[:2]))
 
     cold_run = _cold_run(model, noise, config, y)
     assert cold_run.frozen_at == cold[2]
@@ -932,15 +935,15 @@ def test_each_model_noise_and_p0_gets_its_own_schedule():
         assert _same_run(got, cold)
         assert not np.array_equal(got.state_estimates, base.state_estimates, equal_nan=True)
 
-    # a NoiseSpec built by hand keeps writable arrays; changing one in
-    # place between sessions must change the schedule the next one reads
+    # a NoiseSpec built by hand keeps read-only copies; changing the caller's
+    # array between sessions leaves the schedule the next one reads as it was
     Q = np.array(noise.Q)
     hand = df.NoiseSpec(Q=Q, R=np.array(noise.R))
     first = df.run_filter(model, hand, config, y)
     Q *= 50.0
     second = df.run_filter(model, hand, config, y)
-    assert not np.array_equal(first.state_estimates, second.state_estimates, equal_nan=True)
-    assert _same_run(second, colds[1])
+    assert _same_run(second, first) and _same_run(first, base)
+    assert _same_run(df.run_filter(model, df.NoiseSpec(Q=Q, R=noise.R), config, y), colds[1])
 
 
 def test_plans_belong_to_their_model():
@@ -1165,8 +1168,8 @@ def test_step_is_one_product_of_the_raw_row_bit_for_bit():
             u = rng.standard_normal(model.m) if model.m else None
             nxt, out = df.step(state, model, noise, y, u)
             assert type(nxt) is df.FilterState and nxt._fields == (
-                "k", "xhat_delayed", "u_buffer", "gain", "ops", "noise")
-            assert nxt.k == k + 1 and nxt.ops is state.ops and nxt.noise is state.noise
+                "k", "xhat_delayed", "u_buffer", "gain", "ops")
+            assert nxt.k == k + 1 and nxt.ops is state.ops
             if out is None:
                 assert k <= config.r and nxt.xhat_delayed is state.xhat_delayed
                 phases.add("warm-up")

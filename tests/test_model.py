@@ -95,7 +95,8 @@ def test_noise_spec_applies_the_one_covariance_rule():
     # finite, square, symmetric, smallest eigenvalue >= -PSD_RTOL (1 + largest)
     Q = np.diag([2.0, 0.0])
     spec = df.NoiseSpec(Q=Q, R=np.zeros((1, 1)))       # R = 0 is a covariance
-    assert spec.Q is Q                                  # a float64 array stays the object
+    # kept as a read-only copy, as a SystemModel's matrices are
+    assert spec.Q is not Q and not spec.Q.flags.writeable and np.array_equal(spec.Q, Q)
     listed = df.NoiseSpec(Q=[[2.0, 0.0], [0.0, 0.0]], R=[[1.0]])
     assert isinstance(listed.Q, np.ndarray) and np.array_equal(listed.Q, Q)
     tol = PSD_RTOL * (1.0 + 2.0)
@@ -190,6 +191,36 @@ def test_a_listed_covariance_gives_the_arrays_results(entry):
 
     for a, b in zip(values(array), values(listed), strict=True):
         assert np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+
+
+def test_a_change_to_the_callers_q_reaches_no_call_with_the_spec():
+    # an indefinite matrix written into the caller's Q after the spec is built: every call
+    # gives the bits of a spec built from an untouched copy, and the spec's own arrays are
+    # read-only
+    model = _nonsquare3()
+    Q, R = np.array(df.default_noise(model).Q), np.array(df.default_noise(model).R)
+    spec, untouched = df.NoiseSpec(Q=Q, R=R), df.NoiseSpec(Q=Q.copy(), R=R.copy())
+    Q[0, 0] = -5.0
+    y = np.linspace(-1.0, 1.0, 40 * model.l).reshape(40, model.l)
+    calls = {
+        "simulate": lambda noise: df.simulate(model, noise, df.example_signals(model), 30, seed=3),
+        "minvar_gain": lambda noise: df.minvar_gain(model, noise, 1),
+        "steady_state_gain": lambda noise: df.steady_state_gain(model, noise, 1),
+        "run_filter-tv": lambda noise: df.run_filter(model, noise, _tv_config(model, 1), y),
+    }
+
+    def bits(result):
+        if isinstance(result, tuple):
+            return [b for part in result for b in bits(part)]
+        if hasattr(result, "__dataclass_fields__"):
+            return [b for name in result.__dataclass_fields__ for b in bits(getattr(result, name))]
+        return [result.tobytes() if isinstance(result, np.ndarray) else result]
+
+    for name, call in calls.items():
+        assert bits(call(spec)) == bits(call(untouched)), name
+    for a in (spec.Q, spec.R):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def _user_gain_config(model, r):

@@ -633,7 +633,7 @@ def test_a_warm_batch_rebuilds_nothing(monkeypatch):
     warm = batch()
     assert calls == {"eigvalsh": 1}
     filtering._plan.cache_clear()
-    sim._factors.cache_clear()
+    sim._noise_factors.cache_clear()
     calls.clear()
     cold = batch()
     # the solve of the square gain, the eigvals of its verdict and the eigh of Q and R
@@ -642,21 +642,22 @@ def test_a_warm_batch_rebuilds_nothing(monkeypatch):
         assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
 
 
-def test_the_noise_factors_follow_a_specs_values_not_the_spec():
-    # a NoiseSpec keeps a float64 array as it is, so a change to it in place reaches the
-    # spec; the factor memo is keyed on the values, and the next draw uses the new ones
+def test_the_noise_factors_are_memoised_on_the_spec():
+    # a NoiseSpec keeps read-only copies, so a change to the caller's Q does not reach it;
+    # the factor memo is keyed on the spec object, and the next draw is the first one's
     Q, R = 1e-2 * np.eye(2), 1e-2 * np.eye(1)
     noise = df.NoiseSpec(Q=Q, R=R)
     signals = [df.parse_signal_spec("sine:1:8")]
     first = df.simulate(E1, noise, signals, 30, seed=4)
     Q *= 4.0
-    assert noise.Q is Q
+    assert noise.Q is not Q
     second = df.simulate(E1, noise, signals, 30, seed=4)
-    fresh = df.simulate(E1, df.NoiseSpec(Q=Q.copy(), R=R.copy()), signals, 30, seed=4)
+    fresh = df.simulate(E1, df.NoiseSpec(Q=Q, R=R), signals, 30, seed=4)
     for name in "xywv":
-        assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
-    assert not np.array_equal(second.w, first.w) and np.array_equal(second.v, first.v)
+        assert getattr(second, name).tobytes() == getattr(first, name).tobytes()
+    assert not np.array_equal(fresh.w, first.w) and np.array_equal(fresh.v, first.v)
     Gw, Gv = sim._noise_factors(noise)
+    assert sim._noise_factors(noise)[0] is Gw
     assert not Gw.flags.writeable and not Gv.flags.writeable
 
 
