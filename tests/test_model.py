@@ -201,13 +201,6 @@ def test_a_change_to_the_callers_q_reaches_no_call_with_the_spec():
     Q, R = np.array(df.default_noise(model).Q), np.array(df.default_noise(model).R)
     spec, untouched = df.NoiseSpec(Q=Q, R=R), df.NoiseSpec(Q=Q.copy(), R=R.copy())
     Q[0, 0] = -5.0
-    y = np.linspace(-1.0, 1.0, 40 * model.l).reshape(40, model.l)
-    calls = {
-        "simulate": lambda noise: df.simulate(model, noise, df.example_signals(model), 30, seed=3),
-        "minvar_gain": lambda noise: df.minvar_gain(model, noise, 1),
-        "steady_state_gain": lambda noise: df.steady_state_gain(model, noise, 1),
-        "run_filter-tv": lambda noise: df.run_filter(model, noise, _tv_config(model, 1), y),
-    }
 
     def bits(result):
         if isinstance(result, tuple):
@@ -216,8 +209,8 @@ def test_a_change_to_the_callers_q_reaches_no_call_with_the_spec():
             return [b for name in result.__dataclass_fields__ for b in bits(getattr(result, name))]
         return [result.tobytes() if isinstance(result, np.ndarray) else result]
 
-    for name, call in calls.items():
-        assert bits(call(spec)) == bits(call(untouched)), name
+    for name, call in _NOISE_ENTRY_POINTS.items():
+        assert bits(call(model, spec, 1)) == bits(call(model, untouched, 1)), name
     for a in (spec.Q, spec.R):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
